@@ -1,0 +1,5 @@
+"""Host-calibrated end-to-end benchmark of the repro package.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
