@@ -20,7 +20,8 @@ generator uses:
    concurrency; the reported figure is the best requests/s observed.
 
 Appends one entry to ``BENCH_serve.json`` (same envelope as
-``BENCH_interp.json``, see :mod:`repro.perf.trajectory`) and fails when
+``BENCH_interp.json``, see :mod:`repro.perf.trajectory`), recording the
+host's CPU count and Python version beside the numbers, and fails when
 the mixed-load p99 rises more than ``--max-p99-regression`` above the
 trajectory's previous serve entry.
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -240,6 +242,8 @@ def main(argv=None) -> int:
         "date": datetime.date.today().isoformat(),
         "workers": args.workers,
         "requests": args.requests,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
         "serve": {
             "cold_ms": round(cold_seconds * 1e3, 3),
             "warm_p50_ms": round(warm_p50, 3),

@@ -19,51 +19,61 @@ Quickstart::
 See ``examples/`` for runnable end-to-end walkthroughs and
 ``benchmarks/`` for the scripts regenerating every table and figure of
 the paper's evaluation.
+
+Every exported name is loaded lazily (see :mod:`repro._lazy`): ``import
+repro`` loads no subpackage until one of its names is first used.
 """
 
-from .attacks import (
-    AttackController,
-    build_scenarios,
-    overflow_payload,
-    Scenario,
-)
-from .core import (
-    DefenseConfig,
-    ProtectionResult,
-    SCHEMES,
-    SecurityReport,
-    VulnerabilityAnalysis,
-    VulnerabilityReport,
-    analyze_module,
-    build_security_report,
-    clone_module,
-    protect,
-    protect_all,
-)
-from .frontend import compile_source
-from .hardware import (
-    CPU,
-    CanaryTrap,
-    DfiTrap,
-    ExecutionResult,
-    MemoryFault,
-    PacAuthError,
-    PointerAuthentication,
-)
-from .ir import IRBuilder, Module, parse_module, print_module, verify_module
-from .metrics import (
-    attack_distance_row,
-    branch_security_row,
-    measure_module,
-    measure_program,
-)
-from .perf import SuiteResult, run_suite
-from .workloads import (
-    ALL_PROFILES,
-    BenchmarkProfile,
-    generate_program,
-    get_profile,
-    run_nginx,
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "attacks": (
+            "AttackController",
+            "build_scenarios",
+            "overflow_payload",
+            "Scenario",
+        ),
+        "core": (
+            "DefenseConfig",
+            "ProtectionResult",
+            "SCHEMES",
+            "SecurityReport",
+            "VulnerabilityAnalysis",
+            "VulnerabilityReport",
+            "analyze_module",
+            "build_security_report",
+            "clone_module",
+            "protect",
+            "protect_all",
+        ),
+        "frontend": ("compile_source",),
+        "hardware": (
+            "CPU",
+            "CanaryTrap",
+            "DfiTrap",
+            "ExecutionResult",
+            "MemoryFault",
+            "PacAuthError",
+            "PointerAuthentication",
+        ),
+        "ir": ("IRBuilder", "Module", "parse_module", "print_module", "verify_module"),
+        "metrics": (
+            "attack_distance_row",
+            "branch_security_row",
+            "measure_module",
+            "measure_program",
+        ),
+        "perf": ("SuiteResult", "run_suite"),
+        "workloads": (
+            "ALL_PROFILES",
+            "BenchmarkProfile",
+            "generate_program",
+            "get_profile",
+            "run_nginx",
+        ),
+    },
 )
 
 __version__ = "1.0.0"

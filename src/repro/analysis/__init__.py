@@ -5,24 +5,31 @@ detection, the call graph, SSA liveness, and the two slicers (branch
 decomposition / input-channel construction) at the heart of Pythia.
 """
 
-from .alias import AliasAnalysis, HEAP_ALLOCATORS, MemObject
-from .callgraph import CallGraph
-from .dataflow import MemoryDef, MemoryDefUse, ReachingDefinitions
-from .input_channels import (
-    IC_CATEGORIES,
-    InputChannelAnalysis,
-    InputChannelSite,
-    channel_kind_of,
-    written_argument_indices,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "alias": ("AliasAnalysis", "HEAP_ALLOCATORS", "MemObject"),
+        "callgraph": ("CallGraph",),
+        "dataflow": ("MemoryDef", "MemoryDefUse", "ReachingDefinitions"),
+        "input_channels": (
+            "IC_CATEGORIES",
+            "InputChannelAnalysis",
+            "InputChannelSite",
+            "channel_kind_of",
+            "written_argument_indices",
+        ),
+        "liveness": ("Liveness",),
+        "manager": (
+            "AnalysisManager",
+            "DEFAULT_MANAGER",
+            "get_manager",
+            "invalidate_analyses",
+        ),
+        "slicing": ("BackwardSlicer", "BranchSlice", "ForwardSlice", "ForwardSlicer"),
+    },
 )
-from .liveness import Liveness
-from .manager import (
-    AnalysisManager,
-    DEFAULT_MANAGER,
-    get_manager,
-    invalidate_analyses,
-)
-from .slicing import BackwardSlicer, BranchSlice, ForwardSlice, ForwardSlicer
 
 __all__ = [
     "AliasAnalysis",

@@ -5,16 +5,23 @@ scenarios as runnable MiniC programs, and the canary brute-force model
 of §4.4.
 """
 
-from .bruteforce import (
-    BruteForceOutcome,
-    empirical_success_rate,
-    expected_tries,
-    first_order_probability,
-    simulate_bruteforce,
-    success_probability,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "bruteforce": (
+            "BruteForceOutcome",
+            "empirical_success_rate",
+            "expected_tries",
+            "first_order_probability",
+            "simulate_bruteforce",
+            "success_probability",
+        ),
+        "controller": ("AttackController", "Injection", "Payload", "overflow_payload"),
+        "scenarios": ("Scenario", "build_scenarios"),
+    },
 )
-from .controller import AttackController, Injection, Payload, overflow_payload
-from .scenarios import Scenario, build_scenarios
 
 __all__ = [
     "AttackController",

@@ -34,6 +34,11 @@ distinct code per failure layer (see :data:`EXIT_CODES`) -- never a
 traceback: 2 for an undetected attack / broken contract / suite
 failure, 3 for I/O (missing file, unreadable plan), 4 for invalid
 MiniC, 5 for IR verification and protection-pipeline bugs.
+
+The module imports at its top only what :func:`main` needs to parse
+arguments and map failures to exit codes; each ``cmd_*`` imports its
+own dependencies, so a cold ``repro run`` loads only what ``run``
+executes.
 """
 
 from __future__ import annotations
@@ -43,42 +48,29 @@ import os
 import sys
 from typing import List, Optional
 
-from .attacks import build_scenarios
-from .core import (
-    DefenseConfig,
-    SCHEMES,
-    analyze_module,
-    build_security_report,
-    protect,
-)
-from .frontend import CodegenError, CParseError, LexError, SemaError, compile_source
-from .hardware import CPU, INTERPRETERS
+from .core.config import DefenseConfig, SCHEMES
+from .frontend.codegen import CodegenError
+from .frontend.lexer import LexError
+from .frontend.parser import ParseError as CParseError
+from .frontend.sema import SemaError
+from .hardware.cpu import INTERPRETERS
 from .hardware.errors import ReproError
-from .ir import print_module
 from .ir.verifier import VerificationError
 from .observability import (
-    PROFILE_SCHEMA,
-    ExecutionProfiler,
-    audit_events,
     current_tracer,
     disable_tracing,
     enable_tracing,
-    format_report,
     get_event_log,
     get_metrics,
-    hot_block_counts,
     publish_execution,
     read_events,
-    render_audit,
-    render_dashboard,
     reset_event_log,
     reset_metrics,
     write_events,
     write_metrics,
     write_trace,
 )
-from .transforms import Mem2Reg
-from .workloads import generate_program, get_profile, profile_names
+from .workloads.profiles import get_profile, profile_names
 
 #: Exit code per failure layer.  :class:`~repro.hardware.errors.ReproError`
 #: subclasses carry their own ``exit_code`` and take precedence.
@@ -107,6 +99,8 @@ def _load_trace_profile(path: str) -> dict:
     """Read a ``--profile-out`` report back as trace-tier block counts."""
     import json
 
+    from .observability.profile import PROFILE_SCHEMA, hot_block_counts
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             report = json.load(handle)
@@ -134,6 +128,10 @@ def _write_profile_report(path: str, report: dict) -> None:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    from .frontend.driver import compile_source
+    from .ir.printer import print_module
+    from .transforms.mem2reg import Mem2Reg
+
     module = compile_source(_read_source(args.source), name=args.name)
     if args.mem2reg:
         Mem2Reg().run(module)
@@ -142,6 +140,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .core.framework import protect
+    from .frontend.driver import compile_source, source_digest
+    from .hardware.cpu import CPU
+
     source = _read_source(args.source)
     module = compile_source(source, name=args.name)
     config = DefenseConfig(scheme=args.scheme, protect_fields=args.fields)
@@ -164,7 +166,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace_profile = (
         _load_trace_profile(args.profile_in) if args.profile_in else None
     )
-    profiler = ExecutionProfiler() if args.profile_out else None
+    profiler = None
+    if args.profile_out:
+        from .observability.profile import ExecutionProfiler
+
+        profiler = ExecutionProfiler()
     cpu = CPU(
         protected.module,
         seed=args.seed,
@@ -176,8 +182,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = cpu.run(inputs=_parse_inputs(args.input))
     publish_execution(get_metrics(), result, scheme=args.scheme)
     if result.detected:
-        from .serve.registry import source_digest
-
         get_event_log().emit(
             "trap",
             module_digest=source_digest(source),
@@ -199,6 +203,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .core.report import build_security_report
+    from .core.vulnerability import analyze_module
+    from .frontend.driver import compile_source
+    from .transforms.mem2reg import Mem2Reg
+
     module = compile_source(_read_source(args.source), name=args.name)
     Mem2Reg().run(module)
     report = analyze_module(module)
@@ -226,6 +235,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    from .attacks.scenarios import build_scenarios
+    from .core.framework import protect
+
     scenarios = build_scenarios()
     if args.scenario not in scenarios:
         print(f"unknown scenario {args.scenario!r}; try: {', '.join(scenarios)}")
@@ -244,6 +256,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .core.framework import protect
+    from .hardware.cpu import CPU
+    from .workloads.generator import generate_program
+
     program = generate_program(get_profile(args.benchmark))
     module = program.compile()
     trace_profile = (
@@ -388,6 +404,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from .attacks.scenarios import build_scenarios
     from .robustness.campaign import (
         run_campaign,
         write_manifest,
@@ -463,6 +480,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from .core.framework import protect
+    from .frontend.driver import compile_source
+    from .hardware.cpu import CPU
+    from .observability.profile import ExecutionProfiler, format_report
+
     module = compile_source(_read_source(args.source), name=args.name)
     protected = protect(module, scheme=args.scheme)
     profiler = ExecutionProfiler()
@@ -616,6 +638,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 def cmd_top(args: argparse.Namespace) -> int:
     import time as time_module
 
+    from .observability.aggregate import render_dashboard
     from .serve.client import ServeClient
 
     frames = 0
@@ -649,6 +672,8 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from .observability.audit import audit_events, render_audit
+
     try:
         events = read_events(args.events)
     except ValueError as exc:
@@ -666,6 +691,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_scenarios(args: argparse.Namespace) -> int:
+    from .attacks.scenarios import build_scenarios
     from .robustness.campaign import FAMILY_FAULTS, NEW_FAMILIES
 
     for name, scenario in build_scenarios().items():

@@ -5,29 +5,36 @@ channel construction, §4.1), the end-to-end protection framework
 (vanilla / CPA / Pythia / DFI), and security reporting.
 """
 
-from .config import DefenseConfig, SCHEMES
-from .framework import (
-    BYTES_PER_INSTRUCTION,
-    ProtectionError,
-    ProtectionResult,
-    clone_module,
-    clone_module_textual,
-    protect,
-    protect_all,
-)
-from .remap import remap_report
-from .report import (
-    BranchVerdict,
-    SecurityReport,
-    build_security_report,
-    dfi_protects,
-    pythia_protects,
-)
-from .vulnerability import (
-    DIRECT_DEPTH,
-    VulnerabilityAnalysis,
-    VulnerabilityReport,
-    analyze_module,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": ("DefenseConfig", "SCHEMES"),
+        "framework": (
+            "BYTES_PER_INSTRUCTION",
+            "ProtectionError",
+            "ProtectionResult",
+            "clone_module",
+            "clone_module_textual",
+            "protect",
+            "protect_all",
+        ),
+        "remap": ("remap_report",),
+        "report": (
+            "BranchVerdict",
+            "SecurityReport",
+            "build_security_report",
+            "dfi_protects",
+            "pythia_protects",
+        ),
+        "vulnerability": (
+            "DIRECT_DEPTH",
+            "VulnerabilityAnalysis",
+            "VulnerabilityReport",
+            "analyze_module",
+        ),
+    },
 )
 
 __all__ = [

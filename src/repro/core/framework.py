@@ -24,8 +24,6 @@ from ..hardware.decoder import invalidate_decode_cache
 from ..hardware.errors import ReproError
 from ..ir.instructions import is_pa_instruction
 from ..ir.module import Module
-from ..ir.parser import parse_module
-from ..ir.printer import print_module
 from ..ir.verifier import VerificationError, verify_module
 from ..observability import phase_span
 from ..transforms.cpa import CompletePointerAuthentication
@@ -66,6 +64,9 @@ def clone_module_textual(module: Module) -> Module:
     Much slower than :func:`clone_module`; retained as the verification
     oracle (both paths must produce modules that print identically).
     """
+    from ..ir.parser import parse_module
+    from ..ir.printer import print_module
+
     return parse_module(print_module(module))
 
 

@@ -6,12 +6,19 @@ and calls into the modelled C library.  It is rich enough to express
 every attack listing in the paper.
 """
 
-from .ast_nodes import Program
-from .codegen import CodegenError, generate_module
-from .driver import compile_source
-from .lexer import LexError, Token, tokenize
-from .parser import ParseError as CParseError, Parser, parse_source
-from .sema import Sema, SemaError, SemaInfo, analyze_program
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ast_nodes": ("Program",),
+        "codegen": ("CodegenError", "generate_module"),
+        "driver": ("compile_source",),
+        "lexer": ("LexError", "Token", "tokenize"),
+        "parser": ("ParseError as CParseError", "Parser", "parse_source"),
+        "sema": ("Sema", "SemaError", "SemaInfo", "analyze_program"),
+    },
+)
 
 __all__ = [
     "analyze_program",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from ..ir.module import Module
 from ..ir.verifier import verify_module
 from .codegen import generate_module
@@ -21,3 +23,8 @@ def compile_source(source: str, name: str = "minic") -> Module:
     module = generate_module(program, info, name)
     verify_module(module)
     return module
+
+
+def source_digest(source: str) -> str:
+    """Content address of one source text (hex SHA-256)."""
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()

@@ -79,6 +79,7 @@ from ..ir.instructions import (
 from ..ir.module import Module
 from ..ir.types import IntType
 from .decoder import (
+    BLOCK_RET,
     DecodedBlock,
     _DECODED_MODULES,
     _fingerprint,
@@ -96,12 +97,6 @@ _MASK64 = (1 << 64) - 1
 #: default); the CPU only dispatches to this tier when its timing model
 #: still uses this width and DEFAULT_COSTS.
 BLOCK_ISSUE_WIDTH = 4
-
-#: Sentinel: generated functions return ``(BLOCK_RET, value)`` from
-#: ``ret`` terminators and the successor's ``(BlockCode, None)``
-#: ``self_pair`` otherwise (phi routing runs inline in the terminator
-#: before the pair is returned).
-BLOCK_RET = object()
 
 #: Attribute under which a module carries its cached block compile
 #: (mirrors ``decoder._DECODE_ATTR``; see the comment there for why the

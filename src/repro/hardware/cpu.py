@@ -68,9 +68,9 @@ from ..ir.module import Module
 from ..ir.types import ArrayType, I64, IntType, PointerType, StructType
 from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 from .allocator import OutOfMemoryError, SectionedHeap
-from .blockc import BLOCK_RET, block_compile
 from .cache import CacheModel
 from .decoder import (
+    BLOCK_RET,
     DecodedBlock,
     _DECODED_MODULES,
     _fingerprint as _module_fingerprint,
@@ -89,7 +89,6 @@ from .errors import (
     UnknownExternalError,
     UnknownInterpreterError,
 )
-from .tracec import trace_compile
 from .libc import LIBRARY
 from .memory import GLOBAL_BASE, Memory, MemoryFault, STACK_BASE
 from .pac import PacAuthError, PointerAuthentication
@@ -393,6 +392,8 @@ class CPU:
             # The block tier compiles from the decoded program and falls
             # back to it whenever batched accounting cannot be trusted
             # (non-default costs or issue width, step-limit crossings).
+            from .blockc import block_compile
+
             self._decoded, decode_seconds = decode_module(module)
             self._block, compile_seconds = block_compile(module)
             self.decode_seconds = decode_seconds + compile_seconds
@@ -402,6 +403,8 @@ class CPU:
             # inherits the same decoded-tier fallbacks.  ``trace_profile``
             # is the warmup run's per-block execution counts; without it,
             # regions are selected statically.
+            from .tracec import trace_compile
+
             self._decoded, decode_seconds = decode_module(module)
             self._block, compile_seconds = trace_compile(module, trace_profile)
             self.decode_seconds = decode_seconds + compile_seconds

@@ -653,6 +653,14 @@ def _fingerprint(module: Module) -> tuple:
     )
 
 
+#: Sentinel of the block and trace tiers: generated functions return
+#: ``(BLOCK_RET, value)`` from ``ret`` terminators and the successor's
+#: ``(BlockCode, None)`` ``self_pair`` otherwise (phi routing runs inline
+#: in the terminator before the pair is returned).  It lives here, not in
+#: :mod:`~repro.hardware.blockc`, so the CPU's dispatch loops can test for
+#: it without loading either compiler.
+BLOCK_RET = object()
+
 #: Attribute under which a module carries its cached decode.  The cache
 #: must live *on the module*: a ``DecodedProgram`` references the
 #: module's blocks (hence the module), so any manager-side mapping --

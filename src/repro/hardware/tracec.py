@@ -78,7 +78,6 @@ from ..ir.module import Module
 from ..ir.values import Argument
 from .blockc import (
     BLOCK_ISSUE_WIDTH,
-    BLOCK_RET,
     BlockCode,
     _BlockMeta,
     _FnGen,
@@ -92,6 +91,7 @@ from .blockc import (
     _trap_fixup,
 )
 from .decoder import (
+    BLOCK_RET,
     DecodedBlock,
     _DECODED_MODULES,
     _fingerprint,

@@ -5,22 +5,29 @@ and PA-instruction censuses (Fig. 6), branch security (Fig. 7(b)),
 attack distance (§6.2), and the analytic bounds of Eqs. 1-5.
 """
 
-from .attack_distance import AttackDistanceRow, attack_distance_row
-from .bounds import BoundParameters, extract_bound_parameters
-from .branch_security import BranchSecurityRow, branch_security_row
-from .spills import (
-    AARCH64_REGISTERS,
-    SpillEstimate,
-    cpa_spill_pa,
-    estimate_spills,
-    pythia_spill_pa,
-)
-from .overhead import (
-    BenchmarkMeasurement,
-    SchemeRun,
-    mean,
-    measure_module,
-    measure_program,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "attack_distance": ("AttackDistanceRow", "attack_distance_row"),
+        "bounds": ("BoundParameters", "extract_bound_parameters"),
+        "branch_security": ("BranchSecurityRow", "branch_security_row"),
+        "spills": (
+            "AARCH64_REGISTERS",
+            "SpillEstimate",
+            "cpa_spill_pa",
+            "estimate_spills",
+            "pythia_spill_pa",
+        ),
+        "overhead": (
+            "BenchmarkMeasurement",
+            "SchemeRun",
+            "mean",
+            "measure_module",
+            "measure_program",
+        ),
+    },
 )
 
 __all__ = [

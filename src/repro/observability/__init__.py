@@ -28,6 +28,10 @@ compile/measure/trap boundaries, and "disabled" just means nothing is
 ever exported.  Suite and serve workers install fresh local instances
 per task so parent-side merging never double-counts
 (see ``perf/runner.py`` and ``serve/worker.py``).
+
+``trace``, ``metrics``, and ``events`` are imported eagerly, because
+that process-global state is built from them; the names of the other
+submodules are loaded lazily (see :mod:`repro._lazy`).
 """
 
 from __future__ import annotations
@@ -35,14 +39,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional
 
-from .aggregate import (
-    QuantileSketch,
-    WindowAggregator,
-    bucket_index,
-    percentile_from_buckets,
-    render_dashboard,
-)
-from .audit import audit_events, render_audit
+from .._lazy import lazy_exports
 from .events import (
     EVENT_TYPES,
     EVENTS_SCHEMA,
@@ -60,19 +57,6 @@ from .metrics import (
     validate_snapshot,
     write_metrics,
 )
-from .slo import (
-    SloBreach,
-    SloPolicy,
-    count_traps,
-    evaluate_report,
-    evaluate_window,
-)
-from .profile import (
-    PROFILE_SCHEMA,
-    ExecutionProfiler,
-    format_report,
-    hot_block_counts,
-)
 from .trace import (
     NULL_TRACER,
     TRACE_SCHEMA,
@@ -80,6 +64,33 @@ from .trace import (
     Tracer,
     chrome_trace,
     write_trace,
+)
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "aggregate": (
+            "QuantileSketch",
+            "WindowAggregator",
+            "bucket_index",
+            "percentile_from_buckets",
+            "render_dashboard",
+        ),
+        "audit": ("audit_events", "render_audit"),
+        "slo": (
+            "SloBreach",
+            "SloPolicy",
+            "count_traps",
+            "evaluate_report",
+            "evaluate_window",
+        ),
+        "profile": (
+            "PROFILE_SCHEMA",
+            "ExecutionProfiler",
+            "format_report",
+            "hot_block_counts",
+        ),
+    },
 )
 
 __all__ = [

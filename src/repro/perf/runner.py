@@ -519,6 +519,11 @@ def run_tasks(
             tasks, worker, retries, keep_going, seed, backoff_base, backoff_cap
         )
 
+    # Import what measure_program attempts load lazily before forking,
+    # so every attempt shares it copy-on-write instead of importing it.
+    from ..hardware import blockc, tracec  # noqa: F401
+    from . import cache  # noqa: F401
+
     ctx = multiprocessing.get_context("fork")
     results: Dict[str, Any] = {}
     failures: Dict[str, TaskFailure] = {}

@@ -11,31 +11,41 @@
 - :mod:`~repro.robustness.campaign`: the seeded attack-campaign fuzzer
   producing the defense-coverage matrix (``python -m repro campaign``).
 
-``chaos``, ``campaign``, and ``reduce`` are loaded lazily (PEP 562):
-``chaos`` pulls in the perf layer, whose suite runner in turn imports
-:mod:`~repro.robustness.triage` from here -- eager imports would tie
-the two packages into a cycle -- and ``campaign`` pulls in the whole
+Every exported name is loaded lazily (see :mod:`repro._lazy`): ``chaos``
+pulls in the perf layer, whose suite runner in turn imports
+:mod:`~repro.robustness.triage` -- eager imports would tie the two
+packages into a cycle -- and ``campaign`` pulls in the whole
 attacks/compile pipeline.
 """
 
 from __future__ import annotations
 
-from .faults import (
-    FAULT_KINDS,
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    smoke_plan,
-)
-from .triage import (
-    CrashRecord,
-    TriageReport,
-    crash_fingerprint,
-    fingerprint_from_frames,
-    record_crash,
-    triage,
-    triage_exceptions,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "faults": (
+            "FAULT_KINDS",
+            "FaultEvent",
+            "FaultInjector",
+            "FaultPlan",
+            "FaultSpec",
+            "smoke_plan",
+        ),
+        "triage": (
+            "CrashRecord",
+            "TriageReport",
+            "crash_fingerprint",
+            "fingerprint_from_frames",
+            "record_crash",
+            "triage",
+            "triage_exceptions",
+        ),
+        "chaos": ("ChaosCase", "ChaosReport", "run_chaos"),
+        "campaign": ("CampaignReport", "Mutant", "MutantRun", "run_campaign"),
+        "reduce": ("ddmin", "make_crash_predicate", "reduce_source"),
+    },
 )
 
 __all__ = [
@@ -52,7 +62,6 @@ __all__ = [
     "record_crash",
     "triage",
     "triage_exceptions",
-    # lazy (PEP 562): chaos / campaign / reduce submodule attributes
     "ChaosCase",
     "ChaosReport",
     "run_chaos",
@@ -64,28 +73,3 @@ __all__ = [
     "make_crash_predicate",
     "reduce_source",
 ]
-
-_LAZY = {
-    "ChaosCase": "chaos",
-    "ChaosReport": "chaos",
-    "run_chaos": "chaos",
-    "CampaignReport": "campaign",
-    "Mutant": "campaign",
-    "MutantRun": "campaign",
-    "run_campaign": "campaign",
-    "ddmin": "reduce",
-    "make_crash_predicate": "reduce",
-    "reduce_source": "reduce",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value

@@ -12,20 +12,27 @@ compilation.  :mod:`repro.serve.client` and :mod:`repro.serve.loadgen`
 drive it; ``benchmarks/bench_serve_latency.py`` measures it.
 """
 
-from .client import ServeClient, ServeClientError, wait_for_server
-from .loadgen import LoadReport, RequestRecord, percentile, run_load
-from .pool import WorkerPool
-from .protocol import (
-    PROTOCOL,
-    classify_exception,
-    error_response,
-    ok_response,
-    request_key,
-    shard_digest,
-    validate_request,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "client": ("ServeClient", "ServeClientError", "wait_for_server"),
+        "loadgen": ("LoadReport", "RequestRecord", "percentile", "run_load"),
+        "pool": ("WorkerPool",),
+        "protocol": (
+            "PROTOCOL",
+            "classify_exception",
+            "error_response",
+            "ok_response",
+            "request_key",
+            "shard_digest",
+            "validate_request",
+        ),
+        "registry": ("RegistryStats", "WarmRegistry", "source_digest"),
+        "server": ("ReproServer", "ServeSocketError"),
+    },
 )
-from .registry import RegistryStats, WarmRegistry, source_digest
-from .server import ReproServer, ServeSocketError
 
 __all__ = [
     "LoadReport",

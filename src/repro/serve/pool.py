@@ -83,6 +83,13 @@ class WorkerPool:
 
     def start(self) -> None:
         """Fork every worker.  Call before the event loop starts."""
+        # Import what worker ops load lazily before forking, so every
+        # worker shares it copy-on-write instead of importing it on its
+        # first request.
+        from ..attacks import scenarios  # noqa: F401
+        from ..hardware import blockc, tracec  # noqa: F401
+        from ..perf import cache  # noqa: F401
+
         self._executor = ThreadPoolExecutor(
             max_workers=self.size, thread_name_prefix="serve-pipe"
         )

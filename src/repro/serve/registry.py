@@ -41,7 +41,7 @@ from ..analysis.manager import get_manager, invalidate_analyses
 from ..core.config import DefenseConfig
 from ..core.framework import ProtectionResult, protect
 from ..core.remap import remap_report
-from ..frontend import compile_source
+from ..frontend.driver import compile_source, source_digest
 from ..hardware.decoder import invalidate_decode_cache
 from ..ir.module import Module
 from ..ir.parser import parse_module
@@ -49,11 +49,6 @@ from ..ir.printer import print_module
 from ..observability import get_metrics, phase_span
 from ..transforms.mem2reg import Mem2Reg
 from ..ir.verifier import verify_module
-
-
-def source_digest(source: str) -> str:
-    """Content address of one source text (hex SHA-256)."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 @dataclass

@@ -6,23 +6,30 @@ re-layout (Algorithm 3) and heap sectioning (Algorithm 4), and the DFI
 comparison baseline.
 """
 
-from .cpa import CompletePointerAuthentication
-from .dfi import DataFlowIntegrityPass
-from .field_protect import FieldProtectionPass, make_guarded_struct
-from .heap_section import HeapSectionPass
-from .mem2reg import Mem2Reg, promotable_allocas
-from .optimize import ConstantFold, DeadCodeElimination, optimize
-from .pass_manager import PassManager
-from .stack_protect import StackProtectionPass
-from .support import (
-    ensure_declaration,
-    hoist_allocas,
-    is_scalar_object,
-    library_read_sites,
-    loads_touching,
-    object_size,
-    sign_scalar_slots,
-    stores_touching,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cpa": ("CompletePointerAuthentication",),
+        "dfi": ("DataFlowIntegrityPass",),
+        "field_protect": ("FieldProtectionPass", "make_guarded_struct"),
+        "heap_section": ("HeapSectionPass",),
+        "mem2reg": ("Mem2Reg", "promotable_allocas"),
+        "optimize": ("ConstantFold", "DeadCodeElimination", "optimize"),
+        "pass_manager": ("PassManager",),
+        "stack_protect": ("StackProtectionPass",),
+        "support": (
+            "ensure_declaration",
+            "hoist_allocas",
+            "is_scalar_object",
+            "library_read_sites",
+            "loads_touching",
+            "object_size",
+            "sign_scalar_slots",
+            "stores_touching",
+        ),
+    },
 )
 
 __all__ = [

@@ -5,21 +5,28 @@ plus nginx, the deterministic MiniC program generator realising them,
 and the nginx-style transfer-rate workload.
 """
 
-from .generator import GeneratedProgram, ProgramGenerator, generate_program
-from .nginx import (
-    DURATION_BATCHES,
-    NginxRun,
-    nginx_program,
-    run_nginx,
-    transfer_rate_overhead,
-)
-from .profiles import (
-    ALL_PROFILES,
-    BenchmarkProfile,
-    NGINX_PROFILE,
-    SPEC_PROFILES,
-    get_profile,
-    profile_names,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "generator": ("GeneratedProgram", "ProgramGenerator", "generate_program"),
+        "nginx": (
+            "DURATION_BATCHES",
+            "NginxRun",
+            "nginx_program",
+            "run_nginx",
+            "transfer_rate_overhead",
+        ),
+        "profiles": (
+            "ALL_PROFILES",
+            "BenchmarkProfile",
+            "NGINX_PROFILE",
+            "SPEC_PROFILES",
+            "get_profile",
+            "profile_names",
+        ),
+    },
 )
 
 __all__ = [

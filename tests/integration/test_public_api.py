@@ -1,8 +1,33 @@
 """The public API surface: everything the README promises."""
 
+import importlib
+import json
+import os
+import subprocess
+import sys
+import types
+
 import pytest
 
 import repro
+
+#: Every package whose ``__init__`` re-exports names from its submodules.
+PACKAGES = (
+    "repro",
+    "repro.analysis",
+    "repro.attacks",
+    "repro.core",
+    "repro.frontend",
+    "repro.hardware",
+    "repro.ir",
+    "repro.metrics",
+    "repro.observability",
+    "repro.perf",
+    "repro.robustness",
+    "repro.serve",
+    "repro.transforms",
+    "repro.workloads",
+)
 
 
 class TestPublicSurface:
@@ -61,3 +86,58 @@ class TestPublicSurface:
         text = repro.print_module(listing1_module)
         module = repro.parse_module(text)
         repro.verify_module(module)
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+class TestPackageExports:
+    def test_all_names_resolve(self, name):
+        package = importlib.import_module(name)
+        for export in package.__all__:
+            value = getattr(package, export)
+            # An export sharing its submodule's name (``optimize``,
+            # ``triage``) must stay the export, not the module.
+            assert not isinstance(value, types.ModuleType), export
+
+    def test_star_import(self, name):
+        namespace = {}
+        exec(f"from {name} import *", namespace)
+        package = importlib.import_module(name)
+        for export in package.__all__:
+            assert namespace[export] is getattr(package, export), export
+
+    def test_unknown_attribute(self, name):
+        package = importlib.import_module(name)
+        with pytest.raises(AttributeError, match="no_such_export"):
+            package.no_such_export
+        assert not hasattr(package, "no_such_export")
+
+
+def test_dir_lists_names_not_yet_loaded():
+    """``dir()`` of a freshly imported package lists its lazy exports."""
+    code = (
+        "import importlib, json, sys\n"
+        f"names = {list(PACKAGES)!r}\n"
+        "missing = {}\n"
+        "for name in names:\n"
+        "    package = importlib.import_module(name)\n"
+        "    missing[name] = sorted(set(package.__all__) - set(dir(package)))\n"
+        "print(json.dumps(missing))\n"
+    )
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    missing = json.loads(completed.stdout)
+    assert missing == {name: [] for name in PACKAGES}
+
+
+def test_submodules_resolve_as_attributes():
+    assert repro.hardware.cpu.CPU is repro.CPU
+    assert isinstance(repro.perf.trajectory, types.ModuleType)
