@@ -46,6 +46,7 @@ import argparse
 import datetime
 import gc
 import os
+import platform
 import shutil
 import sys
 import tempfile
@@ -220,6 +221,8 @@ def main(argv=None) -> int:
     entry = {
         "label": "compile-pipeline",
         "date": datetime.date.today().isoformat(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
         "profiles": len(modules),
         "schemes": list(SCHEMES),
         "repeat": args.repeat,

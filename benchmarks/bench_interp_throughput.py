@@ -35,6 +35,7 @@ import argparse
 import datetime
 import math
 import os
+import platform
 import sys
 import time
 
@@ -45,13 +46,7 @@ if _SRC not in sys.path:
 
 from repro.core.config import SCHEMES
 from repro.core.framework import protect
-from repro.hardware import (
-    CPU,
-    block_compile,
-    decode_module,
-    invalidate_decode_cache,
-    trace_compile,
-)
+from repro.hardware import CPU, decode_module, invalidate_decode_cache, trace_compile
 from repro.observability import ExecutionProfiler
 from repro.perf import append_entry, check_block_regression_file, run_suite
 from repro.workloads import generate_program, get_profile, profile_names
@@ -95,11 +90,12 @@ def measure_scheme(module, inputs, seed, repeat):
     execution counts, and those counts seed region selection.  The
     warmup and ``trace_compile`` happen before the timed loop, so the
     reported ``trace_seconds`` is pure execution (compile time is
-    reported separately, like ``decode_seconds``).
+    reported separately, like ``decode_seconds``).  The block tier is
+    the same compiler with no regions selected.
     """
     invalidate_decode_cache(module)
     _, decode_seconds = decode_module(module)
-    _, block_seconds = block_compile(module)
+    _, block_seconds = trace_compile(module, regions=False)
 
     profiler = ExecutionProfiler()
     CPU(module, seed=seed, interpreter="block", profiler=profiler).run(
@@ -254,6 +250,8 @@ def main(argv=None) -> int:
     entry = {
         "label": "interp-throughput",
         "date": datetime.date.today().isoformat(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
         "profile": args.profile,
         "repeat": args.repeat,
         "schemes": scheme_entries,

@@ -1,10 +1,11 @@
-"""Block-compiled execution engine: tier 3 of the interpreter stack.
+"""Block code generation: the op, block and edge emitters of the
+compiled tiers, plus the trap-time counter fix-up they share.
 
 The decoded tier (:mod:`repro.hardware.decoder`) removed operand and
 opcode dispatch but still pays one Python call per dynamic instruction
 (``handler(cpu, frame)``) plus per-instruction step/timing bookkeeping
-in the interpreter loop.  This module removes both: every decoded basic
-block is fused into a *single generated Python function* that
+in the interpreter loop.  The emitters here remove both: a decoded
+basic block is fused into a *single generated Python function* that
 
 - inlines the straight-line handler bodies (loads, stores, geps, int
   arithmetic, compares, casts, selects, PAC and DFI intrinsics) as
@@ -13,11 +14,19 @@ block is fused into a *single generated Python function* that
   bounded-width issue model into one update per *chunk* (a maximal run
   of ops with no interpreter re-entry), using tables precomputed for
   every possible entry state of the cheap-op run counter;
-- folds phi routing into per-CFG-edge closures doing one parallel
-  tuple assignment;
+- compiles phi routing inline into the terminator as one parallel
+  tuple assignment per taken edge;
 - direct-threads control flow: each generated function returns the
   pre-built ``(successor, edge)`` pair, so the driver loop in
   :meth:`CPU._interpret_block` is two tuple indexings per block.
+
+This module has no compile driver of its own.  The one per-function
+driver lives in :mod:`repro.hardware.tracec`; the block tier
+(``--interpreter block``) is that driver's no-region policy,
+``trace_compile(module, regions=False)``, which hands every block to
+:func:`_gen_block`.  Under the trace tier the same function emits every
+block outside a fused region, and the region emitters reuse the op
+emitters, :func:`_emit_phi_edge` and :func:`_trap_fixup`.
 
 Bit-identity with the reference interpreter
 -------------------------------------------
@@ -36,27 +45,23 @@ model is a dyadic rational (integer costs, 0.25-per-byte library
 calls), so float accumulation is exact and order-insensitive.
 
 Batched accounting bakes in ``DEFAULT_COSTS`` and the default issue
-width; :meth:`CPU._call` only dispatches here while the timing model
-still matches, and falls back to the decoded tier otherwise.  A block
-whose execution could cross the step limit is delegated, pending phi
-routing included, to the decoded loop, which raises
-``StepLimitExceeded`` at exactly the right op.
+width; :meth:`CPU._call` only dispatches to compiled code while the
+timing model still matches, and falls back to the decoded tier
+otherwise.  A block whose execution could cross the step limit is
+delegated, pending phi routing included, to the decoded loop, which
+raises ``StepLimitExceeded`` at exactly the right op.
 
-Like the decoded tier, compiled programs are cached on the module
-(fingerprint-guarded) and dropped by
-:func:`repro.hardware.decoder.invalidate_decode_cache`.  The deliberate
-divergence on *malformed, unverified* IR is shared with the decoded
-tier (``KeyError`` instead of the reference ``RuntimeError``), with one
-addition: a phi-routing ``KeyError`` on a malformed edge surfaces with
-the whole edge's phi charges applied rather than a prefix.
+The deliberate divergence on *malformed, unverified* IR is shared with
+the decoded tier (``KeyError`` instead of the reference
+``RuntimeError``), with one addition: a phi-routing ``KeyError`` on a
+malformed edge surfaces with the whole edge's phi charges applied
+rather than a prefix.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
-from ..ir.function import Function
 from ..ir.instructions import (
     Alloca,
     BinOp,
@@ -76,65 +81,46 @@ from ..ir.instructions import (
     Select,
     Store,
 )
-from ..ir.module import Module
 from ..ir.types import IntType
-from .decoder import (
-    BLOCK_RET,
-    DecodedBlock,
-    _DECODED_MODULES,
-    _fingerprint,
-    _gep_plan,
-    _spec,
-    decode_module,
-)
-from .errors import CanaryTrap, DfiTrap, NullPointerTrap
-from .memory import MemoryFault
+from .decoder import DecodedBlock, _gep_plan, _spec
 from .timing import DEFAULT_COSTS
 
 _MASK64 = (1 << 64) - 1
 
 #: The issue width the chunk tables are computed for (the TimingModel
-#: default); the CPU only dispatches to this tier when its timing model
-#: still uses this width and DEFAULT_COSTS.
+#: default); the CPU only dispatches to compiled code when its timing
+#: model still uses this width and DEFAULT_COSTS.
 BLOCK_ISSUE_WIDTH = 4
 
-#: Attribute under which a module carries its cached block compile
-#: (mirrors ``decoder._DECODE_ATTR``; see the comment there for why the
-#: cache lives on the module).
-_BLOCK_ATTR = "_block_program"
+#: Accumulators a plain block charges phi routing to: (instructions,
+#: issue residue, cycles).  Region code passes its own locals instead.
+_BLOCK_ACC = ("timing.instructions", "timing._cheap_run", "timing.cycles")
 
 
 class BlockCode:
-    """One basic block compiled to a fused function."""
+    """One compiled entry point: a basic block or a fused region.
 
-    __slots__ = ("fn", "dblock", "nsteps", "meta", "self_pair", "label")
+    ``nsteps`` is the (header) block's step count, the driver's entry
+    guard; ``dblock`` is its decoded twin, the step-limit delegation and
+    deopt target; ``self_pair`` is what terminators and side exits hand
+    the driver.
+    """
 
-    def __init__(self, dblock: DecodedBlock, nsteps: int, label: str = ""):
+    __slots__ = ("fn", "dblock", "nsteps", "meta", "self_pair", "label", "blocks")
+
+    def __init__(
+        self, dblock: DecodedBlock, nsteps: int, label: str = "", blocks: int = 1
+    ):
         self.fn = None
-        #: the decoded twin, for step-limit delegation
         self.dblock = dblock
-        #: dynamic steps one full execution of this block retires
         self.nsteps = nsteps
         self.meta: Optional["_BlockMeta"] = None
-        #: the ``(self, None)`` pair terminators and entries hand the driver
         self.self_pair = (self, None)
-        #: ``function:block`` tag the profiled block driver attributes to
+        #: ``function:block`` tag the profiled block driver attributes
+        #: to; for a region, the header's, which region selection keys on
         self.label = label
-
-
-class BlockProgram:
-    """All defined functions of one module, block-compiled."""
-
-    __slots__ = ("functions", "fingerprint", "compile_seconds", "issue_width", "sources")
-
-    def __init__(self, fingerprint: tuple):
-        #: Function -> entry BlockCode
-        self.functions: Dict[Function, BlockCode] = {}
-        self.fingerprint = fingerprint
-        self.compile_seconds = 0.0
-        self.issue_width = BLOCK_ISSUE_WIDTH
-        #: Function -> generated source, kept for debugging
-        self.sources: Dict[Function, str] = {}
+        #: number of basic blocks fused into this code
+        self.blocks = blocks
 
 
 class _BlockMeta:
@@ -163,6 +149,13 @@ def _simulate(costs, width: int, r0: int) -> Tuple[int, int]:
             cycles += cost
             r = 0
     return cycles, r
+
+
+def _chunk_tables(op_info, s: int, e: int) -> Tuple[tuple, tuple]:
+    """Cycles charged and issue residue left by ops ``s:e``, per entry residue."""
+    costs = [op_info[i][1] for i in range(s, e)]
+    runs = [_simulate(costs, BLOCK_ISSUE_WIDTH, r) for r in range(BLOCK_ISSUE_WIDTH)]
+    return tuple(run[0] for run in runs), tuple(run[1] for run in runs)
 
 
 def _trap_fixup(cpu, timing, counts, meta: _BlockMeta, exc: BaseException) -> None:
@@ -264,7 +257,7 @@ class _FnGen:
         #: line_map of the block currently being generated
         self.current_map: Optional[Dict[int, int]] = None
         #: id(value) -> Python local name for block-private SSA values
-        #: of the block currently being generated (see _plan_locals)
+        #: of the block currently being generated (see tracec._block_locals)
         self.block_locals: Dict[int, str] = {}
 
     def bind(self, obj: object, prefix: str) -> str:
@@ -683,81 +676,6 @@ def _classify(inst, impure: bool) -> Tuple[bool, tuple, bool]:
     return False, tuple(inst.operands), True
 
 
-def _plan_locals(order: List[DecodedBlock]) -> Dict[int, Dict[int, str]]:
-    """Decide which SSA values become Python locals, per block.
-
-    A value qualifies when its defining op assigns it from generated
-    code and every read happens inside the defining block's own
-    generated function (body operands, the terminator's payloads, and
-    the phi routes *this* block applies on its outgoing edges).  Reads
-    from another block, from a decoded-handler fallback, or from a
-    batched DFI check keep the value in the frame dict.  Allocas,
-    params and phis are frame-resident by construction (the frame
-    layout / caller / predecessor edges write them), as is everything a
-    step-limit delegation to the decoded tier might need -- locals
-    never outlive one generated call, and delegation happens only at
-    block entry, before any local exists.
-    """
-    candidates: Dict[int, int] = {}  # id(inst) -> id(defining dblock)
-    pinned: set = set()  # id(value) read through the frame
-    read_in: Dict[int, set] = {}  # id(value) -> {id(dblock) reading it}
-    per_block: Dict[int, List[object]] = {}
-
-    def read(value, bid: int) -> None:
-        read_in.setdefault(id(value), set()).add(bid)
-
-    for dblock in order:
-        bid = id(dblock)
-        body = _body_instructions(dblock)
-        block_defs: List[object] = []
-        for i, inst in enumerate(body):
-            impure = dblock.ops[i][2]
-            def_ok, reads, via_frame = _classify(inst, impure)
-            for value in reads:
-                if via_frame:
-                    pinned.add(id(value))
-                else:
-                    read(value, bid)
-            if def_ok:
-                candidates[id(inst)] = bid
-                block_defs.append(inst)
-        term = dblock.term
-        if term[0] == "ret":
-            spec = term[1]
-            if spec is not None and not spec[0]:
-                read(spec[1], bid)
-        elif term[0] == "br" and not term[1][0]:
-            read(term[1][1], bid)
-        if term[0] == "jump":
-            successors = (term[1],)
-        elif term[0] == "br":
-            successors = (term[2], term[3])
-        else:
-            successors = ()
-        for successor in successors:
-            route = successor.phi_routes.get(dblock)
-            if isinstance(route, tuple):
-                # applied inline in *this* block's terminator
-                for _, constant, payload in route:
-                    if not constant:
-                        read(payload, bid)
-        per_block[bid] = block_defs
-
-    plan: Dict[int, Dict[int, str]] = {}
-    for bid, block_defs in per_block.items():
-        block_locals: Dict[int, str] = {}
-        for inst in block_defs:
-            key = id(inst)
-            if key in pinned:
-                continue
-            readers = read_in.get(key)
-            if readers is not None and readers != {bid}:
-                continue
-            block_locals[key] = f"_l{len(block_locals)}"
-        plan[bid] = block_locals
-    return plan
-
-
 def _gen_block(
     gen: _FnGen,
     fn_name: str,
@@ -824,15 +742,7 @@ def _gen_block(
     gen.emit = emit3  # type: ignore[method-assign]
     try:
         for s, e in chunks:
-            costs = [info[1] for info in op_info[s:e]]
-            cycles_table = tuple(
-                _simulate(costs, BLOCK_ISSUE_WIDTH, r)[0]
-                for r in range(BLOCK_ISSUE_WIDTH)
-            )
-            cheap_table = tuple(
-                _simulate(costs, BLOCK_ISSUE_WIDTH, r)[1]
-                for r in range(BLOCK_ISSUE_WIDTH)
-            )
+            cycles_table, cheap_table = _chunk_tables(op_info, s, e)
             n = e - s
             gen.emit("_r0 = timing._cheap_run")
             gen.emit(f"timing.cycles += {gen.bind(cycles_table, 'T')}[_r0]")
@@ -882,27 +792,32 @@ def _gen_block(
     gen.block_locals = {}
 
 
-def _emit_phi_edge(gen: _FnGen, route, indent: int) -> bool:
+def _emit_phi_edge(gen: _FnGen, route, indent: int, acc: Tuple[str, str, str]) -> bool:
     """Emit the phi routing for one taken CFG edge, inline.
 
     The predecessor knows which edge it takes, so the successor's phi
     batch (batched accounting: phis are zero-cost under DEFAULT_COSTS,
     so a run of n phis is n cheap issue slots) plus one parallel
     assignment compile straight into the terminator -- no per-edge
-    closure, no driver routing.  Returns True when the edge is an
+    closure, no driver routing.  ``acc`` names the (instructions, issue
+    residue, cycles) accumulators the charges land in: ``timing``'s own
+    attributes for a plain block (:data:`_BLOCK_ACC`), the region's
+    locals inside fused region code, which flushes them at every exit.
+    Phi targets may be region locals.  Returns True when the edge is an
     unresolvable route and the emitted code raises instead of falling
     through to the ``return``.
     """
     if isinstance(route, str):
         gen.emit(f"raise KeyError({route!r})", indent=indent)
         return True
+    instructions, residue, cycles = acc
     n = len(route)
-    gen.emit(f"timing.instructions += {n}", indent=indent)
+    gen.emit(f"{instructions} += {n}", indent=indent)
     gen.emit(f"counts['phi'] += {n}", indent=indent)
-    gen.emit(f"_pr = timing._cheap_run + {n}", indent=indent)
-    gen.emit(f"timing.cycles += _pr // {BLOCK_ISSUE_WIDTH}", indent=indent)
-    gen.emit(f"timing._cheap_run = _pr % {BLOCK_ISSUE_WIDTH}", indent=indent)
-    targets = ", ".join(f"frame[{gen.bind(phi, 'V')}]" for phi, _, _ in route)
+    gen.emit(f"_pr = {residue} + {n}", indent=indent)
+    gen.emit(f"{cycles} += _pr // {BLOCK_ISSUE_WIDTH}", indent=indent)
+    gen.emit(f"{residue} = _pr % {BLOCK_ISSUE_WIDTH}", indent=indent)
+    targets = ", ".join(gen.target(phi) for phi, _, _ in route)
     values = ", ".join(
         gen.operand((constant, payload)) for _, constant, payload in route
     )
@@ -913,7 +828,7 @@ def _emit_phi_edge(gen: _FnGen, route, indent: int) -> bool:
 def _emit_goto(
     gen: _FnGen, pair_name: str, route, k: int, indent: int = 3
 ) -> None:
-    if route is not None and _emit_phi_edge(gen, route, indent):
+    if route is not None and _emit_phi_edge(gen, route, indent, _BLOCK_ACC):
         return
     gen.emit(f"return {pair_name}", indent=indent, op=k)
 
@@ -956,136 +871,3 @@ def _emit_term(
         gen.emit(f"if (({cond}) & 1):", op=k)
         _emit_goto(gen, pairs[(dblock, 0)], true_route, k, indent=4)
         _emit_goto(gen, pairs[(dblock, 1)], false_route, k)
-
-
-def _compile_function(
-    function: Function, entry: DecodedBlock, layout
-) -> Tuple[BlockCode, str]:
-    # Collect every decoded block reachable from the entry, in a stable
-    # order, plus the phi edges between them.
-    order: List[DecodedBlock] = []
-    seen = {id(entry)}
-    worklist = [entry]
-    while worklist:
-        dblock = worklist.pop(0)
-        order.append(dblock)
-        term = dblock.term
-        successors = ()
-        if term[0] == "jump":
-            successors = (term[1],)
-        elif term[0] == "br":
-            successors = (term[2], term[3])
-        for successor in successors:
-            if id(successor) not in seen:
-                seen.add(id(successor))
-                worklist.append(successor)
-
-    codes: Dict[int, BlockCode] = {}
-    for dblock in order:
-        nsteps = len(dblock.ops) + (0 if dblock.term[0] == "fall" else 1)
-        codes[id(dblock)] = BlockCode(
-            dblock, nsteps, f"{function.name}:{dblock.source.name}"
-        )
-
-    gen = _FnGen(f"<blockc:{function.name}>")
-    gen.lines.append("def _make_blocks(_C):")
-    gen.lines.append("")  # placeholder: unpack of _C, patched below
-
-    # Shared helpers come first so their names are stable.
-    for helper, name in (
-        (_trap_fixup, "_FIX"),
-        (BLOCK_RET, "_RET"),
-        (NullPointerTrap, "_NPT"),
-        (CanaryTrap, "_CT"),
-        (DfiTrap, "_DT"),
-        (MemoryFault, "_MF"),
-    ):
-        gen.consts.append(helper)
-        gen.const_names.append(name)
-        gen._by_id[id(helper)] = name
-
-    # Successor pairs, pre-built so the generated terminators return
-    # them directly; phi routes compile inline into the terminators.
-    pairs: Dict[tuple, str] = {}
-    routes: Dict[tuple, object] = {}
-    ret_pairs: Dict[DecodedBlock, str] = {}
-    for dblock in order:
-        term = dblock.term
-        if term[0] == "ret":
-            spec = term[1]
-            if spec is None:
-                ret_pairs[dblock] = gen.bind((BLOCK_RET, None), "R")
-            elif spec[0]:
-                ret_pairs[dblock] = gen.bind((BLOCK_RET, spec[1]), "R")
-            continue
-        if term[0] == "jump":
-            successors = (term[1],)
-        elif term[0] == "br":
-            successors = (term[2], term[3])
-        else:
-            continue
-        for slot, successor in enumerate(successors):
-            route = successor.phi_routes.get(dblock)
-            if route is not None:
-                routes[(dblock, slot)] = route
-            pairs[(dblock, slot)] = gen.bind(
-                codes[id(successor)].self_pair, "S"
-            )
-
-    # Generate the block functions.
-    local_plan = _plan_locals(order)
-    targets: List[BlockCode] = []
-    for index, dblock in enumerate(order):
-        meta = _BlockMeta()
-        code = codes[id(dblock)]
-        code.meta = meta
-        _gen_block(
-            gen,
-            f"_b{index}",
-            dblock,
-            layout,
-            meta,
-            pairs,
-            routes,
-            ret_pairs,
-            local_plan[id(dblock)],
-        )
-        targets.append(code)
-
-    gen.emit(f"return ({', '.join(gen.fn_names)},)", indent=1)
-    gen.lines[1] = "    ({},) = _C".format(", ".join(gen.const_names))
-
-    source = "\n".join(gen.lines)
-    namespace: Dict[str, object] = {}
-    exec(compile(source, gen.filename, "exec"), namespace)
-    functions = namespace["_make_blocks"](tuple(gen.consts))
-    for target, fn in zip(targets, functions):
-        target.fn = fn
-
-    return codes[id(entry)], source
-
-
-def block_compile(module: Module) -> Tuple[BlockProgram, float]:
-    """Block-compile ``module`` (or return the cached program).
-
-    Returns ``(program, seconds)`` where ``seconds`` is the compile time
-    spent by *this* call -- ``0.0`` on a cache hit.  Decoding happens
-    first (and is itself cached); the block tier compiles *from* the
-    decoded program so both tiers agree on specialisation decisions.
-    """
-    fingerprint = _fingerprint(module)
-    cached = getattr(module, _BLOCK_ATTR, None)
-    if cached is not None and cached.fingerprint == fingerprint:
-        return cached, 0.0
-    start = time.perf_counter()
-    decoded, _ = decode_module(module)
-    program = BlockProgram(fingerprint)
-    for function, entry in decoded.functions.items():
-        code, source = _compile_function(function, entry, decoded.global_layout)
-        program.functions[function] = code
-        program.sources[function] = source
-    elapsed = time.perf_counter() - start
-    program.compile_seconds = elapsed
-    setattr(module, _BLOCK_ATTR, program)
-    _DECODED_MODULES.add(module)
-    return program, elapsed

@@ -388,25 +388,20 @@ class CPU:
         self._block = None
         if interpreter == "decoded":
             self._decoded, self.decode_seconds = decode_module(module)
-        elif interpreter == "block":
-            # The block tier compiles from the decoded program and falls
-            # back to it whenever batched accounting cannot be trusted
-            # (non-default costs or issue width, step-limit crossings).
-            from .blockc import block_compile
-
-            self._decoded, decode_seconds = decode_module(module)
-            self._block, compile_seconds = block_compile(module)
-            self.decode_seconds = decode_seconds + compile_seconds
-        elif interpreter == "trace":
-            # The trace tier reuses the block drivers (RegionCode mirrors
-            # BlockCode), so it plugs into the same dispatch slot and
-            # inherits the same decoded-tier fallbacks.  ``trace_profile``
-            # is the warmup run's per-block execution counts; without it,
-            # regions are selected statically.
+        elif interpreter in ("block", "trace"):
+            # Both compiled tiers come from one compiler: the block tier
+            # is its no-region policy.  They compile from the decoded
+            # program and fall back to it whenever batched accounting
+            # cannot be trusted (non-default costs or issue width,
+            # step-limit crossings).  ``trace_profile`` is the warmup
+            # run's per-block execution counts; without it, the trace
+            # tier selects regions statically.
             from .tracec import trace_compile
 
             self._decoded, decode_seconds = decode_module(module)
-            self._block, compile_seconds = trace_compile(module, trace_profile)
+            self._block, compile_seconds = trace_compile(
+                module, trace_profile, regions=interpreter == "trace"
+            )
             self.decode_seconds = decode_seconds + compile_seconds
         self._refresh_block_fast()
         self._layout_globals()

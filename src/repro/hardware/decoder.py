@@ -657,8 +657,8 @@ def _fingerprint(module: Module) -> tuple:
 #: ``(BLOCK_RET, value)`` from ``ret`` terminators and the successor's
 #: ``(BlockCode, None)`` ``self_pair`` otherwise (phi routing runs inline
 #: in the terminator before the pair is returned).  It lives here, not in
-#: :mod:`~repro.hardware.blockc`, so the CPU's dispatch loops can test for
-#: it without loading either compiler.
+#: the compiler (:mod:`~repro.hardware.tracec`), so the CPU's dispatch
+#: loops can test for it without loading it.
 BLOCK_RET = object()
 
 #: Attribute under which a module carries its cached decode.  The cache
@@ -670,7 +670,7 @@ _DECODE_ATTR = "_decoded_program"
 
 #: Every per-module execution cache dropped by invalidation: the decode
 #: itself plus the block and trace compiles layered on top of it (see
-#: :mod:`repro.hardware.blockc` and :mod:`repro.hardware.tracec`).
+#: :mod:`repro.hardware.tracec`, which caches one per policy).
 _CACHE_ATTRS = (_DECODE_ATTR, "_block_program", "_trace_program", "_cpu_meta")
 
 #: Weak registry of modules carrying a cached decode or block compile,

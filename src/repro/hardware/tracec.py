@@ -1,12 +1,22 @@
-"""Trace/superblock execution engine: tier 4 ("trace") of the stack.
+"""The compiler of the block and trace tiers: one driver, two policies.
 
-The block tier (:mod:`repro.hardware.blockc`) fused each basic block
-into one generated function but still pays a driver round-trip -- one
-Python call, one step-limit guard, two tuple indexings -- per dynamic
-*block*.  This module fuses whole **regions**: natural loops (plus the
-superblock chains hanging off their headers) and, for small functions,
-the entire function body, selected with the per-block hot-spot counts
-an :class:`~repro.observability.ExecutionProfiler` collected under the
+:func:`trace_compile` compiles every defined function of a module from
+its decoded program (:mod:`repro.hardware.decoder`) into generated
+Python.  Its ``regions`` keyword is the selection policy:
+
+- ``regions=False`` is the block tier (``--interpreter block``): no
+  region is selected, so every basic block compiles alone through the
+  block emitter (:func:`blockc._gen_block`) and the driver loop in
+  :meth:`CPU._interpret_block` pays one round-trip -- one Python call,
+  one step-limit guard, two tuple indexings -- per dynamic block.
+- ``regions=True`` is the trace tier: whole **regions** fuse into one
+  generated function each, and the blocks outside every region compile
+  exactly as under the block tier.
+
+A region is a natural loop (plus the superblock chains hanging off its
+header) or, for small functions, the entire function body, selected
+with the per-block hot-spot counts an
+:class:`~repro.observability.ExecutionProfiler` collected under the
 block tier (or statically, when no profile is given).  One generated
 function per region
 
@@ -36,22 +46,24 @@ function per region
   the hit test and the store require ``pac.fault_hook is None`` so
   chaos injection always sees the real call.
 
-Side exits fall back exactly like the block tier: a block whose
+Side exits fall back exactly like a plain block: a block whose
 execution could cross the step limit first spills its live region
 locals back to the frame, then delegates the rest of the call to the
 decoded loop, which raises ``StepLimitExceeded`` at precisely the
-right op.  Batched accounting and the traceback-line trap fixup are
-shared with the block tier (:func:`blockc._trap_fixup`); a region
-carries one :class:`blockc._BlockMeta` whose op table concatenates all
-member blocks, so the existing fixup repairs a trapping chunk no
-matter which fused block it came from.
+right op.  Batched accounting and the traceback-line trap fixup come
+from :mod:`repro.hardware.blockc` (:func:`blockc._trap_fixup`); a
+region carries one :class:`blockc._BlockMeta` whose op table
+concatenates all member blocks, so the same fixup repairs a trapping
+chunk no matter which fused block it came from.  A region's entry
+point is a :class:`blockc.BlockCode` whose ``blocks`` counts the fused
+blocks, so the block drivers dispatch it unchanged.
 
 Region selection is profile-guided: ``trace_compile(module, profile)``
 takes the ``"function:block" -> executions`` map exported by
 :func:`repro.observability.profile.hot_block_counts` and skips cold
 functions and cold loops; chains are laid out hottest-successor-first.
-Compiled programs are cached on the module keyed on the structural
-fingerprint *and* a digest of the profile
+Compiled programs are cached on the module, one slot per policy, keyed
+on the structural fingerprint *and* a digest of the profile
 (:func:`repro.perf.regions.profile_digest`), and dropped by
 :func:`repro.hardware.decoder.invalidate_decode_cache`.
 """
@@ -82,12 +94,12 @@ from .blockc import (
     _BlockMeta,
     _FnGen,
     _body_instructions,
+    _chunk_tables,
     _classify,
     _emit_op,
+    _emit_phi_edge,
     _gen_block,
     _gen_dfi_chk_batch,
-    _plan_locals,
-    _simulate,
     _trap_fixup,
 )
 from .decoder import (
@@ -103,8 +115,15 @@ from .memory import MemoryFault
 from .pac import ADDR_MASK, PAC_BITS, VA_BITS
 from .timing import DEFAULT_COSTS
 
-#: Attribute under which a module carries its cached trace compile.
+#: Attributes under which a module carries its cached compiles, one per
+#: policy, so block and trace programs for one module coexist (see
+#: ``decoder._DECODE_ATTR`` for why the cache lives on the module).
 _TRACE_ATTR = "_trace_program"
+_BLOCK_ATTR = "_block_program"
+
+#: Accumulators region code charges phi routing to (instructions, issue
+#: residue, cycles); every region exit flushes them (see _gen_region).
+_REGION_ACC = ("_in", "_cr", "_cy")
 
 #: Hard cap on blocks fused into one region; oversized loops are left
 #: to the per-block functions rather than truncated (truncation would
@@ -116,36 +135,12 @@ MAX_REGION_BLOCKS = 48
 WHOLE_FUNCTION_BLOCKS = 24
 
 
-class RegionCode:
-    """One region (superblock set) compiled to a fused function.
-
-    Mirrors :class:`blockc.BlockCode` slot-for-slot so the existing
-    block drivers (:meth:`CPU._interpret_block` and its profiled twin)
-    dispatch regions without modification: ``nsteps`` is the *header*
-    block's step count (the driver's entry guard; every fused block
-    repeats the same guard inside the generated function), ``dblock``
-    is the header's decoded twin (the deopt target), and ``self_pair``
-    is what side exits of other code hand the driver.
-    """
-
-    __slots__ = ("fn", "dblock", "nsteps", "meta", "self_pair", "label", "blocks")
-
-    def __init__(self, dblock: DecodedBlock, nsteps: int, label: str = "",
-                 blocks: int = 1):
-        self.fn = None
-        self.dblock = dblock
-        self.nsteps = nsteps
-        self.meta: Optional[_BlockMeta] = None
-        self.self_pair = (self, None)
-        #: header's ``function:block`` tag, so a trace-tier profile can
-        #: be fed back into region selection (which keys on the header)
-        self.label = label
-        #: number of basic blocks fused into this region
-        self.blocks = blocks
-
-
 class TraceProgram:
-    """All defined functions of one module, trace-compiled."""
+    """All defined functions of one module, compiled under one policy.
+
+    A block-tier program (``regions=False``) has ``region_count == 0``:
+    every entry is a single-block :class:`BlockCode`.
+    """
 
     __slots__ = (
         "functions",
@@ -159,8 +154,8 @@ class TraceProgram:
     )
 
     def __init__(self, fingerprint: tuple, profile_digest: Optional[str]):
-        #: Function -> entry code (RegionCode or BlockCode)
-        self.functions: Dict[Function, object] = {}
+        #: Function -> entry BlockCode (a fused region's when it heads one)
+        self.functions: Dict[Function, BlockCode] = {}
         self.fingerprint = fingerprint
         self.profile_digest = profile_digest
         self.compile_seconds = 0.0
@@ -547,6 +542,37 @@ def _function_reads(
     return pinned, read_in
 
 
+def _block_locals(
+    dblock: DecodedBlock, pinned: Set[int], read_in: Dict[int, Set[int]]
+) -> Dict[int, str]:
+    """Which SSA values of a block outside every region become locals.
+
+    A value qualifies when its defining op assigns it from generated
+    code and every read happens inside the block's own generated
+    function (body operands, the terminator's payloads, and the phi
+    routes *this* block applies on its outgoing edges).  Reads from
+    another block, from a decoded-handler fallback, or from a batched
+    DFI check keep the value in the frame dict.  Allocas, params and
+    phis are frame-resident by construction (the frame layout / caller /
+    predecessor edges write them), as is everything a step-limit
+    delegation to the decoded tier might need -- locals never outlive
+    one generated call, and delegation happens only at block entry,
+    before any local exists.
+    """
+    bid = id(dblock)
+    names: Dict[int, str] = {}
+    for i, inst in enumerate(_body_instructions(dblock)):
+        def_ok, _, _ = _classify(inst, dblock.ops[i][2])
+        key = id(inst)
+        if not def_ok or key in pinned:
+            continue
+        readers = read_in.get(key)
+        if readers is not None and readers != {bid}:
+            continue
+        names[key] = f"_l{len(names)}"
+    return names
+
+
 def _make_spiller(slots: Tuple[Tuple[object, str], ...]):
     """Closure flushing bound region locals back into the frame dict.
 
@@ -565,15 +591,15 @@ def _make_spiller(slots: Tuple[Tuple[object, str], ...]):
 
 
 def _plan_region(
-    function: Function,
     order: List[DecodedBlock],
     region: _Region,
     dom: DominatorTree,
     layout,
+    pinned: Set[int],
+    read_in: Dict[int, Set[int]],
 ) -> _RegionPlan:
     plan = _RegionPlan()
     by_id = {id(d): d for d in order}
-    pinned, read_in = _function_reads(order)
     header_source = region.header.source
 
     backedge_sources = [
@@ -741,30 +767,6 @@ def _plan_region(
 # ---------------------------------------------------------------------------
 
 
-def _emit_region_phi_edge(gen: _FnGen, route, indent: int) -> bool:
-    """Inline phi routing for one region edge; targets may be locals.
-
-    Charges go to the region's local accumulators (``_cy``/``_in``/
-    ``_cr``), not to ``timing`` -- region code flushes those at every
-    exit (see _gen_region).
-    """
-    if isinstance(route, str):
-        gen.emit(f"raise KeyError({route!r})", indent=indent)
-        return True
-    n = len(route)
-    gen.emit(f"_in += {n}", indent=indent)
-    gen.emit(f"counts['phi'] += {n}", indent=indent)
-    gen.emit(f"_pr = _cr + {n}", indent=indent)
-    gen.emit(f"_cy += _pr // {BLOCK_ISSUE_WIDTH}", indent=indent)
-    gen.emit(f"_cr = _pr % {BLOCK_ISSUE_WIDTH}", indent=indent)
-    targets = ", ".join(gen.target(phi) for phi, _, _ in route)
-    values = ", ".join(
-        gen.operand((constant, payload)) for _, constant, payload in route
-    )
-    gen.emit(f"{targets} = {values}", indent=indent)
-    return False
-
-
 def _emit_region_goto(
     gen: _FnGen,
     region: _Region,
@@ -773,7 +775,7 @@ def _emit_region_goto(
     k: int,
     indent: int,
     next_block: Optional[DecodedBlock],
-    codes: Dict[int, object],
+    codes: Dict[int, BlockCode],
     merged: bool,
     flush,
 ) -> None:
@@ -788,7 +790,7 @@ def _emit_region_goto(
                 for _, constant, payload in route
             )
             gen.emit(f"{targets} = {values}", indent=indent)
-        elif _emit_region_phi_edge(gen, route, indent):
+        elif _emit_phi_edge(gen, route, indent, _REGION_ACC):
             return
     if id(target) in region.ids:
         if target is next_block:
@@ -809,7 +811,7 @@ def _emit_region_term(
     k: int,
     d: int,
     next_block: Optional[DecodedBlock],
-    codes: Dict[int, object],
+    codes: Dict[int, BlockCode],
     static_merged: bool,
     fall_merged: bool,
     flush,
@@ -1024,19 +1026,6 @@ def _static_target(dblock: DecodedBlock) -> Optional[DecodedBlock]:
     return None
 
 
-def _chunk_tables(all_info, s: int, e: int) -> Tuple[tuple, tuple]:
-    costs = [all_info[i][1] for i in range(s, e)]
-    cycles_table = tuple(
-        _simulate(costs, BLOCK_ISSUE_WIDTH, r)[0]
-        for r in range(BLOCK_ISSUE_WIDTH)
-    )
-    cheap_table = tuple(
-        _simulate(costs, BLOCK_ISSUE_WIDTH, r)[1]
-        for r in range(BLOCK_ISSUE_WIDTH)
-    )
-    return cycles_table, cheap_table
-
-
 def _emit_chunk_charges(
     gen: _FnGen, all_info, s: int, e: int, kvar: str
 ) -> None:
@@ -1096,7 +1085,7 @@ def _gen_region(
     region: _Region,
     layout,
     meta: _BlockMeta,
-    codes: Dict[int, object],
+    codes: Dict[int, BlockCode],
     plan: _RegionPlan,
 ) -> None:
     phi_cost = DEFAULT_COSTS["phi"]
@@ -1517,15 +1506,23 @@ def _gen_region(
 # ---------------------------------------------------------------------------
 
 
-def _compile_function_trace(
+def _compile_function(
     function: Function,
     entry: DecodedBlock,
     layout,
     counts: Optional[Dict[str, float]],
-) -> Tuple[object, str, int, int]:
+    select_regions: bool,
+) -> Tuple[BlockCode, str, int, int]:
+    """Compile one function: its regions fused, every other block alone.
+
+    With ``select_regions`` false no region is selected (the block
+    tier), so neither the dominator tree nor the profile is consulted.
+    """
     order = _function_order(entry)
-    dom = DominatorTree(function)
-    regions = _select_regions(function, order, dom, counts)
+    regions: List[_Region] = []
+    if select_regions:
+        dom = DominatorTree(function)
+        regions = _select_regions(function, order, dom, counts)
     pos = {id(d): i for i, d in enumerate(order)}
 
     def hotness(dblock: DecodedBlock) -> float:
@@ -1541,7 +1538,7 @@ def _compile_function_trace(
 
     outside = [d for d in order if id(d) not in region_of]
 
-    codes: Dict[int, object] = {}
+    codes: Dict[int, BlockCode] = {}
     for dblock in outside:
         codes[id(dblock)] = BlockCode(
             dblock,
@@ -1550,7 +1547,7 @@ def _compile_function_trace(
         )
     for region in regions:
         header = region.header
-        codes[id(header)] = RegionCode(
+        codes[id(header)] = BlockCode(
             header,
             _block_steps(header),
             f"{function.name}:{header.source.name}",
@@ -1561,6 +1558,7 @@ def _compile_function_trace(
     gen.lines.append("def _make_blocks(_C):")
     gen.lines.append("")  # placeholder: unpack of _C, patched below
 
+    # Shared helpers come first so their names are stable.
     for helper, name in (
         (_trap_fixup, "_FIX"),
         (BLOCK_RET, "_RET"),
@@ -1573,10 +1571,11 @@ def _compile_function_trace(
         gen.const_names.append(name)
         gen._by_id[id(helper)] = name
 
-    # Successor pairs and routes for the non-region blocks, which reuse
-    # the block tier's generator unchanged.  Regions are single-entry,
-    # so an outside block's successor is always an outside block or a
-    # region *header* -- both have codes.
+    # Successor pairs and routes for the non-region blocks, pre-built so
+    # the generated terminators return them directly; phi routes compile
+    # inline into the terminators.  Regions are single-entry, so an
+    # outside block's successor is always an outside block or a region
+    # *header* -- both have codes.
     pairs: Dict[tuple, str] = {}
     routes: Dict[tuple, object] = {}
     ret_pairs: Dict[DecodedBlock, str] = {}
@@ -1595,8 +1594,8 @@ def _compile_function_trace(
                 routes[(dblock, slot)] = route
             pairs[(dblock, slot)] = gen.bind(codes[id(successor)].self_pair, "S")
 
-    local_plan = _plan_locals(order)
-    targets: List[object] = []
+    pinned, read_in = _function_reads(order)
+    targets: List[BlockCode] = []
     for index, dblock in enumerate(outside):
         meta = _BlockMeta()
         code = codes[id(dblock)]
@@ -1610,14 +1609,14 @@ def _compile_function_trace(
             pairs,
             routes,
             ret_pairs,
-            local_plan[id(dblock)],
+            _block_locals(dblock, pinned, read_in),
         )
         targets.append(code)
     for index, region in enumerate(regions):
         meta = _BlockMeta()
         code = codes[id(region.header)]
         code.meta = meta
-        plan = _plan_region(function, order, region, dom, layout)
+        plan = _plan_region(order, region, dom, layout, pinned, read_in)
         _gen_region(gen, f"_t{index}", region, layout, meta, codes, plan)
         targets.append(code)
 
@@ -1636,27 +1635,37 @@ def _compile_function_trace(
 
 
 def trace_compile(
-    module: Module, profile: Optional[Dict[str, float]] = None
+    module: Module,
+    profile: Optional[Dict[str, float]] = None,
+    *,
+    regions: bool = True,
 ) -> Tuple[TraceProgram, float]:
-    """Trace-compile ``module`` (or return the cached program).
+    """Compile ``module`` (or return the cached program).
 
-    ``profile`` is the ``"function:block" -> executions`` map from a
-    warmup run (:func:`repro.observability.profile.hot_block_counts`);
-    ``None`` selects regions statically (every loop plus every small
-    function).  Returns ``(program, seconds)`` where ``seconds`` is the
-    compile time spent by *this* call -- ``0.0`` on a cache hit.  The
-    cache key is the module's structural fingerprint plus the profile
-    digest, so recompiling with a different profile reselects regions.
+    ``regions`` selects the policy.  True (the trace tier) fuses
+    selected regions: ``profile`` is the ``"function:block" ->
+    executions`` map from a warmup run
+    (:func:`repro.observability.profile.hot_block_counts`), and ``None``
+    selects regions statically (every loop plus every small function).
+    False (the block tier) selects no region, so every block compiles
+    to its own function and ``profile`` is ignored.  Each policy caches
+    in its own slot on the module, so both programs coexist.
+
+    Returns ``(program, seconds)`` where ``seconds`` is the compile time
+    spent by *this* call -- ``0.0`` on a cache hit.  The cache key is
+    the module's structural fingerprint plus the profile digest, so
+    recompiling with a different profile reselects regions.
     """
     digest = None
-    if profile is not None:
+    if regions and profile is not None:
         # Deliberately lazy: repro.perf owns the digest format, but the
         # perf package imports the hardware layer at module load.
         from ..perf.regions import profile_digest
 
         digest = profile_digest(profile)
+    attr = _TRACE_ATTR if regions else _BLOCK_ATTR
     fingerprint = _fingerprint(module)
-    cached = getattr(module, _TRACE_ATTR, None)
+    cached = getattr(module, attr, None)
     if (
         cached is not None
         and cached.fingerprint == fingerprint
@@ -1667,8 +1676,8 @@ def trace_compile(
     decoded, _ = decode_module(module)
     program = TraceProgram(fingerprint, digest)
     for function, entry in decoded.functions.items():
-        code, source, nregions, fused = _compile_function_trace(
-            function, entry, decoded.global_layout, profile
+        code, source, nregions, fused = _compile_function(
+            function, entry, decoded.global_layout, profile, regions
         )
         program.functions[function] = code
         program.sources[function] = source
@@ -1676,6 +1685,6 @@ def trace_compile(
         program.fused_blocks += fused
     elapsed = time.perf_counter() - start
     program.compile_seconds = elapsed
-    setattr(module, _TRACE_ATTR, program)
+    setattr(module, attr, program)
     _DECODED_MODULES.add(module)
     return program, elapsed

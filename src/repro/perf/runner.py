@@ -521,7 +521,7 @@ def run_tasks(
 
     # Import what measure_program attempts load lazily before forking,
     # so every attempt shares it copy-on-write instead of importing it.
-    from ..hardware import blockc, tracec  # noqa: F401
+    from ..hardware import tracec  # noqa: F401
     from . import cache  # noqa: F401
 
     ctx = multiprocessing.get_context("fork")

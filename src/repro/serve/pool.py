@@ -87,7 +87,7 @@ class WorkerPool:
         # worker shares it copy-on-write instead of importing it on its
         # first request.
         from ..attacks import scenarios  # noqa: F401
-        from ..hardware import blockc, tracec  # noqa: F401
+        from ..hardware import tracec  # noqa: F401
         from ..perf import cache  # noqa: F401
 
         self._executor = ThreadPoolExecutor(

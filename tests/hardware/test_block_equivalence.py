@@ -15,7 +15,6 @@ import pytest
 from repro.attacks import build_scenarios
 from repro.core import SCHEMES, protect
 from repro.hardware import CPU
-from repro.hardware.blockc import block_compile
 from repro.hardware.errors import StepLimitExceeded
 from repro.workloads import generate_program, get_profile
 
@@ -153,13 +152,25 @@ def test_non_default_issue_width_falls_back(listing1_module):
 # -- compile caching -----------------------------------------------------------------
 
 
-def test_block_compile_is_cached_on_the_module(listing1_module):
+def test_block_and_trace_programs_coexist_on_the_module(listing1_module):
+    # Block is the trace compiler's no-region policy; each policy caches
+    # in its own slot, so alternating tiers on one module never recompiles.
     module = listing1_module.clone()
-    program, first_seconds = block_compile(module)
-    again, second_seconds = block_compile(module)
-    assert again is program
-    assert second_seconds == 0.0
-    assert first_seconds >= 0.0
+    first = {}
+    for interpreter in ("block", "trace", "block", "trace"):
+        cpu = CPU(module, seed=2024, interpreter=interpreter)
+        program = cpu._block
+        if interpreter in first:
+            assert program is first[interpreter], interpreter
+            # decode + compile seconds spent by this construction: both
+            # caches hit, so nothing is compiled.
+            assert cpu.decode_seconds == 0.0, interpreter
+        else:
+            first[interpreter] = program
+    assert first["block"] is not first["trace"]
+    assert first["block"].region_count == 0
+    assert first["block"].fused_blocks == 0
+    assert first["trace"].region_count >= 1
 
 
 def test_block_interpreter_recorded_in_result(listing1_module):
