@@ -25,9 +25,9 @@ registry, and one process-global event log.  Tracing defaults to
 :data:`NULL_TRACER` (disabled, near-zero cost); metrics and event
 collection are always on because their call sites sit on
 compile/measure/trap boundaries, and "disabled" just means nothing is
-ever exported.  Suite and serve workers install fresh local instances
-per task so parent-side merging never double-counts
-(see ``perf/runner.py`` and ``serve/worker.py``).
+ever exported.  Suite and serve workers record each task under
+:class:`capture` and the parent folds the snapshot in with
+:func:`adopt`, so parent-side merging never double-counts.
 
 ``trace``, ``metrics``, and ``events`` are imported eagerly, because
 that process-global state is built from them; the names of the other
@@ -37,7 +37,7 @@ submodules are loaded lazily (see :mod:`repro._lazy`).
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from .._lazy import lazy_exports
 from .events import (
@@ -109,8 +109,10 @@ __all__ = [
     "SloPolicy",
     "Tracer",
     "WindowAggregator",
+    "adopt",
     "audit_events",
     "bucket_index",
+    "capture",
     "chrome_trace",
     "count_traps",
     "current_tracer",
@@ -212,6 +214,56 @@ def reset_event_log() -> EventLog:
     return_value = EventLog()
     install_event_log(return_value)
     return return_value
+
+
+class capture:
+    """Run a block under fresh telemetry; :meth:`snapshot` ships it.
+
+    Entering installs a new metrics registry and event log -- plus a new
+    tracer when ``trace`` is on (default: when the current tracer is
+    live) -- and exiting restores the previous ones.  A worker records
+    into its own capture and hands the snapshot to a parent, which
+    folds it in with :func:`adopt`.  Fresh instances are what prevent
+    double counting: a forked worker inherits the parent's globals, and
+    an in-process worker *is* the parent.
+    """
+
+    __slots__ = ("metrics", "events", "tracer", "_previous")
+
+    def __init__(self, trace: Optional[bool] = None):
+        if trace is None:
+            trace = _tracer.enabled
+        self.metrics = MetricsRegistry()
+        self.events = EventLog()
+        self.tracer = Tracer() if trace else None
+        self._previous = None
+
+    def __enter__(self) -> "capture":
+        global _metrics, _event_log, _tracer
+        self._previous = (_metrics, _event_log, _tracer)
+        _metrics, _event_log = self.metrics, self.events
+        if self.tracer is not None:
+            _tracer = self.tracer
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        global _metrics, _event_log, _tracer
+        _metrics, _event_log, _tracer = self._previous
+
+    def snapshot(self) -> Dict[str, Any]:
+        """Picklable contents: metrics snapshot, spans, security events."""
+        return {
+            "metrics": self.metrics.snapshot(),
+            "events": list(self.tracer.events) if self.tracer is not None else [],
+            "security_events": self.events.snapshot(),
+        }
+
+
+def adopt(telemetry: Dict[str, Any]) -> None:
+    """Fold a :meth:`capture.snapshot` into the current telemetry."""
+    _metrics.merge_snapshot(telemetry["metrics"])
+    _tracer.adopt(telemetry["events"])
+    _event_log.adopt(telemetry["security_events"])
 
 
 class phase_span:

@@ -3,12 +3,12 @@
 The evaluation measures 16 workload profiles x 4 schemes; serially that
 is by far the longest part of a full reproduction run.  Profiles are
 independent, so this runner fans :func:`repro.metrics.overhead.measure_program`
-out across worker processes -- one process *per attempt*, not a shared
-pool, so a worker that crashes, wedges, or leaks poisons only its own
-task:
+out across worker processes -- one process *per attempt*
+(:mod:`repro.perf.workers`), not a shared pool, so a worker that
+crashes, wedges, or leaks poisons only its own task:
 
-- **per-task timeout**: a hung worker is terminated and the task
-  counts as a ``timeout`` attempt;
+- **per-task timeout**: a hung worker is killed and the task counts as
+  a ``timeout`` attempt;
 - **bounded retries** with exponential backoff and deterministic
   jitter (seeded per task+attempt, so reruns pace identically);
 - **quarantine**: a task that fails every attempt is recorded in the
@@ -16,7 +16,7 @@ task:
 - **``keep_going``**: with it, the suite reports every successful
   task's results plus a manifest of the quarantined ones; without it,
   the first quarantined task raises :class:`SuiteError` (after
-  terminating in-flight work).
+  killing in-flight work).
 
 Workers exchange only plain-data summaries (:class:`SchemeSummary` /
 :class:`ProgramSummary`), never IR object graphs: a module's def-use
@@ -28,27 +28,20 @@ tests use to check that fan-out changes wall-clock but not results.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import SCHEMES
 from ..hardware.errors import ReproError
 from ..metrics.overhead import BenchmarkMeasurement, measure_program, mean
-from ..observability import (
-    MetricsRegistry,
-    Tracer,
-    current_tracer,
-    get_metrics,
-    install_metrics,
-    install_tracer,
-)
-from ..robustness.triage import crash_fingerprint, fingerprint_from_frames
+from ..observability import adopt, capture, current_tracer, get_metrics
+from ..robustness.triage import fingerprint_from_frames, repro_frames
 from ..workloads.generator import generate_program
 from ..workloads.profiles import get_profile, profile_names
+from .workers import Worker, wait_any
 
 
 class SuiteError(ReproError):
@@ -111,8 +104,8 @@ class TaskFailure:
 
     ``status`` is the *last* attempt's failure mode: ``error`` (the
     worker raised), ``crash`` (the worker process died without
-    reporting), or ``timeout`` (the worker was terminated at the
-    per-task deadline).
+    reporting), or ``timeout`` (the worker was killed at the per-task
+    deadline).
     """
 
     name: str
@@ -276,23 +269,17 @@ def _measure_one(task: Tuple) -> Tuple[ProgramSummary, Dict[str, Any]]:
     Module-level (and tuple-argumented) so it pickles under the default
     process-pool start methods.
 
-    Returns ``(summary, telemetry)``: the telemetry dict carries the
-    attempt's metrics snapshot and (when the suite traces) its span
-    events.  A **fresh** local tracer and metrics registry are
-    installed for the attempt and restored afterwards -- forked workers
-    inherit the parent's globals and inline (``jobs=1``) workers *are*
-    the parent process, so recording into the inherited objects would
-    double-count once the parent merges the returned telemetry.
+    Returns ``(summary, telemetry)``: the attempt runs under a fresh
+    :class:`~repro.observability.capture` (with a tracer when the suite
+    traces), and ``telemetry`` is its snapshot -- metrics, span events
+    and security events -- for the parent to
+    :func:`~repro.observability.adopt`.
     """
     name, schemes, seed, interpreter, cache_dir = task[:5]
     trace = bool(task[5]) if len(task) > 5 else False
-    registry = MetricsRegistry()
-    previous_metrics = install_metrics(registry)
-    previous_tracer = install_tracer(Tracer(f"task:{name}")) if trace else None
-    try:
-        tracer = current_tracer()
+    with capture(trace) as telemetry:
         start = time.perf_counter()
-        with tracer.span(f"task:{name}", "suite"):
+        with current_tracer().span(f"task:{name}", "suite"):
             program = generate_program(get_profile(name))
             measurement = measure_program(
                 program,
@@ -302,15 +289,7 @@ def _measure_one(task: Tuple) -> Tuple[ProgramSummary, Dict[str, Any]]:
                 cache_dir=cache_dir,
             )
         summary = summarize_measurement(measurement, time.perf_counter() - start)
-        telemetry = {
-            "metrics": registry.snapshot(),
-            "events": list(tracer.events) if trace else [],
-        }
-        return summary, telemetry
-    finally:
-        install_metrics(previous_metrics)
-        if previous_tracer is not None:
-            install_tracer(previous_tracer)
+    return summary, telemetry.snapshot()
 
 
 def plan_jobs(
@@ -326,9 +305,9 @@ def plan_jobs(
     recorded in the suite's failure manifest.
 
     ``effective_jobs == 1`` with no ``timeout`` makes :func:`run_tasks`
-    take the in-process serial path; with a ``timeout`` it still forks
-    (one worker at a time) because per-task deadlines need a process to
-    terminate.
+    run attempts in-process; with a ``timeout`` it still forks (one
+    worker at a time) because per-task deadlines need a process to
+    kill.
     """
     effective = min(jobs, n_tasks) if n_tasks else jobs
     if effective <= 1:
@@ -372,110 +351,72 @@ def backoff_delay(
     return step * (0.5 + 0.5 * random.Random(f"{seed}:{name}:{attempt}").random())
 
 
-def _child_main(conn, worker: Callable[[Any], Any], payload: Any) -> None:
-    """Worker-process entry: run one attempt, report over the pipe.
+def _run_attempt(worker: Callable[[Any], Any], payload: Any) -> Tuple:
+    """Run one attempt in this process and return its outcome.
 
-    Exceptions are flattened to ``(type name, message, repro frames)``
-    -- picklable, and exactly what the parent needs to build a triage
-    fingerprint.  A worker that dies before sending anything (hard
-    crash, ``os._exit``) is detected by the parent via its exit code.
+    ``("ok", result)``, or ``("error", type name, message, repro
+    frames)`` when the worker raised -- picklable, so a forked attempt
+    sends this same tuple over its pipe, and exactly what the parent
+    needs to build a triage fingerprint.
     """
     try:
-        result = worker(payload)
-    except BaseException as exc:  # noqa: BLE001 - the whole point is containment
-        from ..robustness.triage import repro_frames
+        return "ok", worker(payload)
+    except Exception as exc:  # noqa: BLE001 - quarantine, don't die
+        # Drop this harness frame so the fingerprint names the worker.
+        frames = [f for f in repro_frames(exc) if f != "_run_attempt"]
+        return "error", type(exc).__name__, str(exc), frames
 
-        # Drop this harness frame so cross-process fingerprints match
-        # what an in-process run of the same worker would produce.
-        frames = [f for f in repro_frames(exc) if f != "_child_main"]
-        try:
-            conn.send(("error", type(exc).__name__, str(exc), frames))
-        except (BrokenPipeError, OSError):
-            pass
-    else:
-        try:
-            conn.send(("ok", result))
-        except (BrokenPipeError, OSError):
-            pass
+
+def _child_main(conn, worker: Callable[[Any], Any], payload: Any) -> None:
+    """Forked-attempt entry: run the attempt, send its outcome.
+
+    A child that dies before sending (hard crash, ``os._exit``) is
+    classified by the parent from its exit code.
+    """
+    try:
+        conn.send(_run_attempt(worker, payload))
+    except (BrokenPipeError, OSError):
+        pass
     finally:
         conn.close()
 
 
 @dataclass
 class _Attempt:
-    """One in-flight subprocess attempt."""
+    """One in-flight forked attempt."""
 
-    process: multiprocessing.Process
-    conn: Any
+    worker: Worker
     payload: Any
-    attempt: int
+    number: int
     deadline: Optional[float]
 
 
 def _failure(
     name: str,
-    status: str,
-    attempt: int,
-    message: str,
-    exc_type: str = "",
-    fingerprint: str = "",
-    backoff_total_s: float = 0.0,
+    number: int,
+    outcome: Tuple,
+    timeout: Optional[float],
+    backoff_total_s: float,
 ) -> TaskFailure:
+    """The failure record of an attempt whose outcome is not ``ok``."""
+    status, exc_type, fingerprint = outcome[0], "", ""
+    if status == "error":
+        _status, exc_type, text, frames = outcome
+        message = f"{exc_type}: {text}"
+        fingerprint = fingerprint_from_frames(exc_type, frames)
+    elif status == "crash":
+        message = f"worker exited with code {outcome[1]} before reporting"
+    else:
+        message = f"attempt exceeded the {timeout}s task timeout"
     return TaskFailure(
         name=name,
         status=status,
-        attempts=attempt,
+        attempts=number,
         message=message,
         exc_type=exc_type,
         fingerprint=fingerprint,
         backoff_total_s=backoff_total_s,
     )
-
-
-def _run_tasks_inline(
-    tasks: Sequence[Tuple[str, Any]],
-    worker: Callable[[Any], Any],
-    retries: int,
-    keep_going: bool,
-    seed: int,
-    backoff_base: float,
-    backoff_cap: float,
-) -> Tuple[Dict[str, Any], Dict[str, TaskFailure]]:
-    """Serial in-process execution (no timeout enforcement possible)."""
-    results: Dict[str, Any] = {}
-    failures: Dict[str, TaskFailure] = {}
-    for name, payload in tasks:
-        last: Optional[BaseException] = None
-        waited = 0.0
-        for attempt in range(1, retries + 2):
-            try:
-                results[name] = worker(payload)
-                last = None
-                break
-            except Exception as exc:  # noqa: BLE001 - quarantine, don't die
-                last = exc
-                if attempt <= retries:
-                    delay = backoff_delay(
-                        seed, name, attempt, backoff_base, backoff_cap
-                    )
-                    waited += delay
-                    time.sleep(delay)
-        if last is not None:
-            failures[name] = _failure(
-                name,
-                "error",
-                retries + 1,
-                f"{type(last).__name__}: {last}",
-                exc_type=type(last).__name__,
-                fingerprint=crash_fingerprint(last),
-                backoff_total_s=waited,
-            )
-            if not keep_going:
-                raise SuiteError(
-                    f"task {name!r} failed after {retries + 1} attempt(s): "
-                    f"{type(last).__name__}: {last}"
-                ) from last
-    return results, failures
 
 
 def run_tasks(
@@ -496,16 +437,17 @@ def run_tasks(
     task.  With ``keep_going=False`` (the default) the first
     quarantined task raises :class:`SuiteError` instead -- but other
     tasks' completed results are still lost only for the caller that
-    didn't ask to keep going; in-flight workers are terminated cleanly
-    either way.
+    didn't ask to keep going; in-flight workers are killed either way.
 
-    Execution modes:
+    One retry loop serves two kinds of attempt, which report the same
+    outcome tuple:
 
     - ``jobs == 1`` and no ``timeout``: in-process (fast path; a crash
       of the Python process itself is obviously not survivable);
-    - otherwise: **one forked process per attempt**.  Fork (not spawn)
-      so arbitrary worker callables -- including test closures -- need
-      no pickling; only results cross the pipe.
+    - otherwise: **one forked process per attempt**
+      (:class:`repro.perf.workers.Worker`).  Fork (not spawn) so
+      arbitrary worker callables -- including test closures -- need no
+      pickling; only results cross the pipe.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -513,138 +455,84 @@ def run_tasks(
         raise ValueError(f"retries must be >= 0, got {retries}")
     if timeout is not None and timeout <= 0:
         raise ValueError(f"timeout must be positive, got {timeout}")
-    tasks = list(tasks)
-    if jobs == 1 and timeout is None:
-        return _run_tasks_inline(
-            tasks, worker, retries, keep_going, seed, backoff_base, backoff_cap
-        )
+    forked = jobs > 1 or timeout is not None
+    if forked:
+        # Import what measure_program attempts load lazily before
+        # forking, so every attempt shares it copy-on-write instead of
+        # importing it.
+        from ..hardware import tracec  # noqa: F401
+        from . import cache  # noqa: F401
 
-    # Import what measure_program attempts load lazily before forking,
-    # so every attempt shares it copy-on-write instead of importing it.
-    from ..hardware import tracec  # noqa: F401
-    from . import cache  # noqa: F401
-
-    ctx = multiprocessing.get_context("fork")
     results: Dict[str, Any] = {}
     failures: Dict[str, TaskFailure] = {}
-    #: (name, payload, attempt, not-before monotonic time)
+    #: (name, payload, attempt number, not-before monotonic time)
     pending: deque = deque((name, payload, 1, 0.0) for name, payload in tasks)
     running: Dict[str, _Attempt] = {}
     #: cumulative backoff slept per task, for the failure manifest
     backoff_spent: Dict[str, float] = {}
 
-    def launch(name: str, payload: Any, attempt: int) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_child_main, args=(child_conn, worker, payload), daemon=True
-        )
-        process.start()
-        child_conn.close()
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        running[name] = _Attempt(process, parent_conn, payload, attempt, deadline)
-
-    def reap(name: str) -> None:
-        attempt = running.pop(name)
-        attempt.conn.close()
-        if attempt.process.is_alive():
-            attempt.process.terminate()
-        attempt.process.join()
-
-    def settle(name: str, failure: TaskFailure, payload: Any, attempt: int) -> None:
-        """Requeue a failed attempt or quarantine the task."""
-        if attempt <= retries:
-            delay = backoff_delay(seed, name, attempt, backoff_base, backoff_cap)
-            backoff_spent[name] = backoff_spent.get(name, 0.0) + delay
-            pending.append((name, payload, attempt + 1, time.monotonic() + delay))
+    def settle(name: str, payload: Any, number: int, outcome: Tuple) -> None:
+        """Record a result, requeue a failed attempt, or quarantine."""
+        if outcome[0] == "ok":
+            results[name] = outcome[1]
             return
-        failures[name] = replace(
-            failure, backoff_total_s=backoff_spent.get(name, 0.0)
+        if number <= retries:
+            delay = backoff_delay(seed, name, number, backoff_base, backoff_cap)
+            backoff_spent[name] = backoff_spent.get(name, 0.0) + delay
+            pending.append((name, payload, number + 1, time.monotonic() + delay))
+            return
+        failure = _failure(
+            name, number, outcome, timeout, backoff_spent.get(name, 0.0)
         )
+        failures[name] = failure
         if not keep_going:
-            for other in list(running):
-                reap(other)
-            pending.clear()
             raise SuiteError(
-                f"task {name!r} quarantined after {attempt} attempt(s) "
+                f"task {name!r} quarantined after {number} attempt(s) "
                 f"({failure.status}): {failure.message}"
             )
 
     try:
         while pending or running:
+            # Start every ready task while a slot is free.
             now = time.monotonic()
-            # Launch every ready task while worker slots are free.
+            for _ in range(len(pending)):
+                if len(running) >= jobs:
+                    break
+                name, payload, number, not_before = pending.popleft()
+                if not_before > now:
+                    pending.append((name, payload, number, not_before))
+                elif forked:
+                    deadline = now + timeout if timeout is not None else None
+                    running[name] = _Attempt(
+                        Worker(_child_main, worker, payload), payload, number, deadline
+                    )
+                else:
+                    settle(name, payload, number, _run_attempt(worker, payload))
+            # Sleep until a reply, an exit, a deadline, or a backoff ends.
+            wake = [a.deadline for a in running.values() if a.deadline is not None]
             if pending and len(running) < jobs:
-                for _ in range(len(pending)):
-                    name, payload, attempt, ready = pending.popleft()
-                    if ready <= now and len(running) < jobs:
-                        launch(name, payload, attempt)
-                    else:
-                        pending.append((name, payload, attempt, ready))
-                    if len(running) >= jobs:
-                        break
-            # Sweep the in-flight attempts.
-            for name in list(running):
-                attempt = running[name]
-                message = None
-                if attempt.conn.poll():
-                    try:
-                        message = attempt.conn.recv()
-                    except (EOFError, OSError):
-                        message = None
-                if message is not None:
-                    payload, number = attempt.payload, attempt.attempt
-                    reap(name)
-                    if message[0] == "ok":
-                        results[name] = message[1]
-                    else:
-                        _tag, exc_type, text, frames = message
-                        settle(
-                            name,
-                            _failure(
-                                name,
-                                "error",
-                                number,
-                                f"{exc_type}: {text}",
-                                exc_type=exc_type,
-                                fingerprint=fingerprint_from_frames(exc_type, frames),
-                            ),
-                            payload,
-                            number,
-                        )
-                elif not attempt.process.is_alive():
-                    payload, number = attempt.payload, attempt.attempt
-                    code = attempt.process.exitcode
-                    reap(name)
-                    settle(
-                        name,
-                        _failure(
-                            name,
-                            "crash",
-                            number,
-                            f"worker exited with code {code} before reporting",
-                        ),
-                        payload,
-                        number,
-                    )
+                wake.append(min(entry[3] for entry in pending))
+            until = min(wake) if wake else None
+            if not running:
+                if until is not None:
+                    time.sleep(max(0.0, until - time.monotonic()))
+                continue
+            ready = wait_any([attempt.worker for attempt in running.values()], until)
+            now = time.monotonic()
+            for name, attempt in list(running.items()):
+                if attempt.worker in ready:
+                    status, value = attempt.worker.wait(attempt.deadline)
+                    outcome = value if status == "ok" else (status, value)
                 elif attempt.deadline is not None and now >= attempt.deadline:
-                    payload, number = attempt.payload, attempt.attempt
-                    reap(name)
-                    settle(
-                        name,
-                        _failure(
-                            name,
-                            "timeout",
-                            number,
-                            f"attempt exceeded the {timeout}s task timeout",
-                        ),
-                        payload,
-                        number,
-                    )
-            if pending or running:
-                time.sleep(0.005)
+                    outcome = ("timeout", None)
+                else:
+                    continue
+                del running[name]
+                attempt.worker.kill()
+                settle(name, attempt.payload, attempt.number, outcome)
     finally:
-        for name in list(running):
-            reap(name)
+        for attempt in running.values():
+            attempt.worker.kill()
     return results, failures
 
 
@@ -700,28 +588,25 @@ def run_suite(
     )
     wall = time.perf_counter() - start
 
-    # Merge worker telemetry: span events into the parent tracer (one
-    # coherent timeline -- fork shares the monotonic epoch) and metrics
-    # snapshots into one suite-level aggregate, which is also folded
-    # into the process-global registry for ``--metrics-out``.
-    tracer = current_tracer()
-    aggregate = MetricsRegistry()
+    # Merge worker telemetry: metrics snapshots, span events (fork
+    # shares the monotonic epoch, so worker timestamps land on one
+    # timeline) and security events.  The suite's own capture is the
+    # suite-level aggregate behind ``SuiteResult.metrics``; it is then
+    # folded into the caller's telemetry for the ``--*-out`` exports.
     programs: Dict[str, ProgramSummary] = {}
-    trace_events: List[Dict[str, Any]] = []
-    for name in names:
-        if name not in results:
-            continue
-        summary, telemetry = results[name]
-        programs[name] = summary
-        aggregate.merge_snapshot(telemetry["metrics"])
-        if telemetry["events"]:
-            tracer.adopt(telemetry["events"])
-            trace_events.extend(telemetry["events"])
-    aggregate.inc("suite.tasks_completed", len(programs))
-    aggregate.inc("suite.tasks_quarantined", len(failures))
-    aggregate.set_gauge("suite.jobs_effective", effective)
-    snapshot = aggregate.snapshot()
-    get_metrics().merge_snapshot(snapshot)
+    with capture() as suite:
+        for name in names:
+            if name not in results:
+                continue
+            summary, telemetry = results[name]
+            programs[name] = summary
+            adopt(telemetry)
+        metrics = get_metrics()
+        metrics.inc("suite.tasks_completed", len(programs))
+        metrics.inc("suite.tasks_quarantined", len(failures))
+        metrics.set_gauge("suite.jobs_effective", effective)
+    telemetry = suite.snapshot()
+    adopt(telemetry)
 
     return SuiteResult(
         programs=programs,
@@ -733,6 +618,6 @@ def run_suite(
         wall_seconds=wall,
         cache_dir=cache_dir,
         failures=failures,
-        metrics=snapshot,
-        trace_events=trace_events,
+        metrics=telemetry["metrics"],
+        trace_events=telemetry["events"],
     )

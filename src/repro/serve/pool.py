@@ -1,9 +1,9 @@
 """Sharded persistent worker pool for the serve daemon.
 
-The pool forks N :func:`repro.serve.worker.worker_main` processes (fork,
-not spawn, matching ``perf/runner.py``: no pickling of entry points,
-and a forked worker inherits the already-imported compiler) and keeps
-them alive across requests -- that persistence *is* the optimization,
+The pool forks N :func:`repro.serve.worker.worker_main` processes
+through :class:`repro.perf.workers.Worker` (the fork, wait, crash
+classification and kill shared with the suite runner) and keeps them
+alive across requests -- that persistence *is* the optimization,
 because each worker's :class:`~repro.serve.registry.WarmRegistry`
 amortizes parse/analysis/compile across every request it ever sees.
 
@@ -18,37 +18,23 @@ single-flight dedup before they ever queue here.
 **Containment.**  A request that outruns ``timeout`` or whose worker
 dies mid-flight produces a structured error response (status code 1,
 type ``WorkerTimeout``/``WorkerCrash``) -- never a wedged client -- and
-the worker is terminated and respawned cold.  The blocking pipe I/O
-runs on a dedicated thread pool sized to the worker count; the reader
-thread polls with a deadline, so no thread is ever parked on a pipe
-that will not answer.
+the worker is killed and respawned cold.  The blocking pipe I/O runs
+on a dedicated thread pool sized to the worker count; the reader
+thread waits on the pipe and the process sentinel with a deadline, so
+no thread is ever parked on a pipe that will not answer.
 """
 
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..observability import get_event_log, get_metrics
+from ..perf.workers import Worker
 from .protocol import CODE_INTERNAL, error_response, shard_digest
 from .worker import worker_main
-
-#: seconds between liveness/readability polls while awaiting a worker
-_POLL_S = 0.02
-
-
-@dataclass
-class _Worker:
-    """One persistent worker process and its parent-side pipe end."""
-
-    index: int
-    process: multiprocessing.Process
-    conn: Any
-    restarts: int = 0
 
 
 class WorkerPool:
@@ -73,8 +59,9 @@ class WorkerPool:
         #: allow the test-only ``_debug_crash`` op through to workers
         self.debug_ops = debug_ops
         self.restarts = 0
-        self._ctx = multiprocessing.get_context("fork")
-        self._workers: Dict[int, _Worker] = {}
+        self._workers: Dict[int, Worker] = {}
+        #: respawns per shard
+        self._shard_restarts: Dict[int, int] = {}
         self._locks: Dict[int, asyncio.Lock] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
         self._stopped = False
@@ -97,42 +84,29 @@ class WorkerPool:
             self._workers[index] = self._spawn(index)
         get_metrics().set_gauge("serve.workers", self.size)
 
-    def _spawn(self, index: int) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(child_conn, index),
-            kwargs={
-                "capacity": self.capacity,
-                "cache_dir": self.cache_dir,
-                "trace": self.trace,
-            },
-            daemon=True,
+    def _spawn(self, index: int) -> Worker:
+        return Worker(
+            worker_main,
+            index,
+            capacity=self.capacity,
+            cache_dir=self.cache_dir,
+            trace=self.trace,
         )
-        process.start()
-        child_conn.close()
-        return _Worker(index=index, process=process, conn=parent_conn)
 
     def _restart(self, index: int) -> None:
-        worker = self._workers[index]
-        worker.conn.close()
-        if worker.process.is_alive():
-            # SIGKILL, not SIGTERM: workers ignore termination signals
-            # (shutdown is pipe-coordinated), and a stalled worker must
-            # not stall its own replacement.
-            worker.process.kill()
-        worker.process.join()
-        replacement = self._spawn(index)
-        replacement.restarts = worker.restarts + 1
-        self._workers[index] = replacement
+        # Workers ignore termination signals (shutdown is
+        # pipe-coordinated); the shared kill is SIGKILL, so a stalled
+        # worker cannot stall its own replacement.
+        self._workers[index].kill()
+        self._workers[index] = self._spawn(index)
+        restarts = self._shard_restarts.get(index, 0) + 1
+        self._shard_restarts[index] = restarts
         self.restarts += 1
         get_metrics().inc("serve.worker_restarts")
-        get_event_log().emit(
-            "worker-restart", shard=index, restarts=replacement.restarts
-        )
+        get_event_log().emit("worker-restart", shard=index, restarts=restarts)
 
     def stop(self, drain_timeout: float = 5.0) -> None:
-        """Shut every worker down: sentinel, join, then terminate."""
+        """Shut every worker down: sentinel, join, then kill."""
         if self._stopped:
             return
         self._stopped = True
@@ -144,10 +118,7 @@ class WorkerPool:
         deadline = time.monotonic() + drain_timeout
         for worker in self._workers.values():
             worker.process.join(max(0.0, deadline - time.monotonic()))
-            if worker.process.is_alive():
-                worker.process.kill()  # workers ignore SIGTERM by design
-                worker.process.join()
-            worker.conn.close()
+            worker.kill()
         if self._executor is not None:
             self._executor.shutdown(wait=False)
 
@@ -176,16 +147,7 @@ class WorkerPool:
             worker.conn.send(request)
         except (BrokenPipeError, OSError):
             return "crash", worker.process.exitcode
-        while True:
-            try:
-                if worker.conn.poll(_POLL_S):
-                    return "ok", worker.conn.recv()
-            except (EOFError, OSError):
-                return "crash", worker.process.exitcode
-            if not worker.process.is_alive() and not worker.conn.poll():
-                return "crash", worker.process.exitcode
-            if deadline is not None and time.monotonic() >= deadline:
-                return "timeout", None
+        return worker.wait(deadline)
 
     async def submit(
         self, request: Dict[str, Any]

@@ -49,6 +49,7 @@ from ..observability import (
     EVENTS_SCHEMA,
     SloPolicy,
     WindowAggregator,
+    adopt,
     current_tracer,
     evaluate_window,
     get_event_log,
@@ -407,18 +408,13 @@ class ReproServer:
 
     def _adopt_telemetry(self, telemetry: Dict[str, Any]) -> None:
         """Fold one worker's per-request telemetry into the daemon."""
-        get_metrics().merge_snapshot(telemetry["metrics"])
-        if telemetry.get("events"):
-            current_tracer().adopt(telemetry["events"])
-        security_events = telemetry.get("security_events") or []
-        if security_events:
-            get_event_log().adopt(security_events)
-            for record in security_events:
-                if record.get("type") == "trap":
-                    self.window.inc("traps")
-                    scheme = record.get("scheme")
-                    if scheme:
-                        self.window.inc(f"traps.{scheme}")
+        adopt(telemetry)
+        for record in telemetry["security_events"]:
+            if record.get("type") == "trap":
+                self.window.inc("traps")
+                scheme = record.get("scheme")
+                if scheme:
+                    self.window.inc(f"traps.{scheme}")
 
     async def _submit_deduped(self, request: Dict[str, Any]) -> Dict[str, Any]:
         key = request_key(request)

@@ -6,13 +6,14 @@ loops over its pipe: receive one request dict, handle it, send back
 ``(response, telemetry)``.  The loop is strictly sequential (the
 front-end serializes per worker), so registry state needs no locking.
 
-Telemetry follows the suite runner's convention (``perf/runner.py``):
-each request installs a *fresh* local metrics registry, a fresh
-security-event log, and -- when the daemon traces -- a fresh tracer,
-and returns their contents with the response.  The front-end merges them into the process-global registry
-and tracer, which is how ``--metrics-out``/``--trace-out`` on ``serve``
-see worker-side compile phases and cache events without double
-counting, and how the single-flight dedup guarantee becomes testable:
+Telemetry follows the suite runner's convention: each request runs
+under a fresh :class:`repro.observability.capture` (metrics registry,
+security-event log and -- when the daemon traces -- tracer) and its
+snapshot travels back with the response.  The front-end folds it into
+the process-global telemetry with :func:`repro.observability.adopt`,
+which is how ``--metrics-out``/``--trace-out`` on ``serve`` see
+worker-side compile phases and cache events without double counting,
+and how the single-flight dedup guarantee becomes testable:
 one compilation produces exactly one ``compile.phase.*`` span set no
 matter how many requests coalesced onto it.
 
@@ -31,15 +32,10 @@ from typing import Any, Dict, Optional, Tuple
 from ..attacks import build_scenarios
 from ..hardware.cpu import CPU
 from ..observability import (
-    EventLog,
     ExecutionProfiler,
-    MetricsRegistry,
-    Tracer,
+    capture,
     current_tracer,
     get_metrics,
-    install_event_log,
-    install_metrics,
-    install_tracer,
     publish_execution,
 )
 from .protocol import classify_exception, error_response, ok_response
@@ -193,16 +189,7 @@ def handle_request(
     """
     request_id = request.get("id")
     rid = request.get("rid")
-    registry = MetricsRegistry()
-    previous_metrics = install_metrics(registry)
-    event_log = EventLog()
-    previous_log = install_event_log(event_log)
-    previous_tracer = (
-        install_tracer(Tracer(f"serve-worker:{request.get('op')}"))
-        if trace
-        else None
-    )
-    try:
+    with capture(trace) as telemetry:
         tracer = current_tracer()
         try:
             with tracer.span(
@@ -220,7 +207,7 @@ def handle_request(
         if isinstance(result, dict) and result.get("detected"):
             # A defense fired: record the trap with full correlation so
             # the audit can name the request, module, scheme, and tier.
-            event_log.emit(
+            telemetry.events.emit(
                 "trap",
                 request_id=request_id,
                 rid=rid,
@@ -231,17 +218,7 @@ def handle_request(
                 scenario=result.get("scenario"),
                 op=request["op"],
             )
-        telemetry = {
-            "metrics": registry.snapshot(),
-            "events": list(tracer.events) if trace else [],
-            "security_events": event_log.snapshot(),
-        }
-        return response, telemetry
-    finally:
-        install_metrics(previous_metrics)
-        install_event_log(previous_log)
-        if previous_tracer is not None:
-            install_tracer(previous_tracer)
+    return response, telemetry.snapshot()
 
 
 def worker_main(

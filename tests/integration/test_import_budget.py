@@ -21,6 +21,7 @@ CLI_FORBIDDEN = (
     "repro.hardware.tracec",
     "repro.attacks.",
     "repro.perf.runner",
+    "repro.perf.workers",
     "repro.serve.",
     "repro.robustness.",
     "repro.metrics.",
@@ -143,6 +144,7 @@ def test_serve_pool_preloads_before_forking():
     result = run_fresh(
         """
         import json, sys
+        from repro.perf import workers
         from repro.serve.pool import WorkerPool
 
         WANTED = (
@@ -166,7 +168,7 @@ def test_serve_pool_preloads_before_forking():
                 return self.real.Process(*args, **kwargs)
 
         pool = WorkerPool(workers=1, timeout=30)
-        pool._ctx = context = RecordingContext(pool._ctx)
+        workers._ctx = context = RecordingContext(workers._ctx)
         before = [name for name in WANTED if name in sys.modules]
         pool.start()
         pool.stop()

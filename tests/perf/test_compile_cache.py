@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from repro.core.config import DefenseConfig
 from repro.ir.printer import print_module
+from repro.observability import EventLog, get_event_log, install_event_log
 from repro.perf import run_suite
 from repro.perf.cache import CompilationCache
 from repro.workloads import generate_program, get_profile
@@ -236,6 +239,33 @@ def test_suite_recompiles_corrupted_entry(tmp_path):
     healed = run_suite(names=[NAME], cache_dir=cache_dir)
     assert (healed.cache_hits, healed.cache_misses) == (len(cold.schemes), 0)
     assert_summaries_equal(healed, cold)
+
+
+@pytest.mark.parametrize("timeout", [None, 120.0], ids=["inline", "forked"])
+def test_suite_reports_a_corrupt_entry_event_exactly_once(tmp_path, timeout):
+    """The worker's security event reaches the caller's log, once.
+
+    A forked attempt records into its own process; an inline one runs in
+    the caller's.  Either way the suite hands back exactly one
+    ``cache-corrupt-recompile`` event for the one tampered entry.
+    """
+    cache_dir = str(tmp_path / "cache")
+    run_suite(names=[NAME], cache_dir=cache_dir)
+    path = entry_files(cache_dir)[0]
+    with open(path, "r", encoding="utf-8") as handle:
+        blob = json.load(handle)
+    blob["payload"]["module"] = "tampered text"
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(blob, handle)
+
+    previous = install_event_log(EventLog())
+    try:
+        warm = run_suite(names=[NAME], cache_dir=cache_dir, timeout=timeout)
+        types = [record["type"] for record in get_event_log().snapshot()]
+    finally:
+        install_event_log(previous)
+    assert warm.metrics["counters"]["cache.corrupt"] == 1
+    assert types == ["cache-corrupt-recompile"]
 
 
 def test_cached_modules_print_identically_to_recompiled(tmp_path):

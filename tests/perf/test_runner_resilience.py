@@ -1,6 +1,7 @@
 """Crash containment in the suite runner's task engine."""
 
 import os
+import signal
 import time
 
 import pytest
@@ -34,6 +35,12 @@ def hang_worker(payload):
     if payload == "bad":
         time.sleep(60)
     return f"done-{payload}"
+
+
+def sigterm_proof_worker(payload):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    time.sleep(20)
+    return f"late-{payload}"
 
 
 class FlakyWorker:
@@ -119,6 +126,18 @@ class TestTimeout:
         assert results == {"a": "done-a", "c": "done-c"}
         assert failures["b"].status == "timeout"
         assert failures["b"].attempts == 1
+
+    def test_sigterm_ignoring_worker_is_killed_at_its_deadline(self):
+        start = time.monotonic()
+        results, failures = run_tasks(
+            [("stubborn", "stubborn")],
+            sigterm_proof_worker,
+            timeout=1.0,
+            keep_going=True,
+        )
+        assert time.monotonic() - start < 5
+        assert results == {}
+        assert failures["stubborn"].status == "timeout"
 
 
 class TestRetryAndQuarantine:
