@@ -91,18 +91,24 @@ def measure_scheme(module, inputs, seed, repeat):
     warmup and ``trace_compile`` happen before the timed loop, so the
     reported ``trace_seconds`` is pure execution (compile time is
     reported separately, like ``decode_seconds``).  The block tier is
-    the same compiler with no regions selected.
+    the same compiler with no regions selected.  Each compiled tier's
+    emitted Python is also measured, in bytes per IR instruction.
     """
     invalidate_decode_cache(module)
     _, decode_seconds = decode_module(module)
-    _, block_seconds = trace_compile(module, regions=False)
+    block_program, block_seconds = trace_compile(module, regions=False)
 
     profiler = ExecutionProfiler()
     CPU(module, seed=seed, interpreter="block", profiler=profiler).run(
         inputs=list(inputs)
     )
     trace_profile = profiler.block_counts()
-    _, trace_seconds = trace_compile(module, trace_profile)
+    trace_program, trace_seconds = trace_compile(module, trace_profile)
+    instructions = module.instruction_count()
+    source_bytes_per_inst = {
+        tier: sum(len(source) for source in program.sources.values()) / instructions
+        for tier, program in (("block", block_program), ("trace", trace_program))
+    }
 
     best = {tier: math.inf for tier in TIERS}
     results = {}
@@ -119,7 +125,10 @@ def measure_scheme(module, inputs, seed, repeat):
             elapsed = time.perf_counter() - start
             best[interpreter] = min(best[interpreter], elapsed)
             results[interpreter] = result
-    return best, results, decode_seconds, block_seconds, trace_seconds
+    return (
+        best, results, decode_seconds, block_seconds, trace_seconds,
+        source_bytes_per_inst,
+    )
 
 
 def geomean(values):
@@ -192,9 +201,10 @@ def main(argv=None) -> int:
     trace_speedups = []
     for scheme in SCHEMES:
         protected = protect(module, scheme=scheme)
-        best, results, decode_seconds, block_seconds, trace_seconds = (
-            measure_scheme(protected.module, program.inputs, args.seed, args.repeat)
-        )
+        (
+            best, results, decode_seconds, block_seconds, trace_seconds,
+            source_bytes_per_inst,
+        ) = measure_scheme(protected.module, program.inputs, args.seed, args.repeat)
         name = f"{args.profile}/{scheme}"
         _check_identical(name, results["reference"], results["decoded"], "decoded")
         _check_identical(name, results["reference"], results["block"], "block")
@@ -217,6 +227,8 @@ def main(argv=None) -> int:
             "decode_seconds": round(decode_seconds, 6),
             "block_compile_seconds": round(block_seconds, 6),
             "trace_compile_seconds": round(trace_seconds, 6),
+            "block_source_bytes_per_inst": round(source_bytes_per_inst["block"], 1),
+            "trace_source_bytes_per_inst": round(source_bytes_per_inst["trace"], 1),
             "speedup": round(speedup, 3),
             "block_speedup": round(block_speedup, 3),
             "trace_speedup": round(trace_speedup, 3),

@@ -735,6 +735,16 @@ def _add_observability_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_interpreter_arg(
+    p: argparse.ArgumentParser,
+    default: Optional[str] = None,
+    help: str = "CPU backend (default: pre-decoded dispatch)",
+) -> None:
+    p.add_argument(
+        "--interpreter", choices=INTERPRETERS, default=default, help=help
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -757,12 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--input", action="append", help="queue a benign input line (repeatable)"
     )
-    p.add_argument(
-        "--interpreter",
-        choices=INTERPRETERS,
-        default=None,
-        help="CPU backend (default: pre-decoded dispatch)",
-    )
+    _add_interpreter_arg(p)
     p.add_argument(
         "--timings",
         action="store_true",
@@ -798,12 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run one generated benchmark")
     p.add_argument("benchmark", choices=profile_names(), metavar="BENCHMARK")
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument(
-        "--interpreter",
-        choices=INTERPRETERS,
-        default=None,
-        help="CPU backend (default: pre-decoded dispatch)",
-    )
+    _add_interpreter_arg(p)
     p.add_argument(
         "--profile-in",
         default=None,
@@ -830,12 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for the fan-out (default: 1, serial)",
     )
-    p.add_argument(
-        "--interpreter",
-        choices=INTERPRETERS,
-        default=None,
-        help="CPU backend (default: pre-decoded dispatch)",
-    )
+    _add_interpreter_arg(p)
     p.add_argument(
         "--cache-dir",
         default=".repro-cache",
@@ -892,12 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile with live heap traffic)",
     )
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument(
-        "--interpreter",
-        choices=INTERPRETERS,
-        default=None,
-        help="CPU backend (default: pre-decoded dispatch)",
-    )
+    _add_interpreter_arg(p)
     p.add_argument(
         "--manifest",
         default=None,
@@ -957,11 +947,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--input", action="append", help="queue a benign input line (repeatable)"
     )
-    p.add_argument(
-        "--interpreter",
-        choices=INTERPRETERS,
-        default=None,
-        help="CPU backend (default: block, the fastest tier)",
+    _add_interpreter_arg(
+        p,
+        help="CPU backend (default: block, the tier with per-block attribution)",
     )
     p.add_argument(
         "--top",
@@ -1103,9 +1091,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("3s", "30s", "300s"),
         help="nginx workload size per request (default: 3s)",
     )
-    p.add_argument(
-        "--interpreter",
-        choices=INTERPRETERS,
+    _add_interpreter_arg(
+        p,
         default="block",
         help="interpreter requested for run/profile ops (default: block)",
     )

@@ -1,5 +1,5 @@
-"""Block code generation: the op, block and edge emitters of the
-compiled tiers, plus the trap-time counter fix-up they share.
+"""Block code generation: the op and phi-edge emitters of the compiled
+tiers, plus the trap-time counter fix-up they share.
 
 The decoded tier (:mod:`repro.hardware.decoder`) removed operand and
 opcode dispatch but still pays one Python call per dynamic instruction
@@ -20,13 +20,13 @@ basic block is fused into a *single generated Python function* that
   pre-built ``(successor, edge)`` pair, so the driver loop in
   :meth:`CPU._interpret_block` is two tuple indexings per block.
 
-This module has no compile driver of its own.  The one per-function
-driver lives in :mod:`repro.hardware.tracec`; the block tier
-(``--interpreter block``) is that driver's no-region policy,
-``trace_compile(module, regions=False)``, which hands every block to
-:func:`_gen_block`.  Under the trace tier the same function emits every
-block outside a fused region, and the region emitters reuse the op
-emitters, :func:`_emit_phi_edge` and :func:`_trap_fixup`.
+This module has no compile driver and no body emitter of its own.
+Both live in :mod:`repro.hardware.tracec`: the block tier
+(``--interpreter block``) is the driver's no-region policy,
+``trace_compile(module, regions=False)``, and ``tracec._gen_region``
+emits every generated function, a block outside every region as a
+one-block region with no internal edges.  It builds on the op
+emitters, :func:`_emit_phi_edge` and :func:`_trap_fixup` here.
 
 Bit-identity with the reference interpreter
 -------------------------------------------
@@ -83,7 +83,6 @@ from ..ir.instructions import (
 )
 from ..ir.types import IntType
 from .decoder import DecodedBlock, _gep_plan, _spec
-from .timing import DEFAULT_COSTS
 
 _MASK64 = (1 << 64) - 1
 
@@ -91,10 +90,6 @@ _MASK64 = (1 << 64) - 1
 #: default); the CPU only dispatches to compiled code when its timing
 #: model still uses this width and DEFAULT_COSTS.
 BLOCK_ISSUE_WIDTH = 4
-
-#: Accumulators a plain block charges phi routing to: (instructions,
-#: issue residue, cycles).  Region code passes its own locals instead.
-_BLOCK_ACC = ("timing.instructions", "timing._cheap_run", "timing.cycles")
 
 
 class BlockCode:
@@ -108,9 +103,7 @@ class BlockCode:
 
     __slots__ = ("fn", "dblock", "nsteps", "meta", "self_pair", "label", "blocks")
 
-    def __init__(
-        self, dblock: DecodedBlock, nsteps: int, label: str = "", blocks: int = 1
-    ):
+    def __init__(self, dblock: DecodedBlock, nsteps: int, label: str, blocks: int):
         self.fn = None
         self.dblock = dblock
         self.nsteps = nsteps
@@ -254,10 +247,10 @@ class _FnGen:
         self.const_names: List[str] = []
         self._by_id: Dict[int, str] = {}
         self.fn_names: List[str] = []
-        #: line_map of the block currently being generated
+        #: line_map of the function currently being generated
         self.current_map: Optional[Dict[int, int]] = None
-        #: id(value) -> Python local name for block-private SSA values
-        #: of the block currently being generated (see tracec._block_locals)
+        #: id(value) -> Python local name for the SSA values the function
+        #: currently being generated keeps out of the frame
         self.block_locals: Dict[int, str] = {}
 
     def bind(self, obj: object, prefix: str) -> str:
@@ -676,122 +669,6 @@ def _classify(inst, impure: bool) -> Tuple[bool, tuple, bool]:
     return False, tuple(inst.operands), True
 
 
-def _gen_block(
-    gen: _FnGen,
-    fn_name: str,
-    dblock: DecodedBlock,
-    layout,
-    meta: _BlockMeta,
-    pairs: Dict[tuple, str],
-    routes: Dict[tuple, object],
-    ret_pairs: Dict[DecodedBlock, str],
-    block_locals: Dict[int, str],
-) -> None:
-    body = _body_instructions(dblock)
-    term = dblock.term
-    # Op metadata: the body ops plus (for br/jump/ret) one terminator
-    # pseudo-op whose charge the decoded loop applies identically.
-    op_info: List[List[object]] = [
-        [opcode, cost, impure] for opcode, cost, impure, _ in dblock.ops
-    ]
-    if term[0] == "ret":
-        op_info.append(["ret", DEFAULT_COSTS["ret"], False])
-    elif term[0] in ("jump", "br"):
-        op_info.append(["br", DEFAULT_COSTS["br"], False])
-    # Chunking: impure ops isolate themselves.
-    chunks: List[Tuple[int, int]] = []
-    start = 0
-    for i, info in enumerate(op_info):
-        if info[2]:
-            if i > start:
-                chunks.append((start, i))
-            chunks.append((i, i + 1))
-            start = i + 1
-    if start < len(op_info):
-        chunks.append((start, len(op_info)))
-    chunk_of = {}
-    for s, e in chunks:
-        for i in range(s, e):
-            chunk_of[i] = (s, e)
-    meta.ops = tuple(
-        (info[0], info[1], info[2]) + chunk_of[i] for i, info in enumerate(op_info)
-    )
-
-    uses_mem = any(isinstance(i, (Load, Store)) for i in body)
-    uses_pac = any(isinstance(i, (PacSign, PacAuth)) for i in body)
-    uses_dfi = any(isinstance(i, (DfiSetDef, DfiChkDef)) for i in body)
-
-    meta_name = gen.bind(meta, "M")
-    gen.fn_names.append(fn_name)
-    gen.current_map = meta.line_map
-    gen.block_locals = block_locals
-    gen.emit(f"def {fn_name}(cpu, frame, timing, counts):", indent=1)
-    gen.emit("try:", indent=2)
-    if uses_mem:
-        gen.emit("mem = cpu.memory", indent=3)
-    if uses_pac:
-        gen.emit("pac = cpu.pac", indent=3)
-    if uses_dfi:
-        gen.emit("dfi = cpu.dfi_shadow", indent=3)
-
-    old_emit = gen.emit
-
-    def emit3(text, indent=3, op=None):
-        old_emit(text, indent=indent, op=op)
-
-    gen.emit = emit3  # type: ignore[method-assign]
-    try:
-        for s, e in chunks:
-            cycles_table, cheap_table = _chunk_tables(op_info, s, e)
-            n = e - s
-            gen.emit("_r0 = timing._cheap_run")
-            gen.emit(f"timing.cycles += {gen.bind(cycles_table, 'T')}[_r0]")
-            gen.emit(f"timing._cheap_run = {gen.bind(cheap_table, 'T')}[_r0]")
-            gen.emit(f"timing.instructions += {n}")
-            gen.emit(f"cpu.steps += {n}")
-            tallies: Dict[str, int] = {}
-            for info in op_info[s:e]:
-                tallies[info[0]] = tallies.get(info[0], 0) + 1
-            # counts is TimingModel's defaultdict(int): += needs no probe
-            for name, count in tallies.items():
-                gen.emit(f"counts[{name!r}] += {count}")
-            # Statements, with dfi.chkdef runs batched.
-            i = s
-            nbody = len(body)
-            while i < e:
-                if i >= nbody:
-                    _emit_term(
-                        gen, dblock, term, layout, pairs, routes, ret_pairs, i
-                    )
-                    i += 1
-                    continue
-                inst = body[i]
-                if isinstance(inst, DfiChkDef):
-                    run = [(i, inst)]
-                    j = i + 1
-                    while j < e and j < nbody and isinstance(body[j], DfiChkDef):
-                        run.append((j, body[j]))
-                        j += 1
-                    if len(run) >= 2:
-                        _gen_dfi_chk_batch(gen, run, layout)
-                        i = j
-                        continue
-                _emit_op(gen, inst, dblock.ops[i], layout, i)
-                i += 1
-        if term[0] == "fall":
-            source = dblock.source
-            owner = source.parent.name if source.parent is not None else "?"
-            message = f"block %{source.name} in @{owner} fell through"
-            gen.emit(f"raise RuntimeError({message!r})")
-    finally:
-        gen.emit = old_emit  # type: ignore[method-assign]
-    gen.emit("except BaseException as _exc:", indent=2)
-    gen.emit(f"    _FIX(cpu, timing, counts, {meta_name}, _exc)", indent=2)
-    gen.emit("    raise", indent=2)
-    gen.current_map = None
-    gen.block_locals = {}
-
-
 def _emit_phi_edge(gen: _FnGen, route, indent: int, acc: Tuple[str, str, str]) -> bool:
     """Emit the phi routing for one taken CFG edge, inline.
 
@@ -801,8 +678,8 @@ def _emit_phi_edge(gen: _FnGen, route, indent: int, acc: Tuple[str, str, str]) -
     assignment compile straight into the terminator -- no per-edge
     closure, no driver routing.  ``acc`` names the (instructions, issue
     residue, cycles) accumulators the charges land in: ``timing``'s own
-    attributes for a plain block (:data:`_BLOCK_ACC`), the region's
-    locals inside fused region code, which flushes them at every exit.
+    attributes for a region with no internal edges, the region's locals
+    otherwise (see ``tracec._gen_region``).
     Phi targets may be region locals.  Returns True when the edge is an
     unresolvable route and the emitted code raises instead of falling
     through to the ``return``.
@@ -823,51 +700,3 @@ def _emit_phi_edge(gen: _FnGen, route, indent: int, acc: Tuple[str, str, str]) -
     )
     gen.emit(f"{targets} = {values}", indent=indent)
     return False
-
-
-def _emit_goto(
-    gen: _FnGen, pair_name: str, route, k: int, indent: int = 3
-) -> None:
-    if route is not None and _emit_phi_edge(gen, route, indent, _BLOCK_ACC):
-        return
-    gen.emit(f"return {pair_name}", indent=indent, op=k)
-
-
-def _emit_term(
-    gen: _FnGen,
-    dblock: DecodedBlock,
-    term: tuple,
-    layout,
-    pairs: Dict[tuple, str],
-    routes: Dict[tuple, object],
-    ret_pairs: Dict[DecodedBlock, str],
-    k: int,
-) -> None:
-    kind = term[0]
-    if kind == "ret":
-        spec = term[1]
-        if spec is None or spec[0]:
-            gen.emit(f"return {ret_pairs[dblock]}", op=k)
-        else:
-            gen.emit(f"return (_RET, {gen.operand(spec)})", op=k)
-    elif kind == "jump":
-        _emit_goto(gen, pairs[(dblock, 0)], routes.get((dblock, 0)), k)
-    elif kind == "br":
-        constant, payload = term[1]
-        if constant:
-            slot = 0 if payload & 1 else 1
-            _emit_goto(gen, pairs[(dblock, slot)], routes.get((dblock, slot)), k)
-            return
-        cond = gen.operand(term[1])
-        true_route = routes.get((dblock, 0))
-        false_route = routes.get((dblock, 1))
-        if true_route is None and false_route is None:
-            gen.emit(
-                f"return {pairs[(dblock, 0)]} if (({cond}) & 1) "
-                f"else {pairs[(dblock, 1)]}",
-                op=k,
-            )
-            return
-        gen.emit(f"if (({cond}) & 1):", op=k)
-        _emit_goto(gen, pairs[(dblock, 0)], true_route, k, indent=4)
-        _emit_goto(gen, pairs[(dblock, 1)], false_route, k)

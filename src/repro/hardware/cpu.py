@@ -13,13 +13,18 @@ Executions are deterministic given the seed, and every run accumulates
 the counters the paper's evaluation reports: cycles, IPC, dynamic PA
 instruction counts, input-channel invocations, allocator statistics.
 
-Two interpreter backends execute the same semantics:
+Four interpreter tiers execute the same semantics:
 
+- ``reference``: the original ``isinstance``-dispatch interpreter,
+  kept as the semantic oracle (see the golden-equivalence test suite).
 - ``decoded`` (the default): walks blocks pre-compiled by
   :mod:`repro.hardware.decoder` into bound handler closures -- operand
   kinds resolved once, constants folded, GEP strides pre-multiplied.
-- ``reference``: the original ``isinstance``-dispatch interpreter,
-  kept as the semantic oracle (see the golden-equivalence test suite).
+- ``block`` and ``trace``: one compiler over the decoded program
+  (:func:`repro.hardware.tracec.trace_compile`) that emits generated
+  Python with batched accounting.  ``block`` selects no region, so
+  every basic block is one generated function; ``trace`` fuses hot
+  loops and small functions into one function per region.
 
 Select with ``CPU(..., interpreter="reference")`` or the
 ``REPRO_INTERPRETER`` environment variable.

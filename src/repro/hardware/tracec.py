@@ -5,13 +5,21 @@ its decoded program (:mod:`repro.hardware.decoder`) into generated
 Python.  Its ``regions`` keyword is the selection policy:
 
 - ``regions=False`` is the block tier (``--interpreter block``): no
-  region is selected, so every basic block compiles alone through the
-  block emitter (:func:`blockc._gen_block`) and the driver loop in
-  :meth:`CPU._interpret_block` pays one round-trip -- one Python call,
-  one step-limit guard, two tuple indexings -- per dynamic block.
+  region is selected, so every basic block compiles alone and the
+  driver loop in :meth:`CPU._interpret_block` pays one round-trip --
+  one Python call, one step-limit guard, two tuple indexings -- per
+  dynamic block.
 - ``regions=True`` is the trace tier: whole **regions** fuse into one
   generated function each, and the blocks outside every region compile
   exactly as under the block tier.
+
+One emitter, :func:`_gen_region`, writes every generated function.  A
+block compiled alone is its base case: a one-block region with no
+internal edges, so every edge out of it -- a self-edge included --
+returns to the driver, which keeps the block tier's per-block profile
+counts exact.  Such a region runs its body once per call, so it
+charges the CPU directly and skips the loop machinery below (local
+accumulators, method aliases, inline PAC probes, segment guards).
 
 A region is a natural loop (plus the superblock chains hanging off its
 header) or, for small functions, the entire function body, selected
@@ -98,7 +106,6 @@ from .blockc import (
     _classify,
     _emit_op,
     _emit_phi_edge,
-    _gen_block,
     _gen_dfi_chk_batch,
     _trap_fixup,
 )
@@ -121,9 +128,11 @@ from .timing import DEFAULT_COSTS
 _TRACE_ATTR = "_trace_program"
 _BLOCK_ATTR = "_block_program"
 
-#: Accumulators region code charges phi routing to (instructions, issue
-#: residue, cycles); every region exit flushes them (see _gen_region).
+#: Accumulators phi routing charges (instructions, issue residue,
+#: cycles): region locals, flushed at every exit, when the region has
+#: internal edges; ``timing``'s own attributes when it has none.
 _REGION_ACC = ("_in", "_cr", "_cy")
+_DIRECT_ACC = ("timing.instructions", "timing._cheap_run", "timing.cycles")
 
 #: Hard cap on blocks fused into one region; oversized loops are left
 #: to the per-block functions rather than truncated (truncation would
@@ -167,9 +176,9 @@ class TraceProgram:
 
 
 class _Region:
-    """One selected region before code generation."""
+    """One region before code generation: a selected one, or one block."""
 
-    __slots__ = ("header", "blocks", "ids", "chains", "head_index")
+    __slots__ = ("header", "blocks", "ids", "chains", "head_index", "internal")
 
     def __init__(self, header: DecodedBlock, blocks: List[DecodedBlock]):
         self.header = header
@@ -179,6 +188,26 @@ class _Region:
         self.chains: List[List[DecodedBlock]] = []
         #: id(chain head) -> chain number, the ``_n`` dispatch table
         self.head_index: Dict[int, int] = {}
+        #: whether some edge stays inside the generated code
+        self.internal = any(
+            id(successor) in self.ids
+            for dblock in blocks
+            for successor in _successors(dblock)
+        )
+
+    @classmethod
+    def alone(cls, dblock: DecodedBlock) -> "_Region":
+        """The base case: a block outside every region, no internal edges.
+
+        Every edge out of it, a self-edge included, returns to the
+        driver, so the block tier's per-block profile counts -- which
+        region selection keys on -- stay exact.
+        """
+        region = cls(dblock, [dblock])
+        region.internal = False
+        region.chains = [[dblock]]
+        region.head_index = {id(dblock): 0}
+        return region
 
 
 class _RegionPlan:
@@ -790,9 +819,11 @@ def _emit_region_goto(
                 for _, constant, payload in route
             )
             gen.emit(f"{targets} = {values}", indent=indent)
-        elif _emit_phi_edge(gen, route, indent, _REGION_ACC):
+        elif _emit_phi_edge(
+            gen, route, indent, _REGION_ACC if region.internal else _DIRECT_ACC
+        ):
             return
-    if id(target) in region.ids:
+    if region.internal and id(target) in region.ids:
         if target is next_block:
             return  # fall through into the next fused block
         if len(region.chains) > 1:
@@ -872,6 +903,19 @@ def _emit_region_term(
         _emit_region_goto(
             gen, region, dblock, t_true, k, d, next_block, codes,
             fall_merged, flush,
+        )
+    elif (
+        not region.internal
+        and dblock not in t_true.phi_routes
+        and dblock not in t_false.phi_routes
+    ):
+        # Nothing to route or flush: one conditional return.
+        true_pair = gen.bind(codes[id(t_true)].self_pair, "S")
+        false_pair = gen.bind(codes[id(t_false)].self_pair, "S")
+        gen.emit(
+            f"return {true_pair} if (({cond}) & 1) else {false_pair}",
+            indent=d,
+            op=k,
         )
     else:
         gen.emit(f"if (({cond}) & 1):", indent=d, op=k)
@@ -1079,6 +1123,106 @@ def _emit_impure_charges(gen: _FnGen, all_info, s: int) -> None:
     gen.emit(f"counts[{name!r}] += 1")
 
 
+def _emit_direct_charges(gen: _FnGen, all_info, s: int, e: int) -> None:
+    """Batched retirement for one chunk of a region with no internal edges.
+
+    Its code runs once per call, so local accumulators would cost more
+    than they save: every chunk, pure or impure, charges ``timing``,
+    ``cpu.steps`` and ``counts`` directly, before its ops run.
+    """
+    cycles_table, cheap_table = _chunk_tables(all_info, s, e)
+    tallies: Dict[str, int] = {}
+    for i in range(s, e):
+        name = all_info[i][0]
+        tallies[name] = tallies.get(name, 0) + 1
+    gen.emit("_r0 = timing._cheap_run")
+    gen.emit(f"timing.cycles += {gen.bind(cycles_table, 'T')}[_r0]")
+    gen.emit(f"timing._cheap_run = {gen.bind(cheap_table, 'T')}[_r0]")
+    gen.emit(f"timing.instructions += {e - s}")
+    gen.emit(f"cpu.steps += {e - s - tallies.get('phi', 0)}")
+    # counts is TimingModel's defaultdict(int): += needs no probe
+    for name, count in tallies.items():
+        gen.emit(f"counts[{name!r}] += {count}")
+
+
+def _emit_loop_preamble(
+    gen: _FnGen,
+    region: _Region,
+    plan: _RegionPlan,
+    kvars: List[str],
+    uses_mem: bool,
+    uses_pac: bool,
+    uses_dfi: bool,
+) -> None:
+    """Region entry up to ``while True:`` for a region with internal edges."""
+    # Local accounting accumulators (initialised before anything that
+    # can raise -- the except clause flushes them unconditionally):
+    # _cy cycles, _in instructions, _st steps, _cr issue residue, _kN
+    # per-chunk execution counters.  Hot-loop chunks touch only these
+    # locals; attribute and dict traffic happens once per region exit.
+    gen.emit("_cy = 0; _in = 0; _st = 0", indent=3)
+    for at in range(0, len(kvars), 20):
+        gen.emit(" = ".join(kvars[at:at + 20]) + " = 0", indent=3)
+    gen.emit("_cr = timing._cheap_run", indent=3)
+
+    # Loop-invariant aliases: generated op bodies are rewritten (see
+    # emit_default in _gen_region) to call these pre-bound methods
+    # instead of chasing cpu.memory / cpu.pac / cpu.dfi_shadow
+    # attributes on every hot-loop iteration.  Fault hooks and key
+    # epochs stay live -- they are read inside the bound methods, not
+    # captured here.
+    if uses_mem:
+        gen.emit("mem = cpu.memory", indent=3)
+        gen.emit("_mr = mem.read_int; _mw = mem.write_int", indent=3)
+        gen.emit(
+            "_mr8 = mem.read_u64; _mr4 = mem.read_u32; "
+            "_mr2 = mem.read_u16; _mr1 = mem.read_u8",
+            indent=3,
+        )
+        gen.emit(
+            "_mw8 = mem.write_u64; _mw4 = mem.write_u32; "
+            "_mw2 = mem.write_u16; _mw1 = mem.write_u8",
+            indent=3,
+        )
+        gen.emit("_ch = cpu.cache is not None; _ca = cpu._cache_access", indent=3)
+    if uses_pac:
+        gen.emit("pac = cpu.pac", indent=3)
+        gen.emit("_ps = pac.sign; _pa = pac.auth", indent=3)
+        # _pac_cache survives corrupt_key/rekey (they clear() in place,
+        # never rebind), so a bound .get stays valid across epochs; the
+        # epoch lives in the lookup key, read live at each site.
+        gen.emit("_pg = pac._pac_cache.get", indent=3)
+    if uses_dfi:
+        gen.emit("dfi = cpu.dfi_shadow", indent=3)
+        gen.emit(
+            "_ds = dfi.set_range; _dr = dfi.check_range; _db = dfi.check_batch",
+            indent=3,
+        )
+    gen.emit("_ms = cpu.max_steps", indent=3)
+    if plan.dfi_specs:
+        # Entry check for every hoisted site; a violation deopts the
+        # whole invocation to the decoded oracle *before any charge*,
+        # which then traps at the exact site (or completes clean when
+        # the violating site turns out to be unreachable this call).
+        specs = gen.bind(tuple(plan.dfi_specs), "B")
+        header_name = gen.bind(region.header, "D")
+        gen.emit(f"_v = dfi.check_batch({specs}, frame)", indent=3)
+        gen.emit("if _v is not None:", indent=3)
+        gen.emit(
+            f"    return (_RET, cpu._interpret_decoded({header_name}, frame))",
+            indent=3,
+        )
+    for value, name in plan.invariants:
+        gen.emit(f"{name} = frame[{gen.bind(value, 'V')}]", indent=3)
+    for phi, name in plan.header_phis:
+        gen.emit(f"{name} = frame[{gen.bind(phi, 'V')}]", indent=3)
+    for memo in range(len(plan.pac_sites)):
+        gen.emit(f"_pe{memo} = -1", indent=3)
+    if len(region.chains) > 1:
+        gen.emit("_n = 0", indent=3)
+    gen.emit("while True:", indent=3)
+
+
 def _gen_region(
     gen: _FnGen,
     fn_name: str,
@@ -1089,6 +1233,12 @@ def _gen_region(
     plan: _RegionPlan,
 ) -> None:
     phi_cost = DEFAULT_COSTS["phi"]
+    # A region with no internal edges -- above all a block compiled
+    # alone -- runs its body once per call.  It charges the CPU directly
+    # and keeps none of the loop machinery: no local accumulators, method
+    # aliases, inline PAC probes, segment guards (the driver checked
+    # ``nsteps`` already) or ``while True``.
+    direct = not region.internal
 
     # -- superblock charge planning -------------------------------------
     # Chains split into guard segments (see _chain_segments); within a
@@ -1223,8 +1373,8 @@ def _gen_region(
     tally_terms: Dict[str, List[str]] = {}
     for s in sorted(chunk_at):
         e = chunk_at[s][1]
-        if all_info[s][2]:
-            continue  # impure chunks charge counts directly
+        if direct or all_info[s][2]:
+            continue  # these chunks charge counts directly
         kvar = f"_k{len(chunk_no)}"
         chunk_no[s] = kvar
         tallies: Dict[str, int] = {}
@@ -1252,7 +1402,7 @@ def _gen_region(
         uses_dfi = True
 
     spill_name = None
-    if plan.spill:
+    if plan.spill and not direct:
         spill_name = gen.bind(_make_spiller(tuple(plan.spill)), "P")
 
     meta_name = gen.bind(meta, "M")
@@ -1261,18 +1411,22 @@ def _gen_region(
     gen.block_locals = plan.locals_map
     gen.emit(f"def {fn_name}(cpu, frame, timing, counts):", indent=1)
     gen.emit("try:", indent=2)
-    # Local accounting accumulators (initialised before anything that
-    # can raise -- the except clause flushes them unconditionally):
-    # _cy cycles, _in instructions, _st steps, _cr issue residue, _kN
-    # per-chunk execution counters.  Hot-loop chunks touch only these
-    # locals; attribute and dict traffic happens once per region exit.
-    gen.emit("_cy = 0; _in = 0; _st = 0", indent=3)
-    kvars = list(chunk_no.values())
-    for at in range(0, len(kvars), 20):
-        gen.emit(" = ".join(kvars[at:at + 20]) + " = 0", indent=3)
-    gen.emit("_cr = timing._cheap_run", indent=3)
+    if direct:
+        for used, line in (
+            (uses_mem, "mem = cpu.memory"),
+            (uses_pac, "pac = cpu.pac"),
+            (uses_dfi, "dfi = cpu.dfi_shadow"),
+        ):
+            if used:
+                gen.emit(line, indent=3)
+    else:
+        _emit_loop_preamble(
+            gen, region, plan, list(chunk_no.values()), uses_mem, uses_pac, uses_dfi
+        )
 
     def flush(indent: int) -> None:
+        if direct:
+            return
         gen.emit("timing.cycles += _cy", indent=indent)
         gen.emit("timing.instructions += _in", indent=indent)
         gen.emit("cpu.steps += _st", indent=indent)
@@ -1280,63 +1434,7 @@ def _gen_region(
         for name, expr in tally_flush:
             gen.emit(f"counts[{name!r}] += {expr}", indent=indent)
 
-    # Loop-invariant aliases: generated op bodies are rewritten (see
-    # emit_default below) to call these pre-bound methods instead of
-    # chasing cpu.memory / cpu.pac / cpu.dfi_shadow attributes on every
-    # hot-loop iteration.  Fault hooks and key epochs stay live -- they
-    # are read inside the bound methods, not captured here.
-    if uses_mem:
-        gen.emit("mem = cpu.memory", indent=3)
-        gen.emit("_mr = mem.read_int; _mw = mem.write_int", indent=3)
-        gen.emit(
-            "_mr8 = mem.read_u64; _mr4 = mem.read_u32; "
-            "_mr2 = mem.read_u16; _mr1 = mem.read_u8",
-            indent=3,
-        )
-        gen.emit(
-            "_mw8 = mem.write_u64; _mw4 = mem.write_u32; "
-            "_mw2 = mem.write_u16; _mw1 = mem.write_u8",
-            indent=3,
-        )
-        gen.emit("_ch = cpu.cache is not None; _ca = cpu._cache_access", indent=3)
-    if uses_pac:
-        gen.emit("pac = cpu.pac", indent=3)
-        gen.emit("_ps = pac.sign; _pa = pac.auth", indent=3)
-        # _pac_cache survives corrupt_key/rekey (they clear() in place,
-        # never rebind), so a bound .get stays valid across epochs; the
-        # epoch lives in the lookup key, read live at each site.
-        gen.emit("_pg = pac._pac_cache.get", indent=3)
-    if uses_dfi:
-        gen.emit("dfi = cpu.dfi_shadow", indent=3)
-        gen.emit(
-            "_ds = dfi.set_range; _dr = dfi.check_range; _db = dfi.check_batch",
-            indent=3,
-        )
-    gen.emit("_ms = cpu.max_steps", indent=3)
-    if plan.dfi_specs:
-        # Entry check for every hoisted site; a violation deopts the
-        # whole invocation to the decoded oracle *before any charge*,
-        # which then traps at the exact site (or completes clean when
-        # the violating site turns out to be unreachable this call).
-        specs = gen.bind(tuple(plan.dfi_specs), "B")
-        header_name = gen.bind(region.header, "D")
-        gen.emit(f"_v = dfi.check_batch({specs}, frame)", indent=3)
-        gen.emit("if _v is not None:", indent=3)
-        gen.emit(
-            f"    return (_RET, cpu._interpret_decoded({header_name}, frame))",
-            indent=3,
-        )
-    for value, name in plan.invariants:
-        gen.emit(f"{name} = frame[{gen.bind(value, 'V')}]", indent=3)
-    for phi, name in plan.header_phis:
-        gen.emit(f"{name} = frame[{gen.bind(phi, 'V')}]", indent=3)
-    for memo in range(len(plan.pac_sites)):
-        gen.emit(f"_pe{memo} = -1", indent=3)
     multi = len(region.chains) > 1
-    if multi:
-        gen.emit("_n = 0", indent=3)
-    gen.emit("while True:", indent=3)
-
     old_emit = gen.emit
     for ci, chain in enumerate(region.chains):
         if multi:
@@ -1344,10 +1442,10 @@ def _gen_region(
             old_emit(f"{keyword} _n == {ci}:", indent=4)
             d = 5
         else:
-            d = 4
+            d = 3 if direct else 4
 
         def emit_default(text, indent=d, op=None):
-            if "(" in text:
+            if not direct and "(" in text:
                 text = (
                     text.replace("mem.read_int(", "_mr(")
                     .replace("mem.write_int(", "_mw(")
@@ -1380,7 +1478,7 @@ def _gen_region(
                 _, body, op_info, bbase, nlead, nbody = info_by_pos[
                     (ci, position)
                 ]
-                nsteps = seg_steps.get((ci, position))
+                nsteps = None if direct else seg_steps.get((ci, position))
                 if nsteps is not None:
                     # Deopt: flush what the decoded oracle reads and
                     # charges itself (cycles, steps, residue) *before*
@@ -1410,7 +1508,9 @@ def _gen_region(
                     g = bbase + j
                     bounds = chunk_at.get(g)
                     if bounds is not None:
-                        if all_info[g][2]:
+                        if direct:
+                            _emit_direct_charges(gen, all_info, *bounds)
+                        elif all_info[g][2]:
                             _emit_impure_charges(gen, all_info, g)
                         else:
                             _emit_chunk_charges(
@@ -1460,16 +1560,17 @@ def _gen_region(
                         _emit_pac_memo(gen, inst, layout, g, d, memo)
                         j += 1
                         continue
-                    if isinstance(inst, PacAuth) and not dblock.ops[i][2]:
+                    inline_pac = not (direct or dblock.ops[i][2])
+                    if inline_pac and isinstance(inst, PacAuth):
                         _emit_pac_inline_auth(gen, inst, layout, g, d)
                         j += 1
                         continue
-                    if isinstance(inst, PacSign) and not dblock.ops[i][2]:
+                    if inline_pac and isinstance(inst, PacSign):
                         _emit_pac_inline_sign(gen, inst, layout, g, d)
                         j += 1
                         continue
                     _emit_op(gen, inst, dblock.ops[i], layout, g)
-                    if dblock.ops[i][2]:
+                    if dblock.ops[i][2] and not direct:
                         # The callee moved the issue residue; re-seed
                         # the local before the next chunk charges.
                         gen.emit("_cr = timing._cheap_run")
@@ -1484,17 +1585,18 @@ def _gen_region(
         finally:
             gen.emit = old_emit  # type: ignore[method-assign]
     gen.emit("except BaseException as _exc:", indent=2)
-    # Flush pending local charges so the trap fixup reconciles against
-    # complete totals.  The issue residue is deliberately NOT flushed:
-    # for a trap at a fused op the fixup recomputes it exactly (from
-    # the _r0 frame local), and for an exception out of a callee or a
-    # decoded deopt replay, timing._cheap_run is already live (the
-    # local _cr is the stale pre-call value).
-    gen.emit("    timing.cycles += _cy", indent=2)
-    gen.emit("    timing.instructions += _in", indent=2)
-    gen.emit("    cpu.steps += _st", indent=2)
-    for name, expr in tally_flush:
-        gen.emit(f"    counts[{name!r}] += {expr}", indent=2)
+    if not direct:
+        # Flush pending local charges so the trap fixup reconciles
+        # against complete totals.  The issue residue is deliberately
+        # NOT flushed: for a trap at a fused op the fixup recomputes it
+        # exactly (from the _r0 frame local), and for an exception out
+        # of a callee or a decoded deopt replay, timing._cheap_run is
+        # already live (the local _cr is the stale pre-call value).
+        gen.emit("    timing.cycles += _cy", indent=2)
+        gen.emit("    timing.instructions += _in", indent=2)
+        gen.emit("    cpu.steps += _st", indent=2)
+        for name, expr in tally_flush:
+            gen.emit(f"    counts[{name!r}] += {expr}", indent=2)
     gen.emit(f"    _FIX(cpu, timing, counts, {meta_name}, _exc)", indent=2)
     gen.emit("    raise", indent=2)
     gen.current_map = None
@@ -1530,22 +1632,26 @@ def _compile_function(
             return 0.0
         return counts.get(f"{function.name}:{dblock.source.name}", 0.0)
 
-    region_of: Dict[int, _Region] = {}
+    fused_ids: Set[int] = set()
     for region in regions:
         _build_chains(region, hotness, pos)
-        for dblock in region.blocks:
-            region_of[id(dblock)] = region
+        fused_ids |= region.ids
 
-    outside = [d for d in order if id(d) not in region_of]
+    # Every block outside the selected regions -- under the block tier,
+    # every block -- compiles as a one-block region, ahead of them.
+    pinned, read_in = _function_reads(order)
+    units: List[Tuple[str, _Region, _RegionPlan]] = []
+    for dblock in order:
+        if id(dblock) not in fused_ids:
+            plan = _RegionPlan()
+            plan.locals_map = _block_locals(dblock, pinned, read_in)
+            units.append((f"_b{len(units)}", _Region.alone(dblock), plan))
+    for index, region in enumerate(regions):
+        plan = _plan_region(order, region, dom, layout, pinned, read_in)
+        units.append((f"_t{index}", region, plan))
 
     codes: Dict[int, BlockCode] = {}
-    for dblock in outside:
-        codes[id(dblock)] = BlockCode(
-            dblock,
-            _block_steps(dblock),
-            f"{function.name}:{dblock.source.name}",
-        )
-    for region in regions:
+    for _, region, _ in units:
         header = region.header
         codes[id(header)] = BlockCode(
             header,
@@ -1571,53 +1677,12 @@ def _compile_function(
         gen.const_names.append(name)
         gen._by_id[id(helper)] = name
 
-    # Successor pairs and routes for the non-region blocks, pre-built so
-    # the generated terminators return them directly; phi routes compile
-    # inline into the terminators.  Regions are single-entry, so an
-    # outside block's successor is always an outside block or a region
-    # *header* -- both have codes.
-    pairs: Dict[tuple, str] = {}
-    routes: Dict[tuple, object] = {}
-    ret_pairs: Dict[DecodedBlock, str] = {}
-    for dblock in outside:
-        term = dblock.term
-        if term[0] == "ret":
-            spec = term[1]
-            if spec is None:
-                ret_pairs[dblock] = gen.bind((BLOCK_RET, None), "R")
-            elif spec[0]:
-                ret_pairs[dblock] = gen.bind((BLOCK_RET, spec[1]), "R")
-            continue
-        for slot, successor in enumerate(_successors(dblock)):
-            route = successor.phi_routes.get(dblock)
-            if route is not None:
-                routes[(dblock, slot)] = route
-            pairs[(dblock, slot)] = gen.bind(codes[id(successor)].self_pair, "S")
-
-    pinned, read_in = _function_reads(order)
     targets: List[BlockCode] = []
-    for index, dblock in enumerate(outside):
-        meta = _BlockMeta()
-        code = codes[id(dblock)]
-        code.meta = meta
-        _gen_block(
-            gen,
-            f"_b{index}",
-            dblock,
-            layout,
-            meta,
-            pairs,
-            routes,
-            ret_pairs,
-            _block_locals(dblock, pinned, read_in),
-        )
-        targets.append(code)
-    for index, region in enumerate(regions):
+    for fn_name, region, plan in units:
         meta = _BlockMeta()
         code = codes[id(region.header)]
         code.meta = meta
-        plan = _plan_region(order, region, dom, layout, pinned, read_in)
-        _gen_region(gen, f"_t{index}", region, layout, meta, codes, plan)
+        _gen_region(gen, fn_name, region, layout, meta, codes, plan)
         targets.append(code)
 
     gen.emit(f"return ({', '.join(gen.fn_names)},)", indent=1)

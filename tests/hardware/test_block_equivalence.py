@@ -5,10 +5,14 @@ inlines handler bodies into generated Python, so every architectural
 observable must stay bit-identical to both the decoded and the
 reference interpreters -- including mid-block traps (whose counter
 state the generated ``except`` clause repairs), step-limit crossings
-(delegated to the decoded loop), and attack scenarios.
+(delegated to the decoded loop), and attack scenarios.  The benign
+sweep, reseeded programs included, also holds the trace tier (the same
+compiler with regions) to the reference.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -16,6 +20,8 @@ from repro.attacks import build_scenarios
 from repro.core import SCHEMES, protect
 from repro.hardware import CPU
 from repro.hardware.errors import StepLimitExceeded
+from repro.ir import parse_module, verify_module
+from repro.observability import ExecutionProfiler
 from repro.workloads import generate_program, get_profile
 
 #: Every architectural observable of an execution.
@@ -35,6 +41,9 @@ COMPARED_FIELDS = (
 #: A spread of generated workloads: integer-heavy, pointer-chasing,
 #: and branchy control flow all exercise different specializers.
 PROFILES = ("505.mcf_r", "502.gcc_r", "519.lbm_r", "525.x264_r")
+
+#: Reseeded small profiles: generated programs beyond the fixed four.
+RESEEDED = (("505.mcf_r", 1), ("519.lbm_r", 2), ("525.x264_r", 3))
 
 
 def assert_same(expected, block, context):
@@ -60,9 +69,17 @@ def run_with(module, interpreter, inputs=(), **kwargs):
 # -- benign benchmark sweep ----------------------------------------------------------
 
 
-@pytest.fixture(scope="module", params=PROFILES)
+@pytest.fixture(
+    scope="module",
+    params=[(name, None) for name in PROFILES] + list(RESEEDED),
+    ids=lambda param: param[0] if param[1] is None else f"{param[0]}-seed{param[1]}",
+)
 def profile_program(request):
-    return generate_program(get_profile(request.param))
+    name, seed = request.param
+    profile = get_profile(name)
+    if seed is not None:
+        profile = dataclasses.replace(profile, seed=seed)
+    return generate_program(profile)
 
 
 def test_profile_equivalence_all_schemes(profile_program):
@@ -77,6 +94,19 @@ def test_profile_equivalence_all_schemes(profile_program):
         assert block.ok, context
         assert_same(reference, block, f"{context} (vs reference)")
         assert_same(decoded, block, f"{context} (vs decoded)")
+        # The trace tier on the same program, its regions selected from
+        # a profiled block-tier run: one compiler, both policies.
+        profiler = ExecutionProfiler()
+        run_with(protected.module, "block", inputs, profiler=profiler)
+        trace = run_with(
+            protected.module, "trace", inputs,
+            trace_profile=profiler.block_counts(),
+        )
+        for field in COMPARED_FIELDS:
+            assert getattr(reference, field) == getattr(trace, field), (
+                f"{context}: {field} diverged under trace"
+            )
+        assert reference.opcode_counts == trace.opcode_counts, context
 
 
 # -- attack scenarios: mid-block traps must repair their counters --------------------
@@ -121,6 +151,40 @@ def test_step_limit_trips_at_the_same_op(max_steps):
     block = run_with(protected.module, "block", inputs, max_steps=max_steps)
     assert isinstance(reference.trap, StepLimitExceeded)
     assert_same(reference, block, f"max_steps={max_steps}")
+
+
+# -- the base case: a block compiled alone returns to the driver on every edge -------
+
+SELF_LOOP = """
+define i64 @main() {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %loop ]
+  %s = phi i64 [ 0, %entry ], [ %s.next, %loop ]
+  %s.next = add i64 %s, %i
+  %i.next = add i64 %i, 1
+  %c = icmp slt i64 %i.next, 500
+  br i1 %c, label %loop, label %exit
+exit:
+  ret i64 %s.next
+}
+"""
+
+
+def test_single_block_self_loop_never_loops_inside_its_code():
+    module = parse_module(SELF_LOOP)
+    verify_module(module)
+    assert_same(run_with(module, "reference"), run_with(module, "block"), "self-loop")
+    # Every iteration re-enters through the driver, so it is counted.
+    profiler = ExecutionProfiler()
+    run_with(module, "block", profiler=profiler)
+    assert profiler.block_counts()["main:loop"] == 500
+    # ... and re-checked against the step limit.
+    reference = run_with(module, "reference", max_steps=1234)
+    block = run_with(module, "block", max_steps=1234)
+    assert reference.status == "limit"
+    assert_same(reference, block, "self-loop, max_steps=1234")
 
 
 # -- batched accounting bails out when it cannot be trusted --------------------------
