@@ -203,14 +203,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .core.framework import PreparedModule
     from .core.report import build_security_report
-    from .core.vulnerability import analyze_module
     from .frontend.driver import compile_source
-    from .transforms.mem2reg import Mem2Reg
 
     module = compile_source(_read_source(args.source), name=args.name)
-    Mem2Reg().run(module)
-    report = analyze_module(module)
+    report = PreparedModule(module, consume=True).report
     security = build_security_report(report)
     categories = report.branch_categories()
     print(f"program variables:      {len(report.all_variables)}")
@@ -236,18 +234,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     from .attacks.scenarios import build_scenarios
-    from .core.framework import protect
+    from .core.framework import protect_all
 
     scenarios = build_scenarios()
     if args.scenario not in scenarios:
         print(f"unknown scenario {args.scenario!r}; try: {', '.join(scenarios)}")
         return 1
     scenario = scenarios[args.scenario]
-    module = scenario.compile()
     print(f"{scenario.name}: {scenario.description}")
     failures = 0
-    for scheme in SCHEMES:
-        protected = protect(module, scheme=scheme)
+    for scheme, protected in protect_all(scenario.compile(), consume=True).items():
         outcome = scenario.attack_outcome(scenario.run_attack(protected.module))
         print(f"  {scheme:8s} -> {outcome}")
         if scheme == "vanilla" and outcome != "success":
@@ -256,7 +252,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .core.framework import protect
+    from .core.framework import protect_all
     from .hardware.cpu import CPU
     from .workloads.generator import generate_program
 
@@ -267,8 +263,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     base = None
     print(f"{args.benchmark}: {module.instruction_count()} IR instructions")
-    for scheme in SCHEMES:
-        protected = protect(module, scheme=scheme)
+    for scheme, protected in protect_all(module, consume=True).items():
         with current_tracer().span(f"execute:{scheme}", "exec", benchmark=args.benchmark):
             result = CPU(
                 protected.module,
@@ -735,6 +730,13 @@ def _add_observability_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_cache_args(
+    p: argparse.ArgumentParser, help: str, cache: str = "compilation cache"
+) -> None:
+    p.add_argument("--cache-dir", default=".repro-cache", help=help)
+    p.add_argument("--no-cache", action="store_true", help=f"disable the {cache}")
+
+
 def _add_interpreter_arg(
     p: argparse.ArgumentParser,
     default: Optional[str] = None,
@@ -831,16 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the fan-out (default: 1, serial)",
     )
     _add_interpreter_arg(p)
-    p.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="compilation cache directory (default: .repro-cache)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the compilation cache",
-    )
+    _add_cache_args(p, help="compilation cache directory (default: .repro-cache)")
     p.add_argument(
         "--timeout",
         type=float,
@@ -1012,15 +1005,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="warm-registry capacity per worker, in distinct modules "
         "(default: 32)",
     )
-    p.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
+    _add_cache_args(
+        p,
         help="shared on-disk compilation cache (default: .repro-cache)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk compilation cache",
+        cache="on-disk compilation cache",
     )
     p.add_argument(
         "--debug-ops",

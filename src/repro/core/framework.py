@@ -1,13 +1,14 @@
 """The end-to-end Pythia compiler framework.
 
-``protect(module, config)`` runs the analysis pipeline once and applies
-the configured defense passes, returning the instrumented module plus
-the static statistics the evaluation reports (PA instruction counts,
-canary counts, binary size).
+``protect(module, config)`` prepares (verify, mem2reg), analyzes, and
+applies one configured defense scheme, returning the instrumented
+module plus the static statistics the evaluation reports (PA
+instruction counts, canary counts, binary size).
 
-Modules are cloned before instrumentation, so one source module can be
-protected under several schemes and compared -- exactly what the
-benchmark harness does.  Cloning is a structural object-graph copy
+Every caller that wants several schemes of one module goes through
+:class:`PreparedModule` (directly, or via ``protect_all``): the module
+is prepared and analyzed once, and each scheme is a variant derived
+from it by clone + report remap.  Cloning is a structural object-graph copy
 (:meth:`repro.ir.module.Module.clone`); the older textual round-trip is
 kept as :func:`clone_module_textual` and doubles as the verification
 oracle in the test suite.
@@ -130,59 +131,37 @@ def _build_passes(config: DefenseConfig, report: VulnerabilityReport) -> list:
     return passes
 
 
-def protect(
-    module: Module,
-    config: Optional[DefenseConfig] = None,
-    scheme: Optional[str] = None,
-    clone: bool = True,
-    report: Optional[VulnerabilityReport] = None,
-    prepared: bool = False,
-) -> ProtectionResult:
-    """Apply a defense scheme to (a clone of) ``module``.
-
-    ``prepared=True`` declares that the caller already verified and
-    mem2reg-promoted the module (``protect_all`` clones from one
-    prepared module), so both steps are skipped here.  Passing
-    ``report`` skips the vulnerability analysis and instruments from
-    the given report instead -- under the shared-analysis path this is
-    a :func:`~repro.core.remap.remap_report` translation of an analysis
-    computed once on the pristine module.
-    """
-    if config is None:
-        config = DefenseConfig(scheme=scheme or "pythia")
-    elif scheme is not None:
-        raise ValueError("pass either config or scheme, not both")
-    target = clone_module(module) if clone else module
-    timings: Dict[str, float] = {}
-
-    if not prepared:
-        if config.verify:
+def _prepare(
+    module: Module, timings: Dict[str, float], verify: bool = True, mem2reg: bool = True
+) -> None:
+    """Verify and SSA-promote ``module`` in place, timing each phase."""
+    if verify:
+        with phase_span("verify", timings):
+            verify_module(module)
+    if mem2reg:
+        with phase_span("mem2reg", timings):
+            Mem2Reg().run(module)
+        if verify:
             with phase_span("verify", timings):
-                verify_module(target)
-        if config.run_mem2reg:
-            with phase_span("mem2reg", timings):
-                Mem2Reg().run(target)
-            if config.verify:
-                with phase_span("verify", timings):
-                    verify_module(target)
-            # mem2reg runs outside the PassManager, so drop any stale
-            # pre-decoded program and cached analyses explicitly
-            invalidate_decode_cache(target)
-            invalidate_analyses(target)
+                verify_module(module)
+        # mem2reg runs outside the PassManager, so drop any stale
+        # pre-decoded program and cached analyses explicitly
+        invalidate_decode_cache(module)
+        invalidate_analyses(module)
 
-    if config.scheme == "vanilla":
-        return ProtectionResult(
-            module=target, scheme="vanilla", report=None, timings=timings
-        )
 
-    if report is None:
-        with phase_span("analysis", timings):
-            report = VulnerabilityAnalysis(target).analyze()
-    passes = _build_passes(config, report)
-
-    # The incoming module was verified above (or by the prepared
-    # caller), so the pipeline only re-verifies after each mutation.
-    manager = PassManager(passes, verify=config.verify, verify_input=False)
+def _instrument(
+    target: Module,
+    config: DefenseConfig,
+    report: VulnerabilityReport,
+    timings: Dict[str, float],
+) -> ProtectionResult:
+    """Run ``config``'s defense passes over the prepared ``target``."""
+    # The incoming module was verified while being prepared, so the
+    # pipeline only re-verifies after each mutation.
+    manager = PassManager(
+        _build_passes(config, report), verify=config.verify, verify_input=False
+    )
     try:
         stats = manager.run(target)
     except VerificationError as exc:
@@ -204,6 +183,82 @@ def protect(
     )
 
 
+def protect(
+    module: "Module | PreparedModule",
+    config: Optional[DefenseConfig] = None,
+    scheme: Optional[str] = None,
+    clone: bool = True,
+) -> ProtectionResult:
+    """Apply a defense scheme to (a clone of) ``module``.
+
+    Given a :class:`PreparedModule`, the result is its
+    :meth:`~PreparedModule.variant` for the scheme (``clone`` does not
+    apply).  Multi-scheme callers protect that way, so every scheme of
+    every module is instrumented through this one entry point.
+    """
+    if config is None:
+        config = DefenseConfig(scheme=scheme or "pythia")
+    elif scheme is not None:
+        raise ValueError("pass either config or scheme, not both")
+    if isinstance(module, PreparedModule):
+        return module.variant(config)
+    target = clone_module(module) if clone else module
+    timings: Dict[str, float] = {}
+    _prepare(target, timings, verify=config.verify, mem2reg=config.run_mem2reg)
+    if config.scheme == "vanilla":
+        return ProtectionResult(
+            module=target, scheme="vanilla", report=None, timings=timings
+        )
+    with phase_span("analysis", timings):
+        report = VulnerabilityAnalysis(target).analyze()
+    return _instrument(target, config, report, timings)
+
+
+class PreparedModule:
+    """One verified, SSA-promoted module and the scheme variants of it.
+
+    Construction verifies and promotes ``module`` once (a clone of it,
+    unless ``consume=True`` hands the input over to be prepared in
+    place).  :attr:`report` runs the vulnerability analysis on first
+    use.  :meth:`variant` derives a scheme's protection from both: the
+    vanilla variant is the prepared module itself, and every protected
+    variant instruments a clone of it after carrying the report into
+    the clone's coordinates (:func:`~repro.core.remap.remap_report`).
+
+    Phase timings land where the work happens: the vanilla variant
+    carries the shared ``verify``/``mem2reg``/``analysis`` phases run so
+    far, each protected variant its own ``remap``/``verify``/``pass:*``.
+    """
+
+    def __init__(self, module: Module, consume: bool = False):
+        self.module = module if consume else clone_module(module)
+        self.timings: Dict[str, float] = {}
+        _prepare(self.module, self.timings)
+
+    @cached_property
+    def report(self) -> VulnerabilityReport:
+        from ..analysis.manager import get_manager
+
+        with phase_span("analysis", self.timings):
+            return get_manager().vulnerability_report(self.module)
+
+    def variant(self, config: DefenseConfig) -> ProtectionResult:
+        if config.scheme == "vanilla":
+            return ProtectionResult(
+                module=self.module,
+                scheme="vanilla",
+                report=None,
+                timings=dict(self.timings),
+            )
+        from .remap import remap_report
+
+        target, vmap = self.module.clone(value_map=True)
+        timings: Dict[str, float] = {}
+        with phase_span("remap", timings):
+            report = remap_report(self.report, vmap)
+        return _instrument(target, config, report, timings)
+
+
 def protect_all(
     module: Module,
     schemes: "tuple[str, ...]" = SCHEMES,
@@ -212,25 +267,18 @@ def protect_all(
 ) -> Dict[str, ProtectionResult]:
     """Protect independent clones of ``module`` under several schemes.
 
-    The default *shared-analysis* path verifies, promotes, and analyzes
-    the module **once**, then clones the prepared module per scheme and
-    carries the vulnerability report into each clone through the clone's
-    value map (:func:`~repro.core.remap.remap_report`).  The prepared
-    module itself becomes the vanilla result.
-
-    ``shared_analysis=False`` is the original re-analyze-per-scheme
-    path; the test suite uses it as the oracle (both paths must produce
-    bit-identically printing modules for every scheme).
+    The default *shared-analysis* path prepares and analyzes the module
+    once, as a :class:`PreparedModule`, and derives every scheme as a
+    variant of it.  ``shared_analysis=False`` is the original
+    re-analyze-per-scheme path; the test suite uses it as the oracle
+    (both paths must produce bit-identically printing modules for every
+    scheme).
 
     ``consume=True`` transfers ownership of ``module`` to the pipeline:
     it may be mutated in place (it becomes the mem2reg-prepared vanilla
     module) instead of being cloned pristine first.  Callers that build
-    a module per compilation -- the suite runner, the benchmarks -- have
-    no further use for the input and skip one full clone this way.
-
-    Phase timings land where the work happens: the vanilla result
-    carries the shared ``verify``/``mem2reg``/``analysis`` phases, each
-    protected scheme carries its own ``remap``/``verify``/``pass:*``.
+    a module per compilation have no further use for the input and skip
+    one full clone this way.
     """
     if not shared_analysis:
         results = {}
@@ -243,47 +291,7 @@ def protect_all(
             )
         return results
 
-    from ..analysis.manager import get_manager
-    from .remap import remap_report
-
-    prep_timings: Dict[str, float] = {}
-    prepared = module if consume else clone_module(module)
-    with phase_span("verify", prep_timings):
-        verify_module(prepared)
-    with phase_span("mem2reg", prep_timings):
-        Mem2Reg().run(prepared)
-    with phase_span("verify", prep_timings):
-        verify_module(prepared)
-    invalidate_decode_cache(prepared)
-    invalidate_analyses(prepared)
-
-    needs_analysis = any(scheme != "vanilla" for scheme in schemes)
-    report = None
-    if needs_analysis:
-        with phase_span("analysis", prep_timings):
-            report = get_manager().vulnerability_report(prepared)
-
-    results: Dict[str, ProtectionResult] = {}
-    for scheme in schemes:
-        if scheme == "vanilla":
-            results[scheme] = ProtectionResult(
-                module=prepared,
-                scheme="vanilla",
-                report=None,
-                timings=dict(prep_timings),
-            )
-            continue
-        target, vmap = prepared.clone(value_map=True)
-        remap_timings: Dict[str, float] = {}
-        with phase_span("remap", remap_timings):
-            remapped = remap_report(report, vmap)
-        result = protect(
-            target,
-            config=DefenseConfig(scheme=scheme),
-            clone=False,
-            report=remapped,
-            prepared=True,
-        )
-        result.timings["remap"] = remap_timings["remap"]
-        results[scheme] = result
-    return results
+    prepared = PreparedModule(module, consume=consume)
+    if any(scheme != "vanilla" for scheme in schemes):
+        prepared.report  # analyze first, so the vanilla result carries it
+    return {scheme: protect(prepared, scheme=scheme) for scheme in schemes}

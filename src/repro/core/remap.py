@@ -1,7 +1,9 @@
 """Translate a vulnerability analysis across a module clone.
 
-``protect_all`` computes the §4.1 analysis once on the prepared module
-and instruments each scheme's *clone* of it.  The analysis results are
+A :class:`~repro.core.framework.PreparedModule` computes the §4.1
+analysis once and instruments each scheme's *clone* of the prepared
+module -- for ``protect_all``, the serve registry, and every other
+multi-scheme caller alike.  The analysis results are
 object graphs over the prepared module's values -- alias points-to sets
 of its ``MemObject`` allocation sites, slices of its instructions --
 so :func:`remap_report` rebuilds every analysis structure in the
@@ -41,8 +43,8 @@ class _LazyRemappedReport(VulnerabilityReport):
     remap -- is deferred until something actually asks for it (security
     reporting, the remap oracle tests).  Materialization closes over
     the source report and value map, which pin the prepared module --
-    no extra lifetime, since the prepared module is the vanilla result
-    of the same ``protect_all`` call.
+    no extra lifetime, since the prepared module is the vanilla variant
+    of the same :class:`~repro.core.framework.PreparedModule`.
     """
 
     _slices = None

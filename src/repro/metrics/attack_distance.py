@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..core.report import build_security_report
-from ..core.framework import clone_module
-from ..core.vulnerability import VulnerabilityAnalysis
+from ..core.framework import PreparedModule
 from ..ir.module import Module
-from ..transforms.mem2reg import Mem2Reg
 
 
 @dataclass
@@ -46,9 +44,7 @@ class AttackDistanceRow:
 
 def attack_distance_row(module: Module, name: str) -> AttackDistanceRow:
     """Compute the attack-distance row for one module."""
-    module = clone_module(module)
-    Mem2Reg().run(module)
-    report = VulnerabilityAnalysis(module).analyze()
+    report = PreparedModule(module).report
     security = build_security_report(report)
     affected = [v for v in security.verdicts if v.ic_affected]
     return AttackDistanceRow(

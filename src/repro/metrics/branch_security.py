@@ -6,10 +6,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..core.report import SecurityReport, build_security_report
-from ..core.framework import clone_module
-from ..core.vulnerability import VulnerabilityAnalysis
+from ..core.framework import PreparedModule
 from ..ir.module import Module
-from ..transforms.mem2reg import Mem2Reg
 
 
 @dataclass
@@ -39,9 +37,7 @@ class BranchSecurityRow:
 
 def branch_security_row(module: Module, name: str) -> BranchSecurityRow:
     """Compute the branch-security row for one module."""
-    module = clone_module(module)
-    Mem2Reg().run(module)
-    report = VulnerabilityAnalysis(module).analyze()
+    report = PreparedModule(module).report
     security = build_security_report(report)
     affected = sum(1 for v in security.verdicts if v.ic_affected)
     total = max(1, security.total_branches)

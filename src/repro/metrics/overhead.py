@@ -98,81 +98,31 @@ class BenchmarkMeasurement:
         return self._run(scheme).execution.isolated_allocations
 
 
-#: (cache root, cache key) -> protected Module, already parsed.  Keys
-#: are content addresses, so a memoized module is exactly what parsing
-#: the (digest-verified) entry text would produce; reusing the object
-#: also carries over its attached decode/block caches, so warm runs
-#: skip re-decoding too.  Never consulted when the cache has a fault
-#: hook (chaos runs must see every deserialize).
-_PARSED_MODULES: Dict[tuple, Module] = {}
-_PARSED_MODULES_CAP = 128
-
-
-def _memo_module(cache, key: str, module: Module) -> Module:
-    if len(_PARSED_MODULES) >= _PARSED_MODULES_CAP:
-        _PARSED_MODULES.pop(next(iter(_PARSED_MODULES)))
-    _PARSED_MODULES[(cache.root, key)] = module
-    return module
-
-
 def _protect_schemes(module: Module, schemes: Sequence[str], cache):
     """Protect ``module`` under every scheme, through ``cache`` if given.
 
     Returns ``(results, hit_flags)``.  With a cache, the key is the
-    printed *input* module plus each scheme's config; a full set of
-    valid entries skips compilation entirely (entries carry the printed
-    protected module, re-parsed here -- or served from the in-process
-    parsed-module memo, which is seeded on store so a warm run never
-    re-parses what this process just compiled).  On any miss the whole
-    scheme set is recompiled via the shared-analysis pipeline and the
-    missing entries are stored.
+    printed *input* module plus each scheme's config; schemes with a
+    valid entry are served from it, and only the schemes that missed
+    are compiled (via the shared-analysis pipeline) and stored.
     """
     schemes = tuple(schemes)
-    entries = None
-    if cache is not None:
-        from ..ir.parser import parse_module
-        from ..ir.printer import print_module
-
-        use_memo = cache.fault_hook is None
-        text = print_module(module)
-        keys = {
-            scheme: cache.key_for(text, DefenseConfig(scheme=scheme))
-            for scheme in schemes
-        }
-        entries = {scheme: cache.load(keys[scheme]) for scheme in schemes}
-        if all(entry is not None for entry in entries.values()):
-            results = {}
-            for scheme in schemes:
-                key = keys[scheme]
-                parsed = _PARSED_MODULES.get((cache.root, key)) if use_memo else None
-                if parsed is None:
-                    parsed = parse_module(entries[scheme]["module"])
-                    if use_memo:
-                        _memo_module(cache, key, parsed)
-                results[scheme] = ProtectionResult(
-                    module=parsed,
-                    scheme=scheme,
-                    report=None,
-                    pass_stats=entries[scheme]["pass_stats"],
-                    timings=dict(entries[scheme].get("timings", {})),
-                )
-            return results, {scheme: True for scheme in schemes}
-
-    results = protect_all(module, schemes=schemes)
     if cache is None:
-        return results, {scheme: False for scheme in schemes}
-    for scheme in schemes:
-        if entries[scheme] is None:
-            cache.store(
-                keys[scheme],
-                scheme,
-                print_module(results[scheme].module),
-                results[scheme].pass_stats,
-                results[scheme].timings,
-            )
-            if cache.fault_hook is None and not cache.disabled:
-                _memo_module(cache, keys[scheme], results[scheme].module)
-    return results, {scheme: entries[scheme] is not None for scheme in schemes}
+        return protect_all(module, schemes=schemes), dict.fromkeys(schemes, False)
+    from ..ir.printer import print_module
+
+    text = print_module(module)
+    keys = {
+        scheme: cache.key_for(text, DefenseConfig(scheme=scheme)) for scheme in schemes
+    }
+    results = {scheme: cache.load_protection(keys[scheme], scheme) for scheme in schemes}
+    hits = {scheme: results[scheme] is not None for scheme in schemes}
+    missing = tuple(scheme for scheme in schemes if not hits[scheme])
+    if missing:
+        for scheme, result in protect_all(module, schemes=missing).items():
+            cache.store_protection(keys[scheme], result)
+            results[scheme] = result
+    return results, hits
 
 
 def measure_module(

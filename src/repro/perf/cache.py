@@ -25,8 +25,15 @@ lookup misses and every later store is a no-op.  An optional
 ``fault_hook`` (see :mod:`repro.robustness.faults`) lets chaos runs
 inject exactly those failures plus corrupted/truncated entries.
 
+:meth:`CompilationCache.load_protection` and
+:meth:`~CompilationCache.store_protection` convert between entries and
+:class:`~repro.core.framework.ProtectionResult` for every caller (the
+suite's measurements and the serve registry), and keep an in-process
+memo of parsed protected modules.
+
 This module is deliberately light on dependencies (stdlib plus the
-stdlib-only :mod:`repro.observability`): callers in
+stdlib-only :mod:`repro.observability`; the IR parser and printer load
+only inside the protection pair): callers in
 :mod:`repro.metrics.overhead` import it lazily to keep the metrics
 layer importable without dragging in the perf package.  Every lookup
 outcome is published twice -- into the per-instance :class:`CacheStats`
@@ -112,6 +119,22 @@ def _payload_digest(payload: Dict[str, Any]) -> str:
 #: byte on disk, so tampering since the first load is still a miss.
 _LOAD_MEMO: Dict[Tuple[str, str], Tuple[str, Dict[str, Any]]] = {}
 _LOAD_MEMO_CAP = 256
+
+#: (root, key) -> protected Module, already parsed.  Keys are content
+#: addresses, so a memoized module is exactly what parsing the
+#: (digest-verified) entry text would produce; reusing the object also
+#: carries over its attached decode/block caches, so warm runs skip
+#: re-decoding too.  Seeded on store, so a warm run never re-parses
+#: what this process just compiled.  Never consulted when the cache
+#: has a fault hook (chaos runs must see every deserialize).
+_PARSED_MODULES: Dict[Tuple[str, str], Any] = {}
+_PARSED_MODULES_CAP = 128
+
+
+def _memo_module(memo_key: Tuple[str, str], module: Any) -> None:
+    if len(_PARSED_MODULES) >= _PARSED_MODULES_CAP:
+        _PARSED_MODULES.pop(next(iter(_PARSED_MODULES)))
+    _PARSED_MODULES[memo_key] = module
 
 
 class CompilationCache:
@@ -233,6 +256,49 @@ class CompilationCache:
         get_metrics().inc("cache.hits")
         current_tracer().instant("cache.hit", "cache", key=key[:12])
         return payload
+
+    def load_protection(self, key: str, scheme: str):
+        """The cached :class:`~repro.core.framework.ProtectionResult`
+        for ``key``, or ``None`` on miss/corruption.
+
+        The protected module comes from the parsed-module memo when this
+        process already holds it, else from parsing the entry's text.
+        """
+        payload = self.load(key)
+        if payload is None:
+            return None
+        from ..core.framework import ProtectionResult
+
+        memo_key = (self.root, key)
+        use_memo = self.fault_hook is None
+        module = _PARSED_MODULES.get(memo_key) if use_memo else None
+        if module is None:
+            from ..ir.parser import parse_module
+
+            module = parse_module(payload["module"])
+            if use_memo:
+                _memo_module(memo_key, module)
+        return ProtectionResult(
+            module=module,
+            scheme=scheme,
+            report=None,
+            pass_stats=payload["pass_stats"],
+            timings=dict(payload.get("timings", {})),
+        )
+
+    def store_protection(self, key: str, result) -> None:
+        """Persist a ``ProtectionResult`` and memoize its module."""
+        from ..ir.printer import print_module
+
+        self.store(
+            key,
+            result.scheme,
+            print_module(result.module),
+            result.pass_stats,
+            result.timings,
+        )
+        if self.fault_hook is None and not self.disabled:
+            _memo_module((self.root, key), result.module)
 
     def store(
         self,

@@ -76,7 +76,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..attacks.controller import AttackController
 from ..attacks.scenarios import Scenario, build_scenarios
 from ..core.config import SCHEMES
-from ..core.framework import protect
+from ..core.framework import protect, protect_all
 from ..frontend.driver import compile_source
 from ..hardware.cpu import CPU
 from ..observability import current_tracer, get_event_log, get_metrics
@@ -532,10 +532,9 @@ def run_campaign(
     for family_index, family in enumerate(sorted(family_names)):
         scenario = scenarios[family]
         count = per_family + (1 if family_index < extra else 0)
-        base_module = scenario.compile()
         protections = {
-            scheme: protect(base_module, scheme=scheme).module
-            for scheme in SCHEMES
+            scheme: result.module
+            for scheme, result in protect_all(scenario.compile(), consume=True).items()
         }
         with tracer.span(f"campaign:{family}", "campaign", mutants=count):
             for index in range(count):

@@ -5,13 +5,11 @@ vulnerability analysis, and per-scheme instrumentation for every
 request.  The registry keeps all of that alive inside one worker
 process, keyed by the content digest of the *source text* (the same
 SHA-256 addressing :mod:`repro.perf.cache` uses for its on-disk
-entries):
+entries).  Each entry holds:
 
-- ``prepared`` module: compiled, verified, SSA-promoted once;
-- the shared :class:`~repro.analysis.manager.AnalysisManager`
-  vulnerability report, computed once and carried into every scheme
-  variant through the PR 2 ``Module.clone(value_map=True)`` + report
-  remap path (never re-analyzed per scheme);
+- a :class:`~repro.core.framework.PreparedModule`: the module compiled,
+  verified and SSA-promoted once, with its vulnerability report
+  computed on first need and shared by every scheme variant;
 - one :class:`~repro.core.framework.ProtectionResult` per
   ``(scheme, protect_fields)`` variant, whose module object also
   accretes the interpreter tiers' decode/block/trace code caches
@@ -35,20 +33,13 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..analysis.manager import get_manager, invalidate_analyses
 from ..core.config import DefenseConfig
-from ..core.framework import ProtectionResult, protect
-from ..core.remap import remap_report
+from ..core.framework import PreparedModule, ProtectionResult, protect
 from ..frontend.driver import compile_source, source_digest
-from ..hardware.decoder import invalidate_decode_cache
-from ..ir.module import Module
-from ..ir.parser import parse_module
 from ..ir.printer import print_module
 from ..observability import get_metrics, phase_span
-from ..transforms.mem2reg import Mem2Reg
-from ..ir.verifier import verify_module
 
 
 @dataclass
@@ -67,12 +58,8 @@ class _Entry:
     """Everything warm about one distinct source module."""
 
     digest: str
-    #: verified + mem2reg-promoted module; the vanilla result and the
-    #: clone source for every protected variant
-    prepared: Module
-    #: shared vulnerability report over ``prepared`` (``None`` until a
-    #: non-vanilla scheme first needs it)
-    report: Any = None
+    #: the prepared module every scheme variant derives from
+    prepared: PreparedModule
     #: printed pristine-module text, the on-disk cache key basis
     cache_text: Optional[str] = None
     #: (scheme, protect_fields) -> ProtectionResult
@@ -113,33 +100,19 @@ class WarmRegistry:
             return entry
         self.stats.module_misses += 1
         get_metrics().inc("serve.registry.module_misses")
-        timings: Dict[str, float] = {}
-        with phase_span("frontend", timings):
+        with phase_span("frontend"):
             module = compile_source(source, name=name)
         # The on-disk cache keys over the pristine printed module, so
         # capture the text before mem2reg rewrites it.
         cache_text = print_module(module) if self._disk is not None else None
-        with phase_span("verify", timings):
-            verify_module(module)
-        with phase_span("mem2reg", timings):
-            Mem2Reg().run(module)
-        with phase_span("verify", timings):
-            verify_module(module)
-        invalidate_decode_cache(module)
-        invalidate_analyses(module)
-        entry = _Entry(digest=digest, prepared=module, cache_text=cache_text)
+        prepared = PreparedModule(module, consume=True)
+        entry = _Entry(digest=digest, prepared=prepared, cache_text=cache_text)
         self._entries[digest] = entry
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
             get_metrics().inc("serve.registry.evictions")
         return entry
-
-    def _report(self, entry: _Entry) -> Any:
-        if entry.report is None:
-            with phase_span("analysis", {}):
-                entry.report = get_manager().vulnerability_report(entry.prepared)
-        return entry.report
 
     # -- scheme variants ---------------------------------------------------------
 
@@ -175,43 +148,13 @@ class WarmRegistry:
         self, entry: _Entry, scheme: str, protect_fields: bool
     ) -> ProtectionResult:
         config = DefenseConfig(scheme=scheme, protect_fields=protect_fields)
-        disk_key = None
-        if self._disk is not None and entry.cache_text is not None:
-            disk_key = self._disk.key_for(entry.cache_text, config)
-            cached = self._disk.load(disk_key)
-            if cached is not None:
-                return ProtectionResult(
-                    module=parse_module(cached["module"]),
-                    scheme=scheme,
-                    report=None,
-                    pass_stats=cached["pass_stats"],
-                    timings=dict(cached.get("timings", {})),
-                )
-        if scheme == "vanilla":
-            result = ProtectionResult(
-                module=entry.prepared, scheme="vanilla", report=None
-            )
-        else:
-            target, vmap = entry.prepared.clone(value_map=True)
-            timings: Dict[str, float] = {}
-            with phase_span("remap", timings):
-                remapped = remap_report(self._report(entry), vmap)
-            result = protect(
-                target,
-                config=config,
-                clone=False,
-                report=remapped,
-                prepared=True,
-            )
-            result.timings.update(timings)
-        if self._disk is not None and disk_key is not None:
-            self._disk.store(
-                disk_key,
-                scheme,
-                print_module(result.module),
-                result.pass_stats,
-                result.timings,
-            )
+        if self._disk is None:
+            return protect(entry.prepared, config=config)
+        key = self._disk.key_for(entry.cache_text, config)
+        result = self._disk.load_protection(key, scheme)
+        if result is None:
+            result = protect(entry.prepared, config=config)
+            self._disk.store_protection(key, result)
         return result
 
     def printed_module(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.config import SCHEMES
-from ..core.framework import protect
+from ..core.framework import protect_all
 from ..hardware.cpu import CPU
 from .generator import GeneratedProgram, generate_program
 from .profiles import NGINX_PROFILE
@@ -67,9 +67,8 @@ def run_nginx(
     runs: List[NginxRun] = []
     for duration in durations:
         program = nginx_program(duration)
-        module = program.compile()
-        for scheme in schemes:
-            protection = protect(module, scheme=scheme)
+        protections = protect_all(program.compile(), schemes=tuple(schemes), consume=True)
+        for scheme, protection in protections.items():
             cpu = CPU(protection.module, seed=seed)
             result = cpu.run(inputs=list(program.inputs))
             if not result.ok:

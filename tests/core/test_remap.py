@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.manager import AnalysisManager
+from repro.attacks.scenarios import build_scenarios
 from repro.core.config import SCHEMES
 from repro.core.framework import clone_module, protect_all
 from repro.core.remap import remap_report
@@ -15,6 +16,7 @@ from repro.transforms import Mem2Reg
 from repro.workloads import generate_program, get_profile
 
 PROFILES = ("505.mcf_r", "519.lbm_r")
+SCENARIOS = build_scenarios()
 
 
 def prepared_module(name):
@@ -81,9 +83,12 @@ def test_remap_seeds_manager_for_clone_queries():
     assert manager.alias(target) is remapped.analysis.alias
 
 
-@pytest.mark.parametrize("name", PROFILES)
+@pytest.mark.parametrize("name", PROFILES + tuple(SCENARIOS))
 def test_shared_path_bit_identical_to_recompute_oracle(name):
-    module = generate_program(get_profile(name)).compile()
+    if name in SCENARIOS:
+        module = SCENARIOS[name].compile()
+    else:
+        module = generate_program(get_profile(name)).compile()
     shared = protect_all(clone_module(module), shared_analysis=True)
     oracle = protect_all(clone_module(module), shared_analysis=False)
     for scheme in SCHEMES:

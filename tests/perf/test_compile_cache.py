@@ -283,6 +283,33 @@ def test_cached_modules_print_identically_to_recompiled(tmp_path):
         )
 
 
+def test_partial_hit_compiles_only_the_missing_schemes(tmp_path):
+    from repro.metrics import measure_program
+
+    cache_dir = str(tmp_path / "cache")
+    program = generate_program(get_profile(NAME))
+    primed = measure_program(program, schemes=("vanilla", "pythia"), cache_dir=cache_dir)
+    cache = CompilationCache(cache_dir)
+    assert len(entry_files(cache_dir)) == 2
+
+    full = measure_program(program, cache_dir=cache_dir)
+    uncached = measure_program(program)
+    for scheme in ("vanilla", "pythia"):
+        assert full.runs[scheme].cache_hit
+        # Served from the memo: the very module the priming run compiled,
+        # not a recompile of it.
+        assert full.runs[scheme].protection.module is primed.runs[scheme].protection.module
+    for scheme in ("cpa", "dfi"):
+        assert not full.runs[scheme].cache_hit
+        key = cache.key_for(print_module(program.compile()), DefenseConfig(scheme=scheme))
+        assert cache.load(key) is not None
+    assert len(entry_files(cache_dir)) == 4
+    for scheme, run in full.runs.items():
+        assert print_module(run.protection.module) == print_module(
+            uncached.runs[scheme].protection.module
+        ), scheme
+
+
 # -- degrade-to-off on I/O failure ---------------------------------------------
 
 

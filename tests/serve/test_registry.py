@@ -52,15 +52,30 @@ def test_second_scheme_reuses_prepared_module_and_analysis():
     registry = WarmRegistry(capacity=4)
     registry.protection(SOURCE, scheme="pythia")
     assert registry.stats.module_misses == 1
-    first_report = registry._entries[source_digest(SOURCE)].report
+    first_report = registry._entries[source_digest(SOURCE)].prepared.report
     assert first_report is not None
     registry.protection(SOURCE, scheme="dfi")
     # same module entry, same shared report object: no re-prepare, no re-analysis
     assert registry.stats.module_misses == 1
     assert registry.stats.module_hits == 1
-    assert registry._entries[source_digest(SOURCE)].report is first_report
+    assert registry._entries[source_digest(SOURCE)].prepared.report is first_report
     # but each scheme is its own protection variant
     assert registry.stats.protection_misses == 2
+
+
+def test_variants_carry_their_compile_phase_timings():
+    registry = WarmRegistry(capacity=4)
+    vanilla, _ = registry.protection(SOURCE, scheme="vanilla")
+    assert {"verify", "mem2reg"} <= set(vanilla.timings)
+    assert "analysis" not in vanilla.timings
+    pythia, _ = registry.protection(SOURCE, scheme="pythia")
+    assert {"remap", "verify"} <= set(pythia.timings)
+    assert any(phase.startswith("pass:") for phase in pythia.timings)
+    # Once a protected variant has run the shared analysis, a vanilla
+    # variant carries it too -- as protect_all's vanilla result does.
+    registry.protection(OTHER, scheme="pythia")
+    other_vanilla, _ = registry.protection(OTHER, scheme="vanilla")
+    assert {"verify", "mem2reg", "analysis"} <= set(other_vanilla.timings)
 
 
 def test_scheme_variants_execute_like_their_cold_equivalents():
