@@ -46,7 +46,7 @@ if _SRC not in sys.path:
 
 from repro.core.config import SCHEMES
 from repro.core.framework import protect
-from repro.hardware import CPU, decode_module, invalidate_decode_cache, trace_compile
+from repro.hardware import CPU, decode_module, trace_compile
 from repro.observability import ExecutionProfiler
 from repro.perf import append_entry, check_block_regression_file, run_suite
 from repro.workloads import generate_program, get_profile, profile_names
@@ -94,7 +94,7 @@ def measure_scheme(module, inputs, seed, repeat):
     the same compiler with no regions selected.  Each compiled tier's
     emitted Python is also measured, in bytes per IR instruction.
     """
-    invalidate_decode_cache(module)
+    module.invalidate_derived()
     _, decode_seconds = decode_module(module)
     block_program, block_seconds = trace_compile(module, regions=False)
 

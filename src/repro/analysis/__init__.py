@@ -25,7 +25,6 @@ __getattr__, __dir__ = lazy_exports(
             "AnalysisManager",
             "DEFAULT_MANAGER",
             "get_manager",
-            "invalidate_analyses",
         ),
         "slicing": ("BackwardSlicer", "BranchSlice", "ForwardSlice", "ForwardSlicer"),
     },
@@ -40,7 +39,6 @@ __all__ = [
     "channel_kind_of",
     "DEFAULT_MANAGER",
     "get_manager",
-    "invalidate_analyses",
     "ForwardSlice",
     "ForwardSlicer",
     "HEAP_ALLOCATORS",

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Optional
 
-from ..analysis.manager import invalidate_analyses
-from ..hardware.decoder import invalidate_decode_cache
 from ..hardware.errors import ReproError
 from ..ir.instructions import is_pa_instruction
 from ..ir.module import Module
@@ -144,10 +142,9 @@ def _prepare(
         if verify:
             with phase_span("verify", timings):
                 verify_module(module)
-        # mem2reg runs outside the PassManager, so drop any stale
-        # pre-decoded program and cached analyses explicitly
-        invalidate_decode_cache(module)
-        invalidate_analyses(module)
+        # mem2reg runs outside the PassManager, so drop what was derived
+        # from the unpromoted IR explicitly
+        module.invalidate_derived()
 
 
 def _instrument(

@@ -77,8 +77,6 @@ from .cache import CacheModel
 from .decoder import (
     BLOCK_RET,
     DecodedBlock,
-    _DECODED_MODULES,
-    _fingerprint as _module_fingerprint,
     compute_global_layout,
     decode_module,
 )
@@ -111,28 +109,24 @@ _EXTERNAL = repeat(DFI_EXTERNAL_WRITER)
 
 
 def _module_meta(module: Module) -> tuple:
-    """Per-module interpreter metadata, cached on the module.
+    """Per-module interpreter metadata, in the ``"cpu_meta"`` memo slot.
 
-    ``(fingerprint, dfi_active, frame_plans)`` -- whether any function
-    carries DFI instrumentation (a whole-module instruction scan), and
-    the shared per-function frame-layout plan cache, both of which are
-    pure functions of the IR and therefore safe to share across every
-    CPU instance running the module.  Guarded by the same structural
-    fingerprint as the decode cache and dropped by the same
-    invalidation hook (``_cpu_meta`` is in ``_CACHE_ATTRS``).
+    ``(dfi_active, frame_plans)`` -- whether any function carries DFI
+    instrumentation (a whole-module instruction scan), and the shared
+    per-function frame-layout plan cache, both of which are pure
+    functions of the IR and therefore safe to share across every CPU
+    instance running the module.  Kept fresh and dropped with every
+    other derived artifact (:meth:`repro.ir.module.Module.derived`).
     """
-    fingerprint = _module_fingerprint(module)
-    cached = getattr(module, "_cpu_meta", None)
-    if cached is not None and cached[0] == fingerprint:
-        return cached
-    dfi_active = any(
-        isinstance(inst, (DfiSetDef, DfiChkDef))
-        for function in module.defined_functions()
-        for inst in function.instructions()
-    )
-    meta = (fingerprint, dfi_active, {})
-    setattr(module, "_cpu_meta", meta)
-    _DECODED_MODULES.add(module)
+    memo = module.derived()
+    meta = memo.get("cpu_meta")
+    if meta is None:
+        dfi_active = any(
+            isinstance(inst, (DfiSetDef, DfiChkDef))
+            for function in module.defined_functions()
+            for inst in function.instructions()
+        )
+        meta = memo["cpu_meta"] = (dfi_active, {})
     return meta
 
 
@@ -371,12 +365,10 @@ class CPU:
         self.frames: List[Tuple[Function, Dict[Value, int]]] = []
         #: per-frame alloca name -> address index, parallel to ``frames``
         self.frame_slots: List[Dict[str, int]] = []
-        meta = _module_meta(module)
         #: per-function frame layout plans (relative offsets), built
-        #: lazily and shared across CPU instances via the module cache
-        self._frame_plans: Dict[Function, tuple] = meta[2]
+        #: lazily and shared across CPU instances via the module memo
+        self.dfi_active, self._frame_plans = _module_meta(module)
         self.dfi_shadow = DfiShadow()
-        self.dfi_active = meta[1]
         #: ``call_fault_hook.on_call(cpu, function, args)`` -- the chaos
         #: injector's indirect-call corruption point; may return a
         #: different defined :class:`Function` to bend control flow to.

@@ -20,9 +20,9 @@ This module performs that resolution *once per module*:
   disappears entirely (decoded blocks simply begin after the phis);
 - terminators are decoded into direct links between decoded blocks.
 
-The decoded program is cached per :class:`~repro.ir.module.Module` (a
-weak-key cache) and invalidated whenever a transform pipeline runs; a
-structural fingerprint guards against stale entries for modules mutated
+The decoded program is cached in the module's derived-artifact memo
+(:meth:`~repro.ir.module.Module.derived`, slot ``"decoded"``), which a
+transform pipeline drops and whose shape guard catches modules mutated
 outside the pass manager.
 
 Decoded execution is semantically bit-identical to the reference
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import time
 from typing import Callable, Dict, List, Optional, Tuple, Union
-from weakref import WeakSet
 
 from ..ir.function import BasicBlock, Function
 from ..ir.instructions import (
@@ -135,18 +134,16 @@ class DecodedBlock:
 class DecodedProgram:
     """All defined functions of one module, decoded."""
 
-    __slots__ = ("functions", "global_layout", "fingerprint", "decode_seconds")
+    __slots__ = ("functions", "global_layout", "decode_seconds")
 
     def __init__(
         self,
         functions: Dict[Function, DecodedBlock],
         global_layout: Dict[str, int],
-        fingerprint: tuple,
     ):
         #: Function -> entry DecodedBlock
         self.functions = functions
         self.global_layout = global_layout
-        self.fingerprint = fingerprint
         #: wall seconds spent building this decode (set by decode_module)
         self.decode_seconds = 0.0
 
@@ -638,21 +635,6 @@ def _decode_function(function: Function, layout: Dict[str, int]) -> DecodedBlock
     return entry
 
 
-def _fingerprint(module: Module) -> tuple:
-    """A cheap structural fingerprint guarding the decode cache."""
-    return (
-        len(module.globals),
-        tuple(
-            (
-                function.name,
-                len(function.blocks),
-                sum(len(block.instructions) for block in function.blocks),
-            )
-            for function in module.defined_functions()
-        ),
-    )
-
-
 #: Sentinel of the block and trace tiers: generated functions return
 #: ``(BLOCK_RET, value)`` from ``ret`` terminators and the successor's
 #: ``(BlockCode, None)`` ``self_pair`` otherwise (phi routing runs inline
@@ -661,32 +643,16 @@ def _fingerprint(module: Module) -> tuple:
 #: loops can test for it without loading it.
 BLOCK_RET = object()
 
-#: Attribute under which a module carries its cached decode.  The cache
-#: must live *on the module*: a ``DecodedProgram`` references the
-#: module's blocks (hence the module), so any manager-side mapping --
-#: including a ``WeakKeyDictionary``, whose values would pin the keys --
-#: would keep every decoded module alive for the life of the process.
-_DECODE_ATTR = "_decoded_program"
-
-#: Every per-module execution cache dropped by invalidation: the decode
-#: itself plus the block and trace compiles layered on top of it (see
-#: :mod:`repro.hardware.tracec`, which caches one per policy).
-_CACHE_ATTRS = (_DECODE_ATTR, "_block_program", "_trace_program", "_cpu_meta")
-
-#: Weak registry of modules carrying a cached decode or block compile,
-#: for whole-process invalidation.
-_DECODED_MODULES: "WeakSet[Module]" = WeakSet()
-
 
 def decode_module(module: Module) -> Tuple[DecodedProgram, float]:
-    """Decode ``module`` (or return the cached decode).
+    """Decode ``module`` (or return the decode in its ``"decoded"`` memo slot).
 
     Returns ``(program, seconds)`` where ``seconds`` is the decode time
     actually spent by *this* call -- ``0.0`` on a cache hit.
     """
-    fingerprint = _fingerprint(module)
-    cached = getattr(module, _DECODE_ATTR, None)
-    if cached is not None and cached.fingerprint == fingerprint:
+    memo = module.derived()
+    cached = memo.get("decoded")
+    if cached is not None:
         return cached, 0.0
     start = time.perf_counter()
     layout = compute_global_layout(module)
@@ -694,27 +660,8 @@ def decode_module(module: Module) -> Tuple[DecodedProgram, float]:
         function: _decode_function(function, layout)
         for function in module.defined_functions()
     }
-    program = DecodedProgram(functions, layout, fingerprint)
+    program = DecodedProgram(functions, layout)
     elapsed = time.perf_counter() - start
     program.decode_seconds = elapsed
-    setattr(module, _DECODE_ATTR, program)
-    _DECODED_MODULES.add(module)
+    memo["decoded"] = program
     return program, elapsed
-
-
-def invalidate_decode_cache(module: Optional[Module] = None) -> None:
-    """Drop the cached decode for ``module`` (or all modules).
-
-    Called by the pass manager after running a transform pipeline; the
-    structural fingerprint in :func:`decode_module` is the second line
-    of defense for modules mutated outside it.
-    """
-    if module is None:
-        for registered in list(_DECODED_MODULES):
-            for attr in _CACHE_ATTRS:
-                registered.__dict__.pop(attr, None)
-        _DECODED_MODULES.clear()
-    else:
-        for attr in _CACHE_ATTRS:
-            module.__dict__.pop(attr, None)
-        _DECODED_MODULES.discard(module)

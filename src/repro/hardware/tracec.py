@@ -70,10 +70,10 @@ Region selection is profile-guided: ``trace_compile(module, profile)``
 takes the ``"function:block" -> executions`` map exported by
 :func:`repro.observability.profile.hot_block_counts` and skips cold
 functions and cold loops; chains are laid out hottest-successor-first.
-Compiled programs are cached on the module, one slot per policy, keyed
-on the structural fingerprint *and* a digest of the profile
-(:func:`repro.perf.regions.profile_digest`), and dropped by
-:func:`repro.hardware.decoder.invalidate_decode_cache`.
+Compiled programs are cached in the module's derived-artifact memo
+(:meth:`repro.ir.module.Module.derived`), one slot per policy
+(``"block"``, ``"trace"``); a cached program hits only when its profile
+digest (:func:`repro.perf.regions.profile_digest`) matches too.
 """
 
 from __future__ import annotations
@@ -112,8 +112,6 @@ from .blockc import (
 from .decoder import (
     BLOCK_RET,
     DecodedBlock,
-    _DECODED_MODULES,
-    _fingerprint,
     _spec,
     decode_module,
 )
@@ -121,12 +119,6 @@ from .errors import CanaryTrap, DfiTrap, NullPointerTrap
 from .memory import MemoryFault
 from .pac import ADDR_MASK, PAC_BITS, VA_BITS
 from .timing import DEFAULT_COSTS
-
-#: Attributes under which a module carries its cached compiles, one per
-#: policy, so block and trace programs for one module coexist (see
-#: ``decoder._DECODE_ATTR`` for why the cache lives on the module).
-_TRACE_ATTR = "_trace_program"
-_BLOCK_ATTR = "_block_program"
 
 #: Accumulators phi routing charges (instructions, issue residue,
 #: cycles): region locals, flushed at every exit, when the region has
@@ -153,7 +145,6 @@ class TraceProgram:
 
     __slots__ = (
         "functions",
-        "fingerprint",
         "profile_digest",
         "compile_seconds",
         "issue_width",
@@ -162,10 +153,9 @@ class TraceProgram:
         "fused_blocks",
     )
 
-    def __init__(self, fingerprint: tuple, profile_digest: Optional[str]):
+    def __init__(self, profile_digest: Optional[str]):
         #: Function -> entry BlockCode (a fused region's when it heads one)
         self.functions: Dict[Function, BlockCode] = {}
-        self.fingerprint = fingerprint
         self.profile_digest = profile_digest
         self.compile_seconds = 0.0
         self.issue_width = BLOCK_ISSUE_WIDTH
@@ -1714,12 +1704,13 @@ def trace_compile(
     selects regions statically (every loop plus every small function).
     False (the block tier) selects no region, so every block compiles
     to its own function and ``profile`` is ignored.  Each policy caches
-    in its own slot on the module, so both programs coexist.
+    in its own slot of the module's derived memo, so both programs
+    coexist.
 
     Returns ``(program, seconds)`` where ``seconds`` is the compile time
-    spent by *this* call -- ``0.0`` on a cache hit.  The cache key is
-    the module's structural fingerprint plus the profile digest, so
-    recompiling with a different profile reselects regions.
+    spent by *this* call -- ``0.0`` on a cache hit.  A cached program
+    hits only when its profile digest matches, so recompiling with a
+    different profile reselects regions.
     """
     digest = None
     if regions and profile is not None:
@@ -1728,18 +1719,14 @@ def trace_compile(
         from ..perf.regions import profile_digest
 
         digest = profile_digest(profile)
-    attr = _TRACE_ATTR if regions else _BLOCK_ATTR
-    fingerprint = _fingerprint(module)
-    cached = getattr(module, attr, None)
-    if (
-        cached is not None
-        and cached.fingerprint == fingerprint
-        and cached.profile_digest == digest
-    ):
+    slot = "trace" if regions else "block"
+    memo = module.derived()
+    cached = memo.get(slot)
+    if cached is not None and cached.profile_digest == digest:
         return cached, 0.0
     start = time.perf_counter()
     decoded, _ = decode_module(module)
-    program = TraceProgram(fingerprint, digest)
+    program = TraceProgram(digest)
     for function, entry in decoded.functions.items():
         code, source, nregions, fused = _compile_function(
             function, entry, decoded.global_layout, profile, regions
@@ -1750,6 +1737,5 @@ def trace_compile(
         program.fused_blocks += fused
     elapsed = time.perf_counter() - start
     program.compile_seconds = elapsed
-    setattr(module, attr, program)
-    _DECODED_MODULES.add(module)
+    memo[slot] = program
     return program, elapsed

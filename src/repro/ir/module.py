@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .function import Function
 from .types import FunctionType, StructType, Type
@@ -18,6 +18,8 @@ class Module:
         self.globals: Dict[str, GlobalVariable] = {}
         self.structs: Dict[str, StructType] = {}
         self._string_counter = 0
+        #: ``(shape, artifacts)`` behind :meth:`derived`, or ``None``
+        self._derived: Optional[Tuple[tuple, Dict[object, object]]] = None
 
     # -- functions -----------------------------------------------------------
 
@@ -114,6 +116,45 @@ class Module:
         if value_map:
             return clone, vmap
         return clone
+
+    # -- derived artifacts ---------------------------------------------------
+
+    def derived(self) -> Dict[object, object]:
+        """The memo of artifacts derived from this module's IR.
+
+        The decode (``"decoded"``), the block and trace compiles
+        (``"block"``, ``"trace"``), the CPU metadata (``"cpu_meta"``) and
+        every analysis (``(manager, name)``) live in this one dict.  It
+        is tagged with the module's shape -- the global count and each
+        function's name, block count and instruction count -- and is
+        replaced by an empty dict whenever the shape no longer matches,
+        so a mutation nobody reported still drops every artifact as long
+        as it changes a count.  Explicit :meth:`invalidate_derived` is
+        the primary mechanism; transforms call it after mutating.
+
+        The memo lives on the module because its artifacts reference the
+        module: any external map, even a weak-keyed one, would keep every
+        module it holds alive for the life of the process.
+        """
+        shape = (
+            len(self.globals),
+            tuple(
+                (
+                    function.name,
+                    len(function.blocks),
+                    sum(len(block.instructions) for block in function.blocks),
+                )
+                for function in self.functions.values()
+            ),
+        )
+        memo = self._derived
+        if memo is None or memo[0] != shape:
+            memo = self._derived = (shape, {})
+        return memo[1]
+
+    def invalidate_derived(self) -> None:
+        """Drop every artifact derived from this module (see :meth:`derived`)."""
+        self._derived = None
 
     # -- statistics ----------------------------------------------------------
 

@@ -123,10 +123,11 @@ _LOAD_MEMO_CAP = 256
 #: (root, key) -> protected Module, already parsed.  Keys are content
 #: addresses, so a memoized module is exactly what parsing the
 #: (digest-verified) entry text would produce; reusing the object also
-#: carries over its attached decode/block caches, so warm runs skip
-#: re-decoding too.  Seeded on store, so a warm run never re-parses
-#: what this process just compiled.  Never consulted when the cache
-#: has a fault hook (chaos runs must see every deserialize).
+#: carries over its derived-artifact memo (``Module.derived``), so warm
+#: runs skip re-decoding and re-compiling too.  Seeded on store, so a
+#: warm run never re-parses what this process just compiled.  Never
+#: consulted when the cache has a fault hook (chaos runs must see every
+#: deserialize).
 _PARSED_MODULES: Dict[Tuple[str, str], Any] = {}
 _PARSED_MODULES_CAP = 128
 

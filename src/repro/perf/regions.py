@@ -1,15 +1,15 @@
 """Profile digests for the trace tier's compiled-region cache.
 
 The trace compiler (:mod:`repro.hardware.tracec`) caches its compiled
-program on the module, keyed on the module's structural fingerprint
-*plus* the profile that guided region selection: feeding a different
-warmup profile into ``trace_compile`` must recompile even when the IR
-did not change, and re-running with the same profile must hit.  The
-digest lives here (not in ``hardware/``) because the perf layer owns
-what counts as "the same profile" -- today that is the per-block
-execution counts and nothing else: step and cycle attributions do not
-influence region selection or chain layout, so they stay out of the
-key.
+program in the module's derived-artifact memo, and a cached program
+hits only for the profile that guided its region selection: feeding a
+different warmup profile into ``trace_compile`` must recompile even
+when the IR did not change, and re-running with the same profile must
+hit.  The digest lives here (not in ``hardware/``) because the perf
+layer owns what counts as "the same profile" -- today that is the
+per-block execution counts and nothing else: step and cycle
+attributions do not influence region selection or chain layout, so
+they stay out of the key.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ building its pipeline -- pass ``False`` so the same untouched module is
 not verified twice in a row.
 
 ``run`` records wall time per pass in :attr:`timings` (verification
-time is accumulated separately under ``"verify"``), and invalidates
-both the pre-decoded execution program and the cached module analyses
-once the pipeline has mutated the module.  Each phase is measured via
+time is accumulated separately under ``"verify"``), and drops every
+artifact derived from the module (``Module.invalidate_derived``) once
+the pipeline has mutated it.  Each phase is measured via
 :class:`repro.observability.phase_span`, so the same clock reading
 feeds :attr:`timings`, the global metrics registry, and (when tracing
 is enabled) a ``pass:<name>`` span in the trace.
@@ -72,12 +72,6 @@ class PassManager:
         if self.passes:
             if self.verify and not self.verify_each:
                 self._verify(module)
-            # Transforms invalidate any pre-decoded execution program
-            # and any memoized analyses of the module; imported lazily
-            # to keep the transform layer free of upper-layer imports.
-            from ..analysis.manager import invalidate_analyses
-            from ..hardware.decoder import invalidate_decode_cache
-
-            invalidate_decode_cache(module)
-            invalidate_analyses(module)
+            # The passes rewrote the IR: everything derived from it is stale.
+            module.invalidate_derived()
         return self.stats

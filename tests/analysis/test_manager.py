@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from repro.analysis.manager import (
-    AnalysisManager,
-    get_manager,
-    invalidate_analyses,
-)
+import pytest
+
+from repro.analysis.manager import AnalysisManager, get_manager
 from repro.core.framework import protect
 from repro.frontend import compile_source
+from repro.hardware.cpu import CPU
 from repro.hardware.decoder import decode_module
+from repro.hardware.tracec import trace_compile
 from repro.transforms import Mem2Reg
 from repro.transforms.pass_manager import PassManager
 from repro.workloads import generate_program, get_profile
@@ -65,32 +65,46 @@ def test_explicit_invalidation_drops_entries():
     manager = AnalysisManager()
     module = fresh_module()
     first = manager.alias(module)
-    manager.invalidate(module)
+    module.invalidate_derived()
     assert manager.alias(module) is not first
 
-    second = manager.alias(module)
-    manager.invalidate()  # whole-process form
-    assert manager.alias(module) is not second
+
+#: Each derived artifact as ``(manager, module) -> (artifact, seconds)``.
+_ARTIFACTS = {
+    "alias": lambda manager, module: (manager.alias(module), None),
+    "decoded": lambda manager, module: decode_module(module),
+    "block": lambda manager, module: trace_compile(module, regions=False),
+    "trace": lambda manager, module: trace_compile(module, regions=True),
+}
 
 
-def test_fingerprint_guards_unreported_mutation():
+@pytest.mark.parametrize("artifact", sorted(_ARTIFACTS))
+def test_fingerprint_guards_unreported_mutation(artifact):
+    build = _ARTIFACTS[artifact]
     manager = AnalysisManager()
     # A promotable scalar, so mem2reg actually rewrites the module.
     module = compile_source(
         "int main() { int x; x = 4; if (x > 3) { return 1; } return 0; }"
     )
-    stale = manager.alias(module)
-    # Mutate without telling the manager: promotion changes instruction
-    # counts, so the structural fingerprint no longer matches.
+    stale, _ = build(manager, module)
+    # Mutate without reporting it: promotion changes instruction counts,
+    # so the memo's shape no longer matches.
     Mem2Reg().run(module)
-    assert manager.alias(module) is not stale
+    fresh, seconds = build(manager, module)
+    assert fresh is not stale
+    if artifact in ("block", "trace"):
+        assert seconds > 0.0
 
 
 def test_separate_managers_do_not_share_results():
     module = fresh_module()
     ours = AnalysisManager()
     theirs = AnalysisManager()
-    assert ours.alias(module) is not theirs.alias(module)
+    mine = ours.alias(module)
+    assert theirs.alias(module) is not mine
+    # Neither manager evicts the other's entry.
+    assert ours.alias(module) is mine
+    assert (ours.hits, ours.misses) == (1, 1)
 
 
 def test_seeded_analyses_are_served():
@@ -101,24 +115,31 @@ def test_seeded_analyses_are_served():
     assert manager.alias(module) is sentinel
 
 
+def _fill_every_artifact(module):
+    """Derive every kind of artifact and check that the memo holds each."""
+    get_manager().alias(module)
+    decode_module(module)
+    trace_compile(module, regions=False)
+    trace_compile(module, regions=True)
+    CPU(module)  # fills "cpu_meta"
+    slots = {"decoded", "block", "trace", "cpu_meta", (get_manager(), "alias")}
+    assert slots <= set(module.derived())
+
+
 def test_pass_manager_run_drops_decode_and_analysis_caches():
     module = fresh_module()
     Mem2Reg().run(module)
-    invalidate_analyses(module)
-    get_manager().alias(module)
-    decode_module(module)
-    assert getattr(module, "_analysis_entry", None) is not None
-    assert getattr(module, "_decoded_program", None) is not None
+    module.invalidate_derived()
+    _fill_every_artifact(module)
 
     PassManager([_TouchPass()]).run(module)
-    assert getattr(module, "_analysis_entry", None) is None
-    assert getattr(module, "_decoded_program", None) is None
+    assert module.derived() == {}
 
 
 def test_empty_pipeline_keeps_caches():
     module = fresh_module()
     Mem2Reg().run(module)
-    invalidate_analyses(module)
+    module.invalidate_derived()
     cached = get_manager().alias(module)
     PassManager([]).run(module)
     assert get_manager().alias(module) is cached
@@ -126,15 +147,13 @@ def test_empty_pipeline_keeps_caches():
 
 def test_protect_mem2reg_hook_drops_caches():
     module = fresh_module()
-    invalidate_analyses(module)
-    get_manager().alias(module)
-    decode_module(module)
+    module.invalidate_derived()
+    _fill_every_artifact(module)
 
     # mem2reg runs outside any PassManager, so protect() itself must
     # drop the pre-promotion caches.
     protect(module, scheme="vanilla", clone=False)
-    assert getattr(module, "_analysis_entry", None) is None
-    assert getattr(module, "_decoded_program", None) is None
+    assert module.derived() == {}
 
 
 def test_vulnerability_report_memoized_on_workload():
