@@ -92,7 +92,8 @@ def measure_scheme(module, inputs, seed, repeat):
     reported ``trace_seconds`` is pure execution (compile time is
     reported separately, like ``decode_seconds``).  The block tier is
     the same compiler with no regions selected.  Each compiled tier's
-    emitted Python is also measured, in bytes per IR instruction.
+    emitted Python is also measured, in bytes per IR instruction and in
+    the seconds CPython's ``compile()`` took of its compile time.
     """
     module.invalidate_derived()
     _, decode_seconds = decode_module(module)
@@ -105,10 +106,15 @@ def measure_scheme(module, inputs, seed, repeat):
     trace_profile = profiler.block_counts()
     trace_program, trace_seconds = trace_compile(module, trace_profile)
     instructions = module.instruction_count()
-    source_bytes_per_inst = {
-        tier: sum(len(source) for source in program.sources.values()) / instructions
-        for tier, program in (("block", block_program), ("trace", trace_program))
-    }
+    codegen = {}
+    for tier, program in (("block", block_program), ("trace", trace_program)):
+        source_bytes = sum(len(source) for source in program.sources.values())
+        codegen[f"{tier}_source_bytes_per_inst"] = round(
+            source_bytes / instructions, 1
+        )
+        codegen[f"{tier}_python_compile_seconds"] = round(
+            program.python_compile_seconds, 6
+        )
 
     best = {tier: math.inf for tier in TIERS}
     results = {}
@@ -125,10 +131,7 @@ def measure_scheme(module, inputs, seed, repeat):
             elapsed = time.perf_counter() - start
             best[interpreter] = min(best[interpreter], elapsed)
             results[interpreter] = result
-    return (
-        best, results, decode_seconds, block_seconds, trace_seconds,
-        source_bytes_per_inst,
-    )
+    return best, results, decode_seconds, block_seconds, trace_seconds, codegen
 
 
 def geomean(values):
@@ -203,7 +206,7 @@ def main(argv=None) -> int:
         protected = protect(module, scheme=scheme)
         (
             best, results, decode_seconds, block_seconds, trace_seconds,
-            source_bytes_per_inst,
+            codegen,
         ) = measure_scheme(protected.module, program.inputs, args.seed, args.repeat)
         name = f"{args.profile}/{scheme}"
         _check_identical(name, results["reference"], results["decoded"], "decoded")
@@ -227,8 +230,7 @@ def main(argv=None) -> int:
             "decode_seconds": round(decode_seconds, 6),
             "block_compile_seconds": round(block_seconds, 6),
             "trace_compile_seconds": round(trace_seconds, 6),
-            "block_source_bytes_per_inst": round(source_bytes_per_inst["block"], 1),
-            "trace_source_bytes_per_inst": round(source_bytes_per_inst["trace"], 1),
+            **codegen,
             "speedup": round(speedup, 3),
             "block_speedup": round(block_speedup, 3),
             "trace_speedup": round(trace_speedup, 3),

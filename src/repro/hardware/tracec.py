@@ -54,10 +54,11 @@ function per region
   the hit test and the store require ``pac.fault_hook is None`` so
   chaos injection always sees the real call.
 
-Side exits fall back exactly like a plain block: a block whose
-execution could cross the step limit first spills its live region
-locals back to the frame, then delegates the rest of the call to the
-decoded loop, which raises ``StepLimitExceeded`` at precisely the
+Every return, side exit and step-limit deopt of a region with internal
+edges breaks out of its loop to one epilogue, which flushes the local
+accumulators and the opcode tally once; a deopt then spills the live
+region locals back to the frame and delegates the rest of the call to
+the decoded loop, which raises ``StepLimitExceeded`` at precisely the
 right op.  Batched accounting and the traceback-line trap fixup come
 from :mod:`repro.hardware.blockc` (:func:`blockc._trap_fixup`); a
 region carries one :class:`blockc._BlockMeta` whose op table
@@ -121,7 +122,7 @@ from .pac import ADDR_MASK, PAC_BITS, VA_BITS
 from .timing import DEFAULT_COSTS
 
 #: Accumulators phi routing charges (instructions, issue residue,
-#: cycles): region locals, flushed at every exit, when the region has
+#: cycles): region locals, flushed by the epilogue, when the region has
 #: internal edges; ``timing``'s own attributes when it has none.
 _REGION_ACC = ("_in", "_cr", "_cy")
 _DIRECT_ACC = ("timing.instructions", "timing._cheap_run", "timing.cycles")
@@ -147,6 +148,7 @@ class TraceProgram:
         "functions",
         "profile_digest",
         "compile_seconds",
+        "python_compile_seconds",
         "issue_width",
         "sources",
         "region_count",
@@ -158,6 +160,8 @@ class TraceProgram:
         self.functions: Dict[Function, BlockCode] = {}
         self.profile_digest = profile_digest
         self.compile_seconds = 0.0
+        #: the part of compile_seconds spent in CPython's compile()
+        self.python_compile_seconds = 0.0
         self.issue_width = BLOCK_ISSUE_WIDTH
         #: Function -> generated source, kept for debugging
         self.sources: Dict[Function, str] = {}
@@ -595,9 +599,9 @@ def _block_locals(
 def _make_spiller(slots: Tuple[Tuple[object, str], ...]):
     """Closure flushing bound region locals back into the frame dict.
 
-    Called right before a mid-region deopt to the decoded tier; locals
-    not yet bound on this path are simply absent from ``locals()`` and
-    skipped.
+    Called by a region's epilogue right before a deopt to the decoded
+    tier; locals not yet bound on this path are simply absent from
+    ``locals()`` and skipped.
     """
 
     def _spill(frame, loc):
@@ -796,7 +800,7 @@ def _emit_region_goto(
     next_block: Optional[DecodedBlock],
     codes: Dict[int, BlockCode],
     merged: bool,
-    flush,
+    leave,
 ) -> None:
     route = target.phi_routes.get(dblock)
     if route is not None:
@@ -820,9 +824,7 @@ def _emit_region_goto(
             gen.emit(f"_n = {region.head_index[id(target)]}", indent=indent)
         gen.emit("continue", indent=indent, op=k)
     else:
-        pair = gen.bind(codes[id(target)].self_pair, "S")
-        flush(indent)
-        gen.emit(f"return {pair}", indent=indent, op=k)
+        leave(gen.bind(codes[id(target)].self_pair, "S"), indent, k)
 
 
 def _emit_region_term(
@@ -835,26 +837,21 @@ def _emit_region_term(
     codes: Dict[int, BlockCode],
     static_merged: bool,
     fall_merged: bool,
-    flush,
+    leave,
 ) -> None:
     term = dblock.term
     kind = term[0]
     if kind == "ret":
         spec = term[1]
-        flush(d)
-        if spec is None:
-            gen.emit(f"return {gen.bind((BLOCK_RET, None), 'R')}", indent=d, op=k)
-        elif spec[0]:
-            gen.emit(
-                f"return {gen.bind((BLOCK_RET, spec[1]), 'R')}", indent=d, op=k
-            )
+        if spec is None or spec[0]:
+            leave(gen.bind((BLOCK_RET, spec and spec[1]), "R"), d, k)
         else:
-            gen.emit(f"return (_RET, {gen.operand(spec)})", indent=d, op=k)
+            leave(f"(_RET, {gen.operand(spec)})", d, k)
         return
     if kind == "jump":
         _emit_region_goto(
             gen, region, dblock, term[1], k, d, next_block, codes,
-            static_merged, flush,
+            static_merged, leave,
         )
         return
     constant, payload = term[1]
@@ -863,7 +860,7 @@ def _emit_region_term(
         target = t_true if payload & 1 else t_false
         _emit_region_goto(
             gen, region, dblock, target, k, d, next_block, codes,
-            static_merged, flush,
+            static_merged, leave,
         )
         return
     if t_true is t_false:
@@ -872,34 +869,16 @@ def _emit_region_term(
         # need not be evaluated.
         _emit_region_goto(
             gen, region, dblock, t_true, k, d, next_block, codes,
-            static_merged, flush,
+            static_merged, leave,
         )
         return
     cond = gen.operand(term[1])
-    if t_false is next_block and t_true is not next_block:
-        gen.emit(f"if (({cond}) & 1):", indent=d, op=k)
-        _emit_region_goto(
-            gen, region, dblock, t_true, k, d + 1, None, codes, False, flush
-        )
-        _emit_region_goto(
-            gen, region, dblock, t_false, k, d, next_block, codes,
-            fall_merged, flush,
-        )
-    elif t_true is next_block and t_false is not next_block:
-        gen.emit(f"if not (({cond}) & 1):", indent=d, op=k)
-        _emit_region_goto(
-            gen, region, dblock, t_false, k, d + 1, None, codes, False, flush
-        )
-        _emit_region_goto(
-            gen, region, dblock, t_true, k, d, next_block, codes,
-            fall_merged, flush,
-        )
-    elif (
+    if (
         not region.internal
         and dblock not in t_true.phi_routes
         and dblock not in t_false.phi_routes
     ):
-        # Nothing to route or flush: one conditional return.
+        # Nothing to route: one conditional return.
         true_pair = gen.bind(codes[id(t_true)].self_pair, "S")
         false_pair = gen.bind(codes[id(t_false)].self_pair, "S")
         gen.emit(
@@ -907,14 +886,20 @@ def _emit_region_term(
             indent=d,
             op=k,
         )
-    else:
-        gen.emit(f"if (({cond}) & 1):", indent=d, op=k)
-        _emit_region_goto(
-            gen, region, dblock, t_true, k, d + 1, None, codes, False, flush
-        )
-        _emit_region_goto(
-            gen, region, dblock, t_false, k, d, None, codes, False, flush
-        )
+        return
+    # The arm that is not the fall-through into the next fused block
+    # (the true arm when neither is) goes inside the test.  Only the
+    # fall-through edge can carry merged phi charges.
+    test, inner, outer = "if", t_true, t_false
+    if t_true is next_block:
+        test, inner, outer = "if not", t_false, t_true
+    gen.emit(f"{test} (({cond}) & 1):", indent=d, op=k)
+    _emit_region_goto(
+        gen, region, dblock, inner, k, d + 1, None, codes, False, leave
+    )
+    _emit_region_goto(
+        gen, region, dblock, outer, k, d, next_block, codes, fall_merged, leave
+    )
 
 
 def _emit_pac_memo(
@@ -945,19 +930,19 @@ _PAC_FIELD = (1 << PAC_BITS) - 1
 _U64_MASK = (1 << 64) - 1
 
 
-def _emit_pac_inline_auth(gen: _FnGen, inst, layout, k: int, d: int) -> None:
-    """Open-code the MAC-memo probe of :meth:`PointerAuthentication.auth`.
+def _emit_pac_inline(gen: _FnGen, inst, layout, k: int, d: int) -> None:
+    """Open-code the MAC-memo probe of ``PointerAuthentication.sign``/``auth``.
 
     Sites whose operands vary across iterations cannot use the
-    loop-invariant memo slot, but the authenticated value is often
-    dynamically stable, so the shared ``_pac_cache`` usually holds the
-    expected PAC already.  The probe replicates auth's own hit path --
-    same key tuple, same counter bump, same strip -- and any miss or
-    mismatch defers to the real method, which recomputes, stores, and
-    raises exactly as before.  Like the sign twin, the probe stands down
-    whenever a fault hook is installed: auth routes substitution faults
-    (``on_pac_auth``) through the full method, so chaos runs must never
-    short-circuit an auth site.
+    loop-invariant memo slot, but the signed or authenticated value is
+    often dynamically stable, so the shared ``_pac_cache`` usually holds
+    the expected PAC already.  The probe replicates the method's own hit
+    path -- same key tuple, same counter bump, same strip -- and any
+    miss (or, for auth, mismatch) defers to the real method, which
+    recomputes, stores, and raises exactly as before.  The probe stands
+    down whenever a fault hook is installed: sign routes through the
+    hook and auth routes substitution faults (``on_pac_auth``) through
+    the full method, so chaos runs must never short-circuit a PAC site.
     """
     value = gen.operand(_spec(inst.value, layout))
     modifier = gen.operand(_spec(inst.modifier, layout))
@@ -969,37 +954,20 @@ def _emit_pac_inline_auth(gen: _FnGen, inst, layout, k: int, d: int) -> None:
         indent=d,
         op=k,
     )
-    gen.emit(
-        f"if _t is not None and ((({value}) >> {VA_BITS}) & {_PAC_FIELD}) == _t:",
-        indent=d,
-    )
-    gen.emit("    pac.auth_count += 1", indent=d)
-    gen.emit(f"    {target} = ({value}) & {ADDR_MASK}", indent=d)
-    gen.emit("else:", indent=d)
-    gen.emit(
-        f"    {target} = _pa({value}, {modifier}, {inst.key_id!r})",
-        indent=d,
-        op=k,
-    )
-
-
-def _emit_pac_inline_sign(gen: _FnGen, inst, layout, k: int, d: int) -> None:
-    """Open-code the MAC-memo probe of ``sign``; see the auth twin.
-
-    Sign additionally routes through the fault hook when one is
-    installed, so the probe only fires for hook-free runs -- chaos runs
-    take the full method call at every site.
-    """
-    value = gen.operand(_spec(inst.value, layout))
-    modifier = gen.operand(_spec(inst.modifier, layout))
-    target = gen.target(inst)
-    gen.emit(
-        f"_t = None if pac.fault_hook is not None else "
-        f"_pg(({inst.key_id!r}, ({value}) & {ADDR_MASK}, "
-        f"({modifier}) & {_U64_MASK}, pac.key_epoch))",
-        indent=d,
-        op=k,
-    )
+    if isinstance(inst, PacAuth):
+        gen.emit(
+            f"if _t is not None and ((({value}) >> {VA_BITS}) & {_PAC_FIELD}) == _t:",
+            indent=d,
+        )
+        gen.emit("    pac.auth_count += 1", indent=d)
+        gen.emit(f"    {target} = ({value}) & {ADDR_MASK}", indent=d)
+        gen.emit("else:", indent=d)
+        gen.emit(
+            f"    {target} = _pa({value}, {modifier}, {inst.key_id!r})",
+            indent=d,
+            op=k,
+        )
+        return
     gen.emit("if _t is None:", indent=d)
     gen.emit(
         f"    {target} = _ps({value}, {modifier}, {inst.key_id!r})",
@@ -1071,9 +1039,9 @@ def _emit_chunk_charges(
     accumulators (``_cy`` cycles, ``_cr`` issue residue, ``_in``
     instructions, ``_st`` steps -- phi routing retires instructions and
     issue slots but no steps) plus one execution counter per chunk
-    (``kvar``), from which exits reconstruct the opcode histogram; only
-    the chunk-entry residue ``_r0`` stays materialised because the trap
-    fixup reads it from the frame.
+    (``kvar``), from which the epilogue reconstructs the opcode
+    histogram; only the chunk-entry residue ``_r0`` stays materialised
+    because the trap fixup reads it from the frame.
     """
     cycles_table, cheap_table = _chunk_tables(all_info, s, e)
     n = e - s
@@ -1099,7 +1067,7 @@ def _emit_impure_charges(gen: _FnGen, all_info, s: int) -> None:
     is also what keeps a step-limit or trap raised inside the callee
     bit-identical to the block tier.  Pending instructions and opcode
     tallies stay local: the callee only ever adds to them, so the sums
-    commute, and every region exit (including the exception handler)
+    commute, and the region's epilogue (or its exception handler)
     flushes them.  The caller emits the op statement itself, then
     re-reads ``_cr`` (the callee moved the residue).
     """
@@ -1148,9 +1116,10 @@ def _emit_loop_preamble(
     # Local accounting accumulators (initialised before anything that
     # can raise -- the except clause flushes them unconditionally):
     # _cy cycles, _in instructions, _st steps, _cr issue residue, _kN
-    # per-chunk execution counters.  Hot-loop chunks touch only these
-    # locals; attribute and dict traffic happens once per region exit.
-    gen.emit("_cy = 0; _in = 0; _st = 0", indent=3)
+    # per-chunk execution counters; _dx is the block a deopt replays
+    # from.  Hot-loop chunks touch only these locals; attribute and dict
+    # traffic happens once, in the epilogue.
+    gen.emit("_cy = 0; _in = 0; _st = 0; _dx = None", indent=3)
     for at in range(0, len(kvars), 20):
         gen.emit(" = ".join(kvars[at:at + 20]) + " = 0", indent=3)
     gen.emit("_cr = timing._cheap_run", indent=3)
@@ -1357,8 +1326,8 @@ def _gen_region(
         for g, info in enumerate(all_info)
     )
 
-    # One local execution counter per pure chunk; exits rebuild the
-    # opcode histogram as counts[name] += sum(counter * multiplicity).
+    # One local execution counter per pure chunk; the epilogue rebuilds
+    # the opcode histogram as counts[name] += sum(counter * multiplicity).
     chunk_no: Dict[int, str] = {}
     tally_terms: Dict[str, List[str]] = {}
     for s in sorted(chunk_at):
@@ -1391,10 +1360,6 @@ def _gen_region(
     if plan.dfi_specs:
         uses_dfi = True
 
-    spill_name = None
-    if plan.spill and not direct:
-        spill_name = gen.bind(_make_spiller(tuple(plan.spill)), "P")
-
     meta_name = gen.bind(meta, "M")
     gen.fn_names.append(fn_name)
     gen.current_map = meta.line_map
@@ -1414,13 +1379,19 @@ def _gen_region(
             gen, region, plan, list(chunk_no.values()), uses_mem, uses_pac, uses_dfi
         )
 
-    def flush(indent: int) -> None:
+    def leave(value: str, indent: int, k: int) -> None:
+        """Exit the region: directly, or through the loop's one epilogue."""
         if direct:
-            return
+            gen.emit(f"return {value}", indent=indent, op=k)
+        else:
+            gen.emit(f"_x = {value}; break", indent=indent, op=k)
+
+    def flush(indent: int, residue: bool) -> None:
         gen.emit("timing.cycles += _cy", indent=indent)
         gen.emit("timing.instructions += _in", indent=indent)
         gen.emit("cpu.steps += _st", indent=indent)
-        gen.emit("timing._cheap_run = _cr", indent=indent)
+        if residue:
+            gen.emit("timing._cheap_run = _cr", indent=indent)
         for name, expr in tally_flush:
             gen.emit(f"counts[{name!r}] += {expr}", indent=indent)
 
@@ -1470,25 +1441,11 @@ def _gen_region(
                 ]
                 nsteps = None if direct else seg_steps.get((ci, position))
                 if nsteps is not None:
-                    # Deopt: flush what the decoded oracle reads and
-                    # charges itself (cycles, steps, residue) *before*
-                    # replay; instructions and opcode tallies commute,
-                    # so they flush after -- or, if the replay raises,
-                    # in the except clause.
-                    gen.emit(f"if cpu.steps + _st + {nsteps} > _ms:")
-                    if spill_name is not None:
-                        gen.emit(f"    {spill_name}(frame, locals())")
-                    gen.emit("    timing.cycles += _cy; _cy = 0")
-                    gen.emit("    cpu.steps += _st; _st = 0")
-                    gen.emit("    timing._cheap_run = _cr")
+                    # Deopt: the epilogue replays the call from here.
                     gen.emit(
-                        "    _t = cpu._interpret_decoded("
-                        f"{gen.bind(dblock, 'D')}, frame)"
+                        f"if cpu.steps + _st + {nsteps} > _ms: "
+                        f"_dx = {gen.bind(dblock, 'D')}; break"
                     )
-                    gen.emit("    timing.instructions += _in")
-                    for name, expr in tally_flush:
-                        gen.emit(f"    counts[{name!r}] += {expr}")
-                    gen.emit("    return (_RET, _t)")
                 tidx = (
                     nlead + nbody if dblock.term[0] != "fall" else len(op_info)
                 )
@@ -1521,7 +1478,7 @@ def _gen_region(
                             codes,
                             (ci, position) in trailing_merge,
                             (ci, position + 1) in leading_merge,
-                            flush,
+                            leave,
                         )
                         j += 1
                         continue
@@ -1550,13 +1507,10 @@ def _gen_region(
                         _emit_pac_memo(gen, inst, layout, g, d, memo)
                         j += 1
                         continue
-                    inline_pac = not (direct or dblock.ops[i][2])
-                    if inline_pac and isinstance(inst, PacAuth):
-                        _emit_pac_inline_auth(gen, inst, layout, g, d)
-                        j += 1
-                        continue
-                    if inline_pac and isinstance(inst, PacSign):
-                        _emit_pac_inline_sign(gen, inst, layout, g, d)
+                    if isinstance(inst, (PacSign, PacAuth)) and not (
+                        direct or dblock.ops[i][2]
+                    ):
+                        _emit_pac_inline(gen, inst, layout, g, d)
                         j += 1
                         continue
                     _emit_op(gen, inst, dblock.ops[i], layout, g)
@@ -1580,15 +1534,25 @@ def _gen_region(
         # against complete totals.  The issue residue is deliberately
         # NOT flushed: for a trap at a fused op the fixup recomputes it
         # exactly (from the _r0 frame local), and for an exception out
-        # of a callee or a decoded deopt replay, timing._cheap_run is
-        # already live (the local _cr is the stale pre-call value).
-        gen.emit("    timing.cycles += _cy", indent=2)
-        gen.emit("    timing.instructions += _in", indent=2)
-        gen.emit("    cpu.steps += _st", indent=2)
-        for name, expr in tally_flush:
-            gen.emit(f"    counts[{name!r}] += {expr}", indent=2)
+        # of a callee, timing._cheap_run is already live (the local _cr
+        # is the stale pre-call value).
+        flush(3, residue=False)
     gen.emit(f"    _FIX(cpu, timing, counts, {meta_name}, _exc)", indent=2)
     gen.emit("    raise", indent=2)
+    if not direct:
+        # The loop's one way out.  A deopt's replay only adds to
+        # instructions and opcode counts, so flushing first commutes,
+        # and it runs outside the try: an exception it raises needs no
+        # second flush.
+        flush(2, residue=True)
+        gen.emit("if _dx is not None:", indent=2)
+        if plan.spill:
+            spill = gen.bind(_make_spiller(tuple(plan.spill)), "P")
+            gen.emit(f"    {spill}(frame, locals())", indent=2)
+        gen.emit(
+            "    return (_RET, cpu._interpret_decoded(_dx, frame))", indent=2
+        )
+        gen.emit("return _x", indent=2)
     gen.current_map = None
     gen.block_locals = {}
 
@@ -1604,8 +1568,11 @@ def _compile_function(
     layout,
     counts: Optional[Dict[str, float]],
     select_regions: bool,
-) -> Tuple[BlockCode, str, int, int]:
+) -> Tuple[BlockCode, str, int, int, float]:
     """Compile one function: its regions fused, every other block alone.
+
+    Returns the entry code, the generated source, the region and fused
+    block counts, and the seconds CPython's ``compile()`` took.
 
     With ``select_regions`` false no region is selected (the block
     tier), so neither the dominator tree nor the profile is consulted.
@@ -1680,13 +1647,16 @@ def _compile_function(
 
     source = "\n".join(gen.lines)
     namespace: Dict[str, object] = {}
-    exec(compile(source, gen.filename, "exec"), namespace)
+    start = time.perf_counter()
+    code_object = compile(source, gen.filename, "exec")
+    python_seconds = time.perf_counter() - start
+    exec(code_object, namespace)
     functions = namespace["_make_blocks"](tuple(gen.consts))
     for target, fn in zip(targets, functions):
         target.fn = fn
 
     fused = sum(len(region.blocks) for region in regions)
-    return codes[id(entry)], source, len(regions), fused
+    return codes[id(entry)], source, len(regions), fused, python_seconds
 
 
 def trace_compile(
@@ -1728,9 +1698,10 @@ def trace_compile(
     decoded, _ = decode_module(module)
     program = TraceProgram(digest)
     for function, entry in decoded.functions.items():
-        code, source, nregions, fused = _compile_function(
+        code, source, nregions, fused, python_seconds = _compile_function(
             function, entry, decoded.global_layout, profile, regions
         )
+        program.python_compile_seconds += python_seconds
         program.functions[function] = code
         program.sources[function] = source
         program.region_count += nregions

@@ -96,6 +96,14 @@ _GATED_TIERS = (
 )
 
 
+def _same_host(
+    entries: Sequence[Dict[str, Any]], entry: Dict[str, Any]
+) -> List[Dict[str, Any]]:
+    """The ``entries`` measured where ``entry`` was: same CPU count and Python."""
+    host = (entry.get("cpu_count"), entry.get("python"))
+    return [e for e in entries if (e.get("cpu_count"), e.get("python")) == host]
+
+
 def check_block_regression(
     entries: Sequence[Dict[str, Any]],
     entry: Dict[str, Any],
@@ -106,11 +114,13 @@ def check_block_regression(
     Gates every tier in ``_GATED_TIERS`` (block and trace).  For each,
     returns a human-readable failure message when the new entry's
     geomean steps/s falls more than ``tolerance`` below the most recent
-    prior entry carrying that tier's data; tiers missing on either side
-    are skipped, so entries written before a tier existed never fail
-    its gate.  Multiple regressions join into one message; ``None``
-    means no regression (or nothing to compare against).
+    prior entry from the same host (``cpu_count`` and ``python``)
+    carrying that tier's data; tiers missing on either side are skipped,
+    so entries written before a tier existed never fail its gate.
+    Multiple regressions join into one message; ``None`` means no
+    regression (or nothing to compare against).
     """
+    entries = _same_host(entries, entry)
     failures = []
     for name, throughput in _GATED_TIERS:
         current = throughput(entry)
@@ -145,9 +155,10 @@ def check_block_regression_file(
     message from :func:`check_block_regression` (``None`` when the
     check passed).  When no comparison is possible -- the file is
     missing, empty, corrupt, or no entry on either side carries
-    block-tier fields -- the check is *skipped* and ``skip_note`` says
-    why; a fresh checkout must not fail its first benchmark run over an
-    absent baseline.
+    block-tier fields, prior entries from other hosts not counting --
+    the check is *skipped* and ``skip_note`` says why and names the
+    host; a fresh checkout or a new machine must not fail its first
+    benchmark run over an absent baseline.
     """
     skip = "no baseline, skipping block-regression check"
     entries = safe_load_entries(path)
@@ -155,6 +166,7 @@ def check_block_regression_file(
         return None, f"{skip} ({path}: unreadable or corrupt)"
     if not entries:
         return None, f"{skip} ({path}: missing or empty)"
+    entries = _same_host(entries, entry)
     # Comparable when *some* tier has data on both sides; a tier absent
     # from either side (e.g. pre-trace entries) silently skips its gate
     # inside check_block_regression instead of blocking the others.
@@ -166,7 +178,11 @@ def check_block_regression_file(
     if not comparable:
         if all(throughput(entry) is None for _, throughput in _GATED_TIERS):
             return None, f"{skip} (new entry lacks block-tier fields)"
-        return None, f"{skip} ({path}: no prior entry has block-tier fields)"
+        return None, (
+            f"{skip} ({path}: no prior entry from this host "
+            f"(cpu_count={entry.get('cpu_count')}, "
+            f"python={entry.get('python')}) has block-tier fields)"
+        )
     return check_block_regression(entries, entry, tolerance), None
 
 

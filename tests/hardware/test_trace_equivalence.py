@@ -12,6 +12,9 @@ covered: static (no profile) and profile-guided (warmup counts from
 
 from __future__ import annotations
 
+import re
+from typing import Dict
+
 import pytest
 
 from repro.attacks import build_scenarios
@@ -140,15 +143,61 @@ def test_scenario_equivalence_all_schemes(scenario_name):
 
 
 @pytest.mark.parametrize("max_steps", (100, 999, 1000, 5000))
-def test_step_limit_trips_at_the_same_op(max_steps):
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("selection", ("static", "profile"))
+def test_step_limit_trips_at_the_same_op(selection, scheme, max_steps):
+    """A deopt flushes, spills and replays: every scheme, both selections."""
     program = generate_program(get_profile("505.mcf_r"))
     module = program.compile()
     inputs = list(program.inputs)
-    protected = protect(module, scheme="pythia")
+    protected = protect(module, scheme=scheme)
+    counts = None
+    if selection == "profile":
+        counts = warmup_counts(protected.module, inputs)
     reference = run_with(protected.module, "reference", inputs, max_steps=max_steps)
-    trace = run_with(protected.module, "trace", inputs, max_steps=max_steps)
+    trace = run_with(
+        protected.module, "trace", inputs, max_steps=max_steps,
+        trace_profile=counts,
+    )
     assert isinstance(reference.trap, StepLimitExceeded)
     assert_same(reference, trace, f"max_steps={max_steps}")
+
+
+# -- codegen shape: one exit per region --------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_each_region_flushes_its_tally_at_most_twice(scheme):
+    """Exits share one epilogue; only the except clause repeats the flush.
+
+    A region with internal edges (its function has a ``while True``
+    loop) rebuilds each opcode's count from its chunk counters
+    (``counts['op'] += _k0*2 + _k1``).  That line must appear once in
+    the epilogue and once in the except clause, however many returns,
+    side exits and step-limit guards the region has.
+    """
+    program = generate_program(get_profile("502.gcc_r"))
+    protected = protect(program.compile(), scheme=scheme)
+    trace_program, _ = trace_compile(protected.module)
+    tally = re.compile(r"^\s*counts\[('[^']+')\] \+= .*\b_k\d+")
+    regions = exits = 0
+    for source in trace_program.sources.values():
+        for function in re.split(r"\n    def ", source)[1:]:
+            if "while True:" not in function:
+                continue
+            regions += 1
+            exits += function.count("; break")
+            per_opcode: Dict[str, int] = {}
+            for line in function.splitlines():
+                match = tally.match(line)
+                if match:
+                    per_opcode[match[1]] = per_opcode.get(match[1], 0) + 1
+            assert per_opcode, function.splitlines()[0]
+            assert max(per_opcode.values()) <= 2, (
+                function.splitlines()[0], per_opcode,
+            )
+    assert regions >= 1
+    assert exits > 2 * regions  # several exits per region on average
 
 
 # -- batched accounting bails out when it cannot be trusted --------------------------

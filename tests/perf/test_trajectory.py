@@ -121,6 +121,49 @@ class TestCheckBlockRegressionFile:
         assert failure is None and note is None
 
 
+def on_host(payload, cpu_count=2, python="3.11.7"):
+    return dict(payload, cpu_count=cpu_count, python=python)
+
+
+class TestHostKeyedGate:
+    def test_same_host_drop_still_fails(self, tmp_path):
+        path = tmp_path / "BENCH_interp.json"
+        append_entry(str(path), on_host(entry(1000.0, trace_rate=4000.0)))
+        failure, note = check_block_regression_file(
+            str(path), on_host(entry(800.0, trace_rate=3200.0)), tolerance=0.10
+        )
+        assert note is None
+        assert "block tier regressed" in failure
+        assert "trace tier regressed" in failure
+
+    def test_other_host_is_never_the_baseline(self, tmp_path):
+        # a faster box's numbers, appended last, must not gate this one
+        path = tmp_path / "BENCH_interp.json"
+        append_entry(str(path), on_host(entry(1000.0)))
+        append_entry(str(path), on_host(entry(5000.0), cpu_count=16))
+        append_entry(str(path), on_host(entry(5000.0), python="3.12.1"))
+        current = on_host(entry(950.0))
+        assert check_block_regression_file(str(path), current) == (None, None)
+        # ...and a same-host drop is measured against the same-host entry
+        failure = check_block_regression(
+            load_entries(str(path)), on_host(entry(800.0))
+        )
+        assert "vs 894 baseline" in failure
+
+    def test_no_same_host_entry_skips_naming_the_host(self, tmp_path):
+        path = tmp_path / "BENCH_interp.json"
+        append_entry(str(path), on_host(entry(5000.0), cpu_count=16))
+        failure, note = check_block_regression_file(
+            str(path), on_host(entry(100.0))
+        )
+        assert failure is None
+        assert "no baseline, skipping" in note
+        assert "cpu_count=2" in note and "python=3.11.7" in note
+        assert check_block_regression(
+            load_entries(str(path)), on_host(entry(100.0))
+        ) is None
+
+
 class TestBlockThroughput:
     def test_geomean_over_schemes(self):
         value = block_throughput(entry(1000.0))
