@@ -57,8 +57,8 @@ _SRC = os.path.join(REPO_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.core.config import DefenseConfig, SCHEMES
-from repro.core.framework import _build_passes, clone_module, protect_all
+from repro.core.config import BASELINE, DefenseConfig, SCHEMES
+from repro.core.framework import SCHEME_PASSES, clone_module, protect_all
 from repro.core.vulnerability import VulnerabilityAnalysis
 from repro.ir.printer import print_module
 from repro.ir.verifier import verify_module
@@ -100,11 +100,11 @@ def baseline_protect_all(module):
         verify_module(target)
         Mem2Reg().run(target)
         verify_module(target)
-        if scheme == "vanilla":
+        if scheme == BASELINE:
             results[scheme] = target
             continue
         report = VulnerabilityAnalysis(target).analyze()
-        passes = _build_passes(DefenseConfig(scheme=scheme), report)
+        passes = SCHEME_PASSES[scheme](DefenseConfig(scheme=scheme), report)
         PassManager(passes, verify_input=True, verify_each=True).run(target)
         results[scheme] = target
     return results

@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.config import BASELINE, SCHEMES
 from ..frontend.driver import compile_source
 from ..hardware.cpu import CPU, ExecutionResult
 from ..ir.module import Module
@@ -69,7 +70,7 @@ class Scenario:
     #: substring present on the benign path
     benign_marker: bytes
     #: schemes expected to detect (trap); others either miss or prevent
-    detected_by: Tuple[str, ...] = ("cpa", "pythia", "dfi")
+    detected_by: Tuple[str, ...] = tuple(s for s in SCHEMES if s != BASELINE)
     #: schemes that stop the attack without trapping (e.g. isolation)
     prevented_by: Tuple[str, ...] = ()
 

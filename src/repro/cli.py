@@ -31,9 +31,10 @@ back into trace-tier region selection (``--interpreter trace``).
 
 Failures exit with a one-line ``repro: error:`` diagnostic and a
 distinct code per failure layer (see :data:`EXIT_CODES`) -- never a
-traceback: 2 for an undetected attack / broken contract / suite
-failure, 3 for I/O (missing file, unreadable plan), 4 for invalid
-MiniC, 5 for IR verification and protection-pipeline bugs.
+traceback: 2 for an undetected attack / broken contract / failed
+benign run / suite failure, 3 for I/O (missing file, unreadable plan),
+4 for invalid MiniC, 5 for IR verification and protection-pipeline
+bugs.
 
 The module imports at its top only what :func:`main` needs to parse
 arguments and map failures to exit codes; each ``cmd_*`` imports its
@@ -48,7 +49,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .core.config import DefenseConfig, SCHEMES
+from .core.config import BASELINE, DEFAULT_SCHEME, SCHEMES, DefenseConfig
 from .frontend.codegen import CodegenError
 from .frontend.lexer import LexError
 from .frontend.parser import ParseError as CParseError
@@ -246,44 +247,34 @@ def cmd_attack(args: argparse.Namespace) -> int:
     for scheme, protected in protect_all(scenario.compile(), consume=True).items():
         outcome = scenario.attack_outcome(scenario.run_attack(protected.module))
         print(f"  {scheme:8s} -> {outcome}")
-        if scheme == "vanilla" and outcome != "success":
+        if scheme == BASELINE and outcome != "success":
             failures += 1
     return 0 if not failures else 2
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .core.framework import protect_all
-    from .hardware.cpu import CPU
+    from .metrics.overhead import measure_module
     from .workloads.generator import generate_program
 
     program = generate_program(get_profile(args.benchmark))
     module = program.compile()
-    trace_profile = (
-        _load_trace_profile(args.profile_in) if args.profile_in else None
-    )
-    base = None
+    trace_profile = _load_trace_profile(args.profile_in) if args.profile_in else None
     print(f"{args.benchmark}: {module.instruction_count()} IR instructions")
-    for scheme, protected in protect_all(module, consume=True).items():
-        with current_tracer().span(f"execute:{scheme}", "exec", benchmark=args.benchmark):
-            result = CPU(
-                protected.module,
-                seed=args.seed,
-                interpreter=args.interpreter,
-                trace_profile=trace_profile,
-            ).run(inputs=list(program.inputs))
-        publish_execution(get_metrics(), result, scheme=scheme)
-        if not result.ok:
-            print(f"  {scheme:8s} FAILED: {result.status}")
-            return 2
-        if scheme == "vanilla":
-            base = result.cycles
-            print(f"  {scheme:8s} cycles={result.cycles:10.0f}")
-        else:
-            overhead = 100 * (result.cycles / base - 1)
-            print(
-                f"  {scheme:8s} cycles={result.cycles:10.0f} "
-                f"overhead={overhead:6.1f}% pa={result.pa_dynamic}"
-            )
+    measurement = measure_module(
+        module,
+        args.benchmark,
+        inputs=program.inputs,
+        seed=args.seed,
+        interpreter=args.interpreter,
+        trace_profile=trace_profile,
+    )
+    for scheme, run in measurement.runs.items():
+        result = run.execution
+        line = f"  {scheme:8s} cycles={result.cycles:10.0f}"
+        if scheme != BASELINE:
+            overhead = 100 * measurement.runtime_overhead(scheme)
+            line += f" overhead={overhead:6.1f}% pa={result.pa_dynamic}"
+        print(line)
     return 0
 
 
@@ -315,7 +306,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         overheads = " ".join(
             f"{scheme}={100 * program.runtime_overhead(scheme):+.1f}%"
             for scheme in result.schemes
-            if scheme != "vanilla"
+            if scheme != BASELINE
         )
         print(f"  {name:18s} {overheads}")
     print(
@@ -763,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="compile, protect, and execute")
     p.add_argument("source")
     p.add_argument("--name", default="module")
-    p.add_argument("--scheme", choices=SCHEMES, default="pythia")
+    p.add_argument("--scheme", choices=SCHEMES, default=DEFAULT_SCHEME)
     p.add_argument("--fields", action="store_true", help="§6.4 field canaries")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument(
@@ -935,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("source")
     p.add_argument("--name", default="module")
-    p.add_argument("--scheme", choices=SCHEMES, default="pythia")
+    p.add_argument("--scheme", choices=SCHEMES, default=DEFAULT_SCHEME)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument(
         "--input", action="append", help="queue a benign input line (repeatable)"

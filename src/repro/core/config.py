@@ -6,6 +6,11 @@ from dataclasses import dataclass
 
 #: The defense schemes the framework can apply.
 SCHEMES = ("vanilla", "cpa", "pythia", "dfi")
+#: The uninstrumented scheme every overhead is measured relative to.
+BASELINE = "vanilla"
+#: The scheme ``run``, ``profile``, serve requests and ``protect()``
+#: apply when none is named.
+DEFAULT_SCHEME = "pythia"
 
 
 @dataclass
@@ -28,7 +33,7 @@ class DefenseConfig:
         intra-struct overflows the base scheme cannot see.
     """
 
-    scheme: str = "pythia"
+    scheme: str = DEFAULT_SCHEME
     run_mem2reg: bool = True
     verify: bool = True
     protect_stack: bool = True

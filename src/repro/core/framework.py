@@ -32,7 +32,7 @@ from ..transforms.heap_section import HeapSectionPass
 from ..transforms.mem2reg import Mem2Reg
 from ..transforms.pass_manager import PassManager
 from ..transforms.stack_protect import StackProtectionPass
-from .config import DefenseConfig, SCHEMES
+from .config import BASELINE, DEFAULT_SCHEME, SCHEMES, DefenseConfig
 from .vulnerability import VulnerabilityAnalysis, VulnerabilityReport
 
 #: Estimated bytes per IR instruction when reporting binary sizes
@@ -111,22 +111,27 @@ class ProtectionResult:
         return int(stats.get("canaries", 0))
 
 
-def _build_passes(config: DefenseConfig, report: VulnerabilityReport) -> list:
+def _pythia_passes(config: DefenseConfig, report: VulnerabilityReport) -> list:
     passes = []
-    if config.scheme == "cpa":
-        passes.append(CompletePointerAuthentication(report))
-    elif config.scheme == "pythia":
-        if config.protect_fields:
-            passes.append(FieldProtectionPass(report))
-        if config.protect_stack:
-            passes.append(
-                StackProtectionPass(report, rerandomize=config.rerandomize_canaries)
-            )
-        if config.protect_heap:
-            passes.append(HeapSectionPass(report))
-    elif config.scheme == "dfi":
-        passes.append(DataFlowIntegrityPass(report))
+    if config.protect_fields:
+        passes.append(FieldProtectionPass(report))
+    if config.protect_stack:
+        passes.append(
+            StackProtectionPass(report, rerandomize=config.rerandomize_canaries)
+        )
+    if config.protect_heap:
+        passes.append(HeapSectionPass(report))
     return passes
+
+
+#: The defense passes of every scheme, built from its config and the
+#: vulnerability report.  The baseline has no entry: it is never
+#: instrumented.
+SCHEME_PASSES = {
+    "cpa": lambda config, report: [CompletePointerAuthentication(report)],
+    "pythia": _pythia_passes,
+    "dfi": lambda config, report: [DataFlowIntegrityPass(report)],
+}
 
 
 def _prepare(
@@ -156,9 +161,8 @@ def _instrument(
     """Run ``config``'s defense passes over the prepared ``target``."""
     # The incoming module was verified while being prepared, so the
     # pipeline only re-verifies after each mutation.
-    manager = PassManager(
-        _build_passes(config, report), verify=config.verify, verify_input=False
-    )
+    passes = SCHEME_PASSES[config.scheme](config, report)
+    manager = PassManager(passes, verify=config.verify, verify_input=False)
     try:
         stats = manager.run(target)
     except VerificationError as exc:
@@ -194,7 +198,7 @@ def protect(
     every module is instrumented through this one entry point.
     """
     if config is None:
-        config = DefenseConfig(scheme=scheme or "pythia")
+        config = DefenseConfig(scheme=scheme or DEFAULT_SCHEME)
     elif scheme is not None:
         raise ValueError("pass either config or scheme, not both")
     if isinstance(module, PreparedModule):
@@ -202,9 +206,9 @@ def protect(
     target = clone_module(module) if clone else module
     timings: Dict[str, float] = {}
     _prepare(target, timings, verify=config.verify, mem2reg=config.run_mem2reg)
-    if config.scheme == "vanilla":
+    if config.scheme == BASELINE:
         return ProtectionResult(
-            module=target, scheme="vanilla", report=None, timings=timings
+            module=target, scheme=BASELINE, report=None, timings=timings
         )
     with phase_span("analysis", timings):
         report = VulnerabilityAnalysis(target).analyze()
@@ -240,10 +244,10 @@ class PreparedModule:
             return get_manager().vulnerability_report(self.module)
 
     def variant(self, config: DefenseConfig) -> ProtectionResult:
-        if config.scheme == "vanilla":
+        if config.scheme == BASELINE:
             return ProtectionResult(
                 module=self.module,
-                scheme="vanilla",
+                scheme=BASELINE,
                 report=None,
                 timings=dict(self.timings),
             )
@@ -289,6 +293,6 @@ def protect_all(
         return results
 
     prepared = PreparedModule(module, consume=consume)
-    if any(scheme != "vanilla" for scheme in schemes):
+    if any(scheme != BASELINE for scheme in schemes):
         prepared.report  # analyze first, so the vanilla result carries it
     return {scheme: protect(prepared, scheme=scheme) for scheme in schemes}

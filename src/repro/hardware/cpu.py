@@ -587,7 +587,7 @@ class CPU:
             self.frame_slots.append(self._layout_frame(function, frame))
             self.frames.append((function, frame))
             try:
-                # Dispatch inline rather than via _interpret: recursion
+                # Dispatch inline rather than via a helper: recursion
                 # in the simulated program recurses through here, and
                 # the simulated 256-frame stack limit must fire before
                 # Python's own recursion limit does.
@@ -651,14 +651,6 @@ class CPU:
             self.ic_calls[function.name] = self.ic_calls.get(function.name, 0) + 1
         result = lib.handler(self, args)
         return result if result is None else result & _MASK64
-
-    def _interpret(self, function: Function, frame: Dict[Value, int]) -> Optional[int]:
-        decoded = self._decoded
-        if decoded is not None:
-            entry = decoded.functions.get(function)
-            if entry is not None:
-                return self._interpret_decoded(entry, frame)
-        return self._interpret_reference(function, frame)
 
     # -- block-compiled backend --------------------------------------------------
 

@@ -12,12 +12,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..core.config import DefenseConfig, SCHEMES
+from ..core.config import BASELINE, SCHEMES, DefenseConfig
 from ..core.framework import ProtectionResult, protect_all
 from ..hardware.cpu import CPU, ExecutionResult
+from ..hardware.errors import ReproError
 from ..ir.module import Module
 from ..observability import current_tracer, get_metrics, publish_execution
 from ..workloads.generator import GeneratedProgram
+
+
+def relative(base: float, value: float) -> float:
+    """``value`` relative to ``base`` (0.13 = 13% above it; 0.0 if ``base <= 0``)."""
+    return value / base - 1.0 if base > 0 else 0.0
+
+
+class BenignRunError(ReproError, RuntimeError):
+    """A scheme's benign (attack-free) execution did not exit cleanly."""
+
+    exit_code = 2
 
 
 @dataclass
@@ -48,21 +60,18 @@ class BenchmarkMeasurement:
     # -- Fig. 4(a): runtime overhead -----------------------------------------------
 
     def runtime_overhead(self, scheme: str) -> float:
-        """Relative cycle overhead vs vanilla (0.13 = +13%)."""
-        base = self._run("vanilla").execution.cycles
-        inst = self._run(scheme).execution.cycles
-        if base <= 0:
-            return 0.0
-        return inst / base - 1.0
+        """Relative cycle overhead vs the baseline (0.13 = +13%)."""
+        return relative(
+            self._run(BASELINE).execution.cycles, self._run(scheme).execution.cycles
+        )
 
     # -- Fig. 4(b): binary size ---------------------------------------------------------
 
     def binary_increase(self, scheme: str) -> float:
-        base = self._run("vanilla").protection.binary_bytes
-        inst = self._run(scheme).protection.binary_bytes
-        if base <= 0:
-            return 0.0
-        return inst / base - 1.0
+        return relative(
+            self._run(BASELINE).protection.binary_bytes,
+            self._run(scheme).protection.binary_bytes,
+        )
 
     # -- Fig. 5(a): IPC -----------------------------------------------------------------
 
@@ -70,10 +79,8 @@ class BenchmarkMeasurement:
         return self._run(scheme).execution.ipc
 
     def ipc_degradation(self, scheme: str) -> float:
-        base = self.ipc("vanilla")
-        if base <= 0:
-            return 0.0
-        return 1.0 - self.ipc(scheme) / base
+        # 0.0 - x, not -x: an unchanged IPC degrades by +0.0, never -0.0
+        return 0.0 - relative(self.ipc(BASELINE), self.ipc(scheme))
 
     # -- Fig. 6(b): PA instructions ----------------------------------------------------------
 
@@ -108,7 +115,8 @@ def _protect_schemes(module: Module, schemes: Sequence[str], cache):
     """
     schemes = tuple(schemes)
     if cache is None:
-        return protect_all(module, schemes=schemes), dict.fromkeys(schemes, False)
+        results = protect_all(module, schemes=schemes, consume=True)
+        return results, dict.fromkeys(schemes, False)
     from ..ir.printer import print_module
 
     text = print_module(module)
@@ -119,7 +127,8 @@ def _protect_schemes(module: Module, schemes: Sequence[str], cache):
     hits = {scheme: results[scheme] is not None for scheme in schemes}
     missing = tuple(scheme for scheme in schemes if not hits[scheme])
     if missing:
-        for scheme, result in protect_all(module, schemes=missing).items():
+        compiled = protect_all(module, schemes=missing, consume=True)
+        for scheme, result in compiled.items():
             cache.store_protection(keys[scheme], result)
             results[scheme] = result
     return results, hits
@@ -133,13 +142,19 @@ def measure_module(
     seed: int = 2024,
     interpreter: Optional[str] = None,
     cache_dir: Optional[str] = None,
+    trace_profile: Optional[Dict[str, float]] = None,
 ) -> BenchmarkMeasurement:
     """Protect and execute one module under each scheme.
 
+    ``module`` is consumed (protected in place, not cloned): pass one
+    that is not used again, such as a fresh ``compile_source`` result.
     ``interpreter`` selects the CPU backend (``"decoded"`` /
     ``"reference"``); ``None`` uses the CPU default.  ``cache_dir``
     enables the content-addressed compilation cache: cached schemes
     skip recompilation and are marked ``cache_hit`` on their runs.
+    ``trace_profile`` (per-block counts from a saved execution profile)
+    guides trace-tier region selection.  A run that does not exit
+    cleanly raises :class:`BenignRunError`.
     """
     cache = None
     if cache_dir is not None:
@@ -155,12 +170,17 @@ def measure_module(
     measurement = BenchmarkMeasurement(name=name)
     for scheme in schemes:
         protection = protections[scheme]
-        cpu = CPU(protection.module, seed=seed, interpreter=interpreter)
+        cpu = CPU(
+            protection.module,
+            seed=seed,
+            interpreter=interpreter,
+            trace_profile=trace_profile,
+        )
         with tracer.span(f"execute:{scheme}", "exec", benchmark=name):
             execution = cpu.run(inputs=list(inputs or []))
         publish_execution(metrics, execution, scheme=scheme)
         if not execution.ok:
-            raise RuntimeError(
+            raise BenignRunError(
                 f"{name}/{scheme}: benign execution failed "
                 f"({execution.status}: {execution.trap})"
             )

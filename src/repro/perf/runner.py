@@ -34,9 +34,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.config import SCHEMES
+from ..core.config import BASELINE, SCHEMES
 from ..hardware.errors import ReproError
-from ..metrics.overhead import BenchmarkMeasurement, measure_program, mean
+from ..metrics.overhead import BenchmarkMeasurement, measure_program, relative
 from ..observability import adopt, capture, current_tracer, get_metrics
 from ..robustness.triage import fingerprint_from_frames, repro_frames
 from ..workloads.generator import generate_program
@@ -86,16 +86,12 @@ class ProgramSummary:
         raise KeyError(f"scheme {name!r} was not measured for {self.name}")
 
     def runtime_overhead(self, scheme: str) -> float:
-        base = self.scheme("vanilla").cycles
-        if base <= 0:
-            return 0.0
-        return self.scheme(scheme).cycles / base - 1.0
+        return relative(self.scheme(BASELINE).cycles, self.scheme(scheme).cycles)
 
     def binary_increase(self, scheme: str) -> float:
-        base = self.scheme("vanilla").binary_bytes
-        if base <= 0:
-            return 0.0
-        return self.scheme(scheme).binary_bytes / base - 1.0
+        return relative(
+            self.scheme(BASELINE).binary_bytes, self.scheme(scheme).binary_bytes
+        )
 
 
 @dataclass(frozen=True)
@@ -224,11 +220,6 @@ class SuiteResult:
             scheme.decode_seconds
             for program in self.programs.values()
             for scheme in program.schemes
-        )
-
-    def mean_runtime_overhead(self, scheme: str) -> float:
-        return mean(
-            program.runtime_overhead(scheme) for program in self.programs.values()
         )
 
 

@@ -75,7 +75,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..attacks.controller import AttackController
 from ..attacks.scenarios import Scenario, build_scenarios
-from ..core.config import SCHEMES
+from ..core.config import BASELINE, SCHEMES
 from ..core.framework import protect, protect_all
 from ..frontend.driver import compile_source
 from ..hardware.cpu import CPU
@@ -99,6 +99,9 @@ FAMILY_FAULTS: Dict[str, str] = {
 
 #: The three related-work families the defense contract is scoped to.
 NEW_FAMILIES = ("pac_reuse", "call_bend", "heap_cross")
+
+#: The schemes that must stop every baseline bypass of those families.
+CONTRACT_SCHEMES = ("pythia", "dfi")
 
 OUTCOMES = ("trapped", "detected", "bypassed", "crashed", "missed")
 
@@ -349,10 +352,10 @@ class CampaignReport:
             family = next(iter(cells.values())).mutant.family
             if family not in NEW_FAMILIES:
                 continue
-            vanilla = cells.get("vanilla")
-            if vanilla is None or vanilla.outcome != "bypassed":
+            baseline = cells.get(BASELINE)
+            if baseline is None or baseline.outcome != "bypassed":
                 continue
-            for scheme in ("pythia", "dfi"):
+            for scheme in CONTRACT_SCHEMES:
                 run = cells.get(scheme)
                 if run is not None and run.outcome not in (
                     "trapped",

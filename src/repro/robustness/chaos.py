@@ -39,6 +39,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core.config import DEFAULT_SCHEME, DefenseConfig
 from ..core.framework import protect_all
 from ..hardware.cpu import CPU
 from ..ir.printer import print_module
@@ -258,12 +259,10 @@ def _run_cache_case(
     task = f"chaos[{index}]:{spec.kind}"
     try:
         cache = CompilationCache(cache_root)
-        from ..core.config import DefenseConfig
-
-        key = cache.key_for(module_text, DefenseConfig(scheme="pythia"))
+        key = cache.key_for(module_text, DefenseConfig())
         if spec.kind == "cache.corrupt":
             # Prime a clean entry, then read it back through the fault.
-            cache.store(key, "pythia", protected_text, {})
+            cache.store(key, DEFAULT_SCHEME, protected_text, {})
             cache.fault_hook = injector
             loaded = cache.load(key)
             if not injector.fired:
@@ -276,7 +275,7 @@ def _run_cache_case(
                 classification, detail = "diverged", "corrupt entry was served"
         else:
             cache.fault_hook = injector
-            cache.store(key, "pythia", protected_text, {})
+            cache.store(key, DEFAULT_SCHEME, protected_text, {})
             loaded = cache.load(key)
             served_wrong = loaded is not None and loaded["module"] != protected_text
             if not injector.fired:
@@ -347,7 +346,7 @@ def run_chaos(
     }
     cache_specs = [spec for spec in plan.specs if spec.kind in CACHE_KINDS]
     if cache_specs:
-        needed.add("pythia")
+        needed.add(DEFAULT_SCHEME)
     protections = protect_all(module, schemes=tuple(sorted(needed)), consume=True)
     baselines = {
         scheme: CPU(result.module, seed=seed, interpreter=interpreter).run(
@@ -356,7 +355,7 @@ def run_chaos(
         for scheme, result in protections.items()
     }
     protected_text = (
-        print_module(protections["pythia"].module) if cache_specs else ""
+        print_module(protections[DEFAULT_SCHEME].module) if cache_specs else ""
     )
 
     tracer = current_tracer()

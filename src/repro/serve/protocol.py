@@ -36,8 +36,9 @@ arrows, so one id follows a request across the process boundary; it is
 excluded from the single-flight identity (:func:`request_key`) exactly
 like ``id``.
 
-The module is import-light on purpose (stdlib only): the client, the
-load generator, and the server all share these helpers.
+The module is import-light on purpose (stdlib plus the stdlib-only
+:mod:`repro.core.config`): the client, the load generator, and the
+server all share these helpers.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from __future__ import annotations
 import hashlib
 import json
 from typing import Any, Dict, Optional, Tuple
+
+from ..core.config import SCHEMES
 
 #: Protocol identifier, echoed by ``ping`` and carried in ``stats``.
 PROTOCOL = "repro-serve-v1"
@@ -98,6 +101,9 @@ def validate_request(request: Dict[str, Any]) -> Optional[str]:
     for field in _REQUIRED[op]:
         if not isinstance(request.get(field), str):
             return f"op {op!r} requires a string {field!r} field"
+    scheme = request.get("scheme")
+    if scheme is not None and scheme not in SCHEMES:
+        return f"unknown scheme {scheme!r}; expected one of {SCHEMES}"
     inputs = request.get("inputs")
     if inputs is not None and (
         not isinstance(inputs, list)

@@ -35,7 +35,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..core.config import DefenseConfig
+from ..core.config import DEFAULT_SCHEME, DefenseConfig
 from ..core.framework import PreparedModule, ProtectionResult, protect
 from ..frontend.driver import compile_source, source_digest
 from ..ir.printer import print_module
@@ -120,7 +120,7 @@ class WarmRegistry:
         self,
         source: str,
         name: str = "module",
-        scheme: str = "pythia",
+        scheme: str = DEFAULT_SCHEME,
         protect_fields: bool = False,
     ) -> Tuple[ProtectionResult, bool]:
         """The protected module for one scheme variant.

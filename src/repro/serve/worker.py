@@ -30,6 +30,7 @@ import signal
 from typing import Any, Dict, Optional, Tuple
 
 from ..attacks import build_scenarios
+from ..core.config import DEFAULT_SCHEME
 from ..hardware.cpu import CPU
 from ..observability import (
     ExecutionProfiler,
@@ -78,10 +79,9 @@ class RequestHandler:
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
             raise ValueError(f"op {op!r} is not a worker op")
-        return handler(request)
+        return handler(request, request.get("scheme", DEFAULT_SCHEME))
 
-    def _op_compile(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        scheme = request.get("scheme", "pythia")
+    def _op_compile(self, request: Dict[str, Any], scheme: str) -> Dict[str, Any]:
         protection, text, text_digest, warm = self.registry.printed_module(
             request["source"],
             request.get("name", "module"),
@@ -90,7 +90,7 @@ class RequestHandler:
         )
         result = {
             "digest": source_digest(request["source"]),
-            "scheme": scheme,
+            "scheme": protection.scheme,
             "module_digest": text_digest,
             "pa_static": protection.pa_static,
             "binary_bytes": protection.binary_bytes,
@@ -103,8 +103,7 @@ class RequestHandler:
             result["module"] = text
         return result
 
-    def _op_run(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        scheme = request.get("scheme", "pythia")
+    def _op_run(self, request: Dict[str, Any], scheme: str) -> Dict[str, Any]:
         protection, warm = self.registry.protection(
             request["source"],
             request.get("name", "module"),
@@ -117,14 +116,14 @@ class RequestHandler:
             interpreter=request.get("interpreter"),
         )
         execution = cpu.run(inputs=_parse_inputs(request))
-        publish_execution(get_metrics(), execution, scheme=scheme)
+        publish_execution(get_metrics(), execution, scheme=protection.scheme)
         result = _execution_result(execution)
         result["digest"] = source_digest(request["source"])
-        result["scheme"] = scheme
+        result["scheme"] = protection.scheme
         result["registry"] = "warm" if warm else "cold"
         return result
 
-    def _op_attack(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_attack(self, request: Dict[str, Any], scheme: str) -> Dict[str, Any]:
         if self._scenarios is None:
             self._scenarios = build_scenarios()
         name = request["scenario"]
@@ -133,7 +132,6 @@ class RequestHandler:
             raise KeyError(
                 f"unknown scenario {name!r}; try: {', '.join(self._scenarios)}"
             )
-        scheme = request.get("scheme", "pythia")
         # The scenario's source routes through the same registry as any
         # other module, so repeated attack replays reuse the warm
         # protection and the module's decoded program.
@@ -147,14 +145,13 @@ class RequestHandler:
         )
         result = _execution_result(execution)
         result["scenario"] = name
-        result["scheme"] = scheme
+        result["scheme"] = protection.scheme
         result["digest"] = source_digest(scenario.source)
         result["outcome"] = scenario.attack_outcome(execution)
         result["registry"] = "warm" if warm else "cold"
         return result
 
-    def _op_profile(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        scheme = request.get("scheme", "pythia")
+    def _op_profile(self, request: Dict[str, Any], scheme: str) -> Dict[str, Any]:
         protection, warm = self.registry.protection(
             request["source"], request.get("name", "module"), scheme, False
         )
@@ -169,7 +166,7 @@ class RequestHandler:
         report = profiler.report(execution, top=int(request.get("top", 10)))
         return {
             "digest": source_digest(request["source"]),
-            "scheme": scheme,
+            "scheme": protection.scheme,
             "status": execution.status,
             "report": report,
             "registry": "warm" if warm else "cold",

@@ -24,9 +24,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.config import SCHEMES
-from ..core.framework import protect_all
-from ..hardware.cpu import CPU
+from ..core.config import BASELINE, SCHEMES
+from ..metrics.overhead import mean, measure_module, relative
 from .generator import GeneratedProgram, generate_program
 from .profiles import NGINX_PROFILE
 
@@ -67,22 +66,14 @@ def run_nginx(
     runs: List[NginxRun] = []
     for duration in durations:
         program = nginx_program(duration)
-        protections = protect_all(program.compile(), schemes=tuple(schemes), consume=True)
-        for scheme, protection in protections.items():
-            cpu = CPU(protection.module, seed=seed)
-            result = cpu.run(inputs=list(program.inputs))
-            if not result.ok:
-                raise RuntimeError(
-                    f"nginx/{scheme}/{duration} failed: {result.status} ({result.trap})"
-                )
-            runs.append(
-                NginxRun(
-                    scheme=scheme,
-                    duration=duration,
-                    cycles=result.cycles,
-                    bytes_out=len(result.output),
-                )
-            )
+        # Named per duration, so a failed batch reads nginx/<duration>/<scheme>.
+        measurement = measure_module(
+            program.compile(), f"nginx/{duration}", program.inputs, schemes, seed
+        )
+        runs.extend(
+            NginxRun(scheme, duration, run.execution.cycles, len(run.execution.output))
+            for scheme, run in measurement.runs.items()
+        )
     return runs
 
 
@@ -199,18 +190,13 @@ def build_request_mix(
 
 
 def transfer_rate_overhead(runs: Sequence[NginxRun], scheme: str) -> float:
-    """Average transfer-rate degradation of ``scheme`` vs vanilla."""
+    """Average transfer-rate degradation of ``scheme`` vs the baseline."""
     by_duration: Dict[str, Dict[str, NginxRun]] = {}
     for run in runs:
         by_duration.setdefault(run.duration, {})[run.scheme] = run
-    degradations = []
-    for duration, by_scheme in by_duration.items():
-        if "vanilla" not in by_scheme or scheme not in by_scheme:
-            continue
-        base = by_scheme["vanilla"].transfer_rate
-        if base <= 0:
-            continue
-        degradations.append(1.0 - by_scheme[scheme].transfer_rate / base)
-    if not degradations:
-        return 0.0
-    return sum(degradations) / len(degradations)
+    rates = [
+        (by_scheme[BASELINE].transfer_rate, by_scheme[scheme].transfer_rate)
+        for by_scheme in by_duration.values()
+        if BASELINE in by_scheme and scheme in by_scheme
+    ]
+    return mean(0.0 - relative(base, rate) for base, rate in rates if base > 0)

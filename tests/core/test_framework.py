@@ -1,5 +1,7 @@
 """Tests for the end-to-end protection framework."""
 
+import argparse
+
 import pytest
 
 from repro.core import (
@@ -9,6 +11,9 @@ from repro.core import (
     protect,
     protect_all,
 )
+from repro.cli import build_parser
+from repro.core.config import BASELINE, DEFAULT_SCHEME
+from repro.core.framework import SCHEME_PASSES
 from repro.frontend import compile_source
 from repro.hardware import CPU
 from repro.ir import print_module, verify_module
@@ -105,3 +110,49 @@ class TestProtectionResult:
         for scheme, result in protect_all(listing1_module).items():
             outcome = CPU(result.module).run(inputs=[b"hello"])
             assert outcome.ok, (scheme, outcome.trap)
+
+
+def _cli_scheme_flag(command):
+    parser = build_parser()
+    commands = next(
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flag = next(
+        action
+        for action in commands.choices[command]._actions
+        if "--scheme" in action.option_strings
+    )
+    return tuple(flag.choices), flag.default
+
+
+def _config_schemes():
+    accepted = []
+    for scheme in SCHEMES + ("sgx", "", "Pythia"):
+        try:
+            DefenseConfig(scheme=scheme)
+        except ValueError:
+            continue
+        accepted.append(scheme)
+    return tuple(accepted), DefenseConfig().scheme
+
+
+#: Every surface that names the schemes: (schemes it accepts, its default).
+SCHEME_SURFACES = {
+    "pass table": lambda: (
+        (BASELINE, *SCHEME_PASSES),
+        protect(compile_source("int main() { return 0; }")).scheme,
+    ),
+    "DefenseConfig": _config_schemes,
+    "run --scheme": lambda: _cli_scheme_flag("run"),
+    "profile --scheme": lambda: _cli_scheme_flag("profile"),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(SCHEME_SURFACES))
+def test_every_surface_reads_the_scheme_table(surface):
+    schemes, default = SCHEME_SURFACES[surface]()
+    assert sorted(schemes) == sorted(SCHEMES)
+    assert len(schemes) == len(set(schemes))
+    assert default == DEFAULT_SCHEME

@@ -124,6 +124,24 @@ class TestExitCodes:
         assert err.startswith("repro: error:")
         assert "Traceback" not in err
 
+    def test_failing_benign_bench_run_exits_2(self, monkeypatch, capsys):
+        from repro.hardware.cpu import CPU
+
+        real_run = CPU.run
+
+        def trapped(cpu, *args, **kwargs):
+            result = real_run(cpu, *args, **kwargs)
+            result.status = "canary_trap"
+            return result
+
+        monkeypatch.setattr(CPU, "run", trapped)
+        code, out, err = run_cli(["bench", "519.lbm_r"], capsys)
+        assert code == 2
+        assert "FAILED" not in out
+        assert err.startswith("repro: error:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_parse_error_exits_4(self, tmp_path, capsys):
         path = tmp_path / "bad.c"
         path.write_text("int main( {")

@@ -53,6 +53,10 @@ def test_validate_request_taxonomy():
     assert "list of strings" in validate_request(
         {"op": "run", "source": "x", "inputs": [1]}
     )
+    assert "unknown scheme" in validate_request(
+        {"op": "run", "source": "x", "scheme": "sgx"}
+    )
+    assert validate_request({"op": "run", "source": "x", "scheme": "dfi"}) is None
     for op in OPS:
         # every op has a validation rule registered
         assert validate_request({"op": op}) is None or "requires" in validate_request(

@@ -119,6 +119,18 @@ class TestNginxWorkload:
             assert run.cycles > 0
             assert run.transfer_rate > 0
 
+    def test_failed_batch_names_duration_and_scheme(self, monkeypatch):
+        real_run = CPU.run
+
+        def trapped(cpu, *args, **kwargs):
+            result = real_run(cpu, *args, **kwargs)
+            result.status = "canary_trap"
+            return result
+
+        monkeypatch.setattr(CPU, "run", trapped)
+        with pytest.raises(RuntimeError, match="^nginx/3s/vanilla: "):
+            run_nginx(durations=("3s",), schemes=("vanilla",))
+
     def test_transfer_rate_overhead_positive(self):
         runs = run_nginx(durations=("3s",), schemes=("vanilla", "pythia", "cpa"))
         pythia = transfer_rate_overhead(runs, "pythia")
