@@ -57,10 +57,6 @@ class MemObject:
         return f"<MemObject {self.kind}:{self.label}>"
 
     @property
-    def is_stack(self) -> bool:
-        return self.kind == "stack"
-
-    @property
     def is_heap(self) -> bool:
         return self.kind == "heap"
 

@@ -37,35 +37,6 @@ class CallGraph:
         """Every call instruction that targets ``function``."""
         return self.call_sites.get(function, [])
 
-    def bottom_up_order(self) -> List[Function]:
-        """Callees before callers (cycles broken arbitrarily)."""
-        order: List[Function] = []
-        visited: Set[Function] = set()
-
-        def visit(function: Function) -> None:
-            stack = [(function, iter(sorted(self.callees.get(function, ()), key=lambda f: f.name)))]
-            visited.add(function)
-            while stack:
-                current, children = stack[-1]
-                advanced = False
-                for child in children:
-                    if child.is_declaration or child in visited:
-                        continue
-                    visited.add(child)
-                    stack.append(
-                        (child, iter(sorted(self.callees.get(child, ()), key=lambda f: f.name)))
-                    )
-                    advanced = True
-                    break
-                if not advanced:
-                    order.append(current)
-                    stack.pop()
-
-        for function in self.module.defined_functions():
-            if function not in visited:
-                visit(function)
-        return order
-
     def is_recursive(self, function: Function) -> bool:
         """True when ``function`` can (transitively) call itself."""
         seen: Set[Function] = set()

@@ -16,12 +16,11 @@ __getattr__, __dir__ = lazy_exports(
         "driver": ("compile_source",),
         "lexer": ("LexError", "Token", "tokenize"),
         "parser": ("ParseError as CParseError", "Parser", "parse_source"),
-        "sema": ("Sema", "SemaError", "SemaInfo", "analyze_program"),
+        "sema": ("Sema", "SemaError", "SemaInfo"),
     },
 )
 
 __all__ = [
-    "analyze_program",
     "CodegenError",
     "compile_source",
     "CParseError",

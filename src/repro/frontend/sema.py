@@ -375,8 +375,3 @@ class Sema:
         if isinstance(expr, (ast.Identifier, ast.IndexExpr, ast.FieldExpr)):
             return True
         return isinstance(expr, ast.UnaryOp) and expr.op == "*"
-
-
-def analyze_program(program: ast.Program) -> SemaInfo:
-    """Run semantic analysis over a parsed program."""
-    return Sema(program).analyze()

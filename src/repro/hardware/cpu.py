@@ -294,11 +294,6 @@ class ExecutionResult:
     interpreter: str = "decoded"
 
     @property
-    def cache_miss_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_misses / total if total else 0.0
-
-    @property
     def steps_per_second(self) -> float:
         """Dynamic IR steps retired per wall-clock second."""
         if self.wall_seconds <= 0:

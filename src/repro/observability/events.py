@@ -64,9 +64,6 @@ EVENT_TYPES = (
 #: fields, which may be null).
 _REQUIRED_FIELDS = ("schema", "type", "ts_wall", "ts_mono_ns", "pid")
 
-#: Optional correlation fields; null when unknown.
-_CORRELATION_FIELDS = ("request_id", "rid", "module_digest", "scheme", "tier")
-
 
 def make_event(
     event_type: str,

@@ -16,7 +16,6 @@ __getattr__, __dir__ = lazy_exports(
         "field_protect": ("FieldProtectionPass", "make_guarded_struct"),
         "heap_section": ("HeapSectionPass",),
         "mem2reg": ("Mem2Reg", "promotable_allocas"),
-        "optimize": ("ConstantFold", "DeadCodeElimination", "optimize"),
         "pass_manager": ("PassManager",),
         "stack_protect": ("StackProtectionPass",),
         "support": (
@@ -43,10 +42,7 @@ __all__ = [
     "is_scalar_object",
     "library_read_sites",
     "loads_touching",
-    "ConstantFold",
-    "DeadCodeElimination",
     "Mem2Reg",
-    "optimize",
     "object_size",
     "PassManager",
     "promotable_allocas",

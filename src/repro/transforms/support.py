@@ -2,21 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..analysis.alias import AliasAnalysis, MemObject
 from ..hardware.libc import LIBRARY
 from ..ir.builder import IRBuilder
-from ..ir.function import BasicBlock, Function
-from ..ir.instructions import Alloca, Call, Instruction, Load, Store
+from ..ir.function import Function
+from ..ir.instructions import Alloca, Call, Load, Store
 from ..ir.module import Module
-from ..ir.types import ArrayType, FunctionType, I64, IntType, PointerType, StructType
+from ..ir.types import I64, IntType, PointerType
 from ..ir.values import GlobalVariable, Value
-
-
-def pointer_as_modifier(builder: IRBuilder, ptr: Value) -> Value:
-    """The PA modifier for a slot: its address as an i64 (``ptrtoint``)."""
-    return builder.cast("ptrtoint", ptr, I64)
 
 
 def object_size(obj: MemObject) -> int:
@@ -93,19 +88,6 @@ def library_read_sites(
     return result
 
 
-def input_channel_sites_touching(
-    sites: Iterable, alias: AliasAnalysis, objects: Set[MemObject]
-):
-    """IC sites whose written pointers may alias any of ``objects``."""
-    touching = []
-    for site in sites:
-        for ptr in site.written_pointers:
-            if alias.points_to(ptr) & objects:
-                touching.append(site)
-                break
-    return touching
-
-
 def hoist_allocas(function: Function, ordered: Sequence[Alloca]) -> None:
     """Re-layout the frame: place ``ordered`` allocas (in that order) at
     the top of the entry block.
@@ -123,21 +105,6 @@ def hoist_allocas(function: Function, ordered: Sequence[Alloca]) -> None:
             alloca.parent.instructions.remove(alloca)  # type: ignore[union-attr]
             alloca.parent = entry
     entry.instructions = list(ordered) + rest
-
-
-def entry_builder(function: Function) -> IRBuilder:
-    """A builder positioned after the last entry-block alloca."""
-    entry = function.entry_block
-    index = 0
-    for i, inst in enumerate(entry.instructions):
-        if isinstance(inst, Alloca):
-            index = i + 1
-    builder = IRBuilder(entry)
-    if index >= len(entry.instructions):
-        builder.position_at_end(entry)
-    else:
-        builder.position_before(entry.instructions[index])
-    return builder
 
 
 def ensure_declaration(module: Module, name: str) -> Function:

@@ -33,12 +33,6 @@ class TestCallGraph:
         leaf = module.get_function("leaf")
         assert len(cg.call_sites_of(leaf)) == 2
 
-    def test_bottom_up_order(self):
-        module = compile_source(self.SOURCE)
-        cg = CallGraph(module)
-        order = [f.name for f in cg.bottom_up_order()]
-        assert order.index("leaf") < order.index("mid") < order.index("main")
-
     def test_recursion_detection(self):
         source = """
         int fact(int n) { if (n < 2) { return 1; } return n * fact(n - 1); }

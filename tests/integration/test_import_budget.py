@@ -10,6 +10,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import repro
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -28,6 +30,22 @@ CLI_FORBIDDEN = (
     "multiprocessing",
     "asyncio",
 )
+
+#: Every package under ``src/repro``.
+PACKAGES = sorted(
+    entry.name
+    for entry in os.scandir(os.path.dirname(repro.__file__))
+    if os.path.isfile(os.path.join(entry.path, "__init__.py"))
+)
+
+#: Submodules a package import may load besides ``repro._lazy``:
+#: observability builds its process-global state from these (``metrics``
+#: imports ``aggregate``), and ``robustness.triage`` is an export sharing
+#: its submodule's name.
+PACKAGE_EAGER = {
+    "observability": ("trace", "metrics", "events", "aggregate"),
+    "robustness": ("triage",),
+}
 
 TINY_SOURCE = "int main() { puts(\"hi\"); return 0; }"
 
@@ -80,6 +98,20 @@ def test_import_repro_loads_no_subpackage():
         "repro",
         "repro._lazy",
     ]
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_package_import_loads_no_submodule(package):
+    result = run_fresh(
+        f"""
+        import json, sys
+        import repro.{package}
+        print(json.dumps(sorted(sys.modules)))
+        """
+    )
+    allowed = {"repro._lazy", f"repro.{package}"}
+    allowed.update(f"repro.{package}.{name}" for name in PACKAGE_EAGER.get(package, ()))
+    assert [n for n in result if n.startswith("repro.") and n not in allowed] == []
 
 
 def test_decoded_tier_never_loads_the_tier_compilers():

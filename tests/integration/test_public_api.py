@@ -94,8 +94,8 @@ class TestPackageExports:
         package = importlib.import_module(name)
         for export in package.__all__:
             value = getattr(package, export)
-            # An export sharing its submodule's name (``optimize``,
-            # ``triage``) must stay the export, not the module.
+            # An export sharing its submodule's name (``triage``) must
+            # stay the export, not the module.
             assert not isinstance(value, types.ModuleType), export
 
     def test_star_import(self, name):
