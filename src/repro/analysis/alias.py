@@ -56,10 +56,6 @@ class MemObject:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MemObject {self.kind}:{self.label}>"
 
-    @property
-    def is_heap(self) -> bool:
-        return self.kind == "heap"
-
 
 class AliasAnalysis:
     """Module-wide Andersen points-to solver with an alias query API."""

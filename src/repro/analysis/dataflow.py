@@ -103,16 +103,6 @@ class MemoryDefUse:
     def defs_of_object(self, obj: MemObject) -> List[MemoryDef]:
         return self.defs_by_object.get(obj, [])
 
-    def may_defs_for_load(self, load: Load) -> List[MemoryDef]:
-        """Every definition that may have written what ``load`` reads."""
-        result: List[MemoryDef] = []
-        seen: Set[int] = set()
-        for obj in self.alias.points_to(load.pointer):
-            for mdef in self.defs_of_object(obj):
-                if mdef.def_id not in seen:
-                    seen.add(mdef.def_id)
-                    result.append(mdef)
-        return result
 
     def ic_defs_of_object(self, obj: MemObject) -> List[MemoryDef]:
         return [d for d in self.defs_of_object(obj) if d.is_input_channel]

@@ -193,6 +193,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     if profiler is not None:
         _write_profile_report(args.profile_out, profiler.report(result))
+    if args.timings:
+        # Decode plus every compile, up front or tiered up during the run.
+        print(
+            f"[exec] {'decode+compile':24s} {result.decode_seconds * 1e3:8.2f}ms",
+            file=sys.stderr,
+        )
     sys.stdout.write(result.output.decode("utf-8", "replace"))
     print(
         f"[{args.scheme}] status={result.status} return={result.return_value} "
@@ -764,7 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timings",
         action="store_true",
-        help="print per-phase compile timings to stderr",
+        help="print per-phase compile timings and the run's decode and "
+        "compile time to stderr",
     )
     p.add_argument(
         "--profile-out",

@@ -24,7 +24,10 @@ Four interpreter tiers execute the same semantics:
   (:func:`repro.hardware.tracec.trace_compile`) that emits generated
   Python with batched accounting.  ``block`` selects no region, so
   every basic block is one generated function; ``trace`` fuses hot
-  loops and small functions into one function per region.
+  loops and small functions into one function per region.  ``trace``
+  compiles lazily: a function runs decoded until its own steps pay
+  back its compile cost, then compiles for its next call (see
+  :mod:`repro.hardware.tracec`).
 
 Select with ``CPU(..., interpreter="reference")`` or the
 ``REPRO_INTERPRETER`` environment variable.
@@ -387,14 +390,21 @@ class CPU:
             # cannot be trusted (non-default costs or issue width,
             # step-limit crossings).  ``trace_profile`` is the warmup
             # run's per-block execution counts; without it, the trace
-            # tier selects regions statically.
-            from .tracec import trace_compile
+            # tier selects regions statically.  The block tier and a
+            # profiled trace run compile every function up front; an
+            # unprofiled trace run tiers functions up as they get hot.
+            from .tracec import trace_compile, trace_program
 
-            self._decoded, decode_seconds = decode_module(module)
-            self._block, compile_seconds = trace_compile(
-                module, trace_profile, regions=interpreter == "trace"
-            )
-            self.decode_seconds = decode_seconds + compile_seconds
+            self._decoded, self.decode_seconds = decode_module(module)
+            if interpreter == "trace" and profiler is None:
+                self._block = trace_program(module, trace_profile)
+            else:
+                self._block, compile_seconds = trace_compile(
+                    module, trace_profile, regions=interpreter == "trace"
+                )
+                self.decode_seconds += compile_seconds
+        #: steps retired by the calls the current call made (tier-up)
+        self._callee_steps = 0
         self._refresh_block_fast()
         self._layout_globals()
 
@@ -414,6 +424,13 @@ class CPU:
             and self.timing.issue_width == block.issue_width
             and self.timing.costs == DEFAULT_COSTS
         )
+        #: the program whose functions still tier up, while it has any
+        self._tier_up = block if self._block_fast and block.pending else None
+
+    @property
+    def tier_program(self):
+        """The block or trace tier's :class:`TraceProgram` (else None)."""
+        return self._block
 
     # -- setup -----------------------------------------------------------------
 
@@ -574,6 +591,13 @@ class CPU:
         profiler = self.profiler
         if profiler is not None:
             profiler.enter(function.name, self.steps, self.timing.cycles)
+        tier = self._tier_up
+        if tier is not None:
+            # Tier-up counts a decoded call's own steps: its inclusive
+            # steps minus those its callees report in _callee_steps.
+            outer_callees = self._callee_steps
+            self._callee_steps = 0
+            start = self.steps
         try:
             frame: Dict[Value, int] = {
                 argument: value & _MASK64
@@ -598,7 +622,13 @@ class CPU:
                 if decoded is not None:
                     entry = decoded.functions.get(function)
                     if entry is not None:
-                        return self._interpret_decoded(entry, frame)
+                        result = self._interpret_decoded(entry, frame)
+                        # Compiled code takes over at the next call.
+                        if tier is not None and tier.tick(
+                            function, self.steps - start - self._callee_steps
+                        ):
+                            self.decode_seconds += tier.compile(function)
+                        return result
                 return self._interpret_reference(function, frame)
             finally:
                 self.frames.pop()
@@ -606,6 +636,8 @@ class CPU:
         finally:
             self.stack_top = saved_top
             self.call_depth -= 1
+            if tier is not None:
+                self._callee_steps = outer_callees + self.steps - start
             if profiler is not None:
                 profiler.exit(self.steps, self.timing.cycles)
 

@@ -71,10 +71,32 @@ Region selection is profile-guided: ``trace_compile(module, profile)``
 takes the ``"function:block" -> executions`` map exported by
 :func:`repro.observability.profile.hot_block_counts` and skips cold
 functions and cold loops; chains are laid out hottest-successor-first.
-Compiled programs are cached in the module's derived-artifact memo
+Programs are cached in the module's derived-artifact memo
 (:meth:`repro.ir.module.Module.derived`), one slot per policy
 (``"block"``, ``"trace"``); a cached program hits only when its profile
 digest (:func:`repro.perf.regions.profile_digest`) matches too.
+
+**Tier-up.**  A :class:`TraceProgram` compiles one function at a time
+(:meth:`TraceProgram.compile`).  :func:`trace_compile` compiles every
+function still pending; the block tier, a profiled CPU and the
+tier-differential harnesses use it.  An unprofiled trace-tier CPU
+instead takes the program from :func:`trace_program` with nothing
+compiled and tiers functions up: :meth:`CPU._call` counts the steps
+each decoded call executes itself (its callees' steps excluded) on the
+program's ``steps``, and once a function's count reaches
+:data:`TIER_UP_STEPS_PER_INST` times its IR instruction count, compiles
+it for its *next* call -- a call already running stays decoded.  The
+counters live on the memoized program, so repeated CPUs on one module
+converge on compiled code, and ``invalidate_derived()`` resets them.
+
+The constant is the measured break-even: one function's compile costs
+161-178 us per IR instruction, and a compiled step saves 0.61-0.88 us
+over a decoded one (pythia variants, static selection, 2-vCPU host,
+Python 3.11), so a function pays back after 182-294 of its own steps
+per instruction.  A program that runs once -- most of the suite, chaos and campaign paths -- then
+compiles nothing it cannot amortize.  The known limit: work inside one
+long call (a hot loop in ``main``) stays decoded for the whole call,
+since compiled code is entered only at a call boundary.
 """
 
 from __future__ import annotations
@@ -113,6 +135,7 @@ from .blockc import (
 from .decoder import (
     BLOCK_RET,
     DecodedBlock,
+    DecodedProgram,
     _spec,
     decode_module,
 )
@@ -137,8 +160,25 @@ MAX_REGION_BLOCKS = 48
 WHOLE_FUNCTION_BLOCKS = 24
 
 
+#: Tier-up threshold: a function compiles once the steps its decoded
+#: calls executed themselves (callees excluded) reach this many per IR
+#: instruction of its body.  Break-even measured on the pythia variants
+#: with static selection (2-vCPU host, Python 3.11): compile cost /
+#: (decoded - trace) cost per step is 178/0.61 = 294 (505.mcf_r),
+#: 169/0.87 = 195 (502.gcc_r) and 161/0.88 = 182 (519.lbm_r) steps per
+#: instruction.
+TIER_UP_STEPS_PER_INST = 250
+
+
 class TraceProgram:
     """All defined functions of one module, compiled under one policy.
+
+    A program starts with nothing compiled: ``pending`` maps every
+    defined function to its tier-up threshold, and :meth:`compile`
+    moves one function from ``pending`` to ``functions``.
+    :func:`trace_compile` compiles every pending function;
+    :meth:`CPU._call <repro.hardware.cpu.CPU._call>` feeds :meth:`tick`
+    and compiles a function once it is due.
 
     A block-tier program (``regions=False``) has ``region_count == 0``:
     every entry is a single-block :class:`BlockCode`.
@@ -153,9 +193,20 @@ class TraceProgram:
         "sources",
         "region_count",
         "fused_blocks",
+        "steps",
+        "pending",
+        "_decoded",
+        "_profile",
+        "_regions",
     )
 
-    def __init__(self, profile_digest: Optional[str]):
+    def __init__(
+        self,
+        decoded: DecodedProgram,
+        profile: Optional[Dict[str, float]],
+        profile_digest: Optional[str],
+        regions: bool,
+    ):
         #: Function -> entry BlockCode (a fused region's when it heads one)
         self.functions: Dict[Function, BlockCode] = {}
         self.profile_digest = profile_digest
@@ -167,6 +218,44 @@ class TraceProgram:
         self.sources: Dict[Function, str] = {}
         self.region_count = 0
         self.fused_blocks = 0
+        #: Function -> steps its decoded calls executed, callees excluded
+        self.steps: Dict[Function, int] = dict.fromkeys(decoded.functions, 0)
+        #: Function -> tier-up threshold, for every function not compiled
+        self.pending: Dict[Function, int] = {
+            function: TIER_UP_STEPS_PER_INST
+            * sum(len(block.instructions) for block in function.blocks)
+            for function in decoded.functions
+        }
+        self._decoded = decoded
+        self._profile = profile
+        self._regions = regions
+
+    def tick(self, function: Function, steps: int) -> bool:
+        """Count ``steps`` of a decoded call; true once it is due to compile."""
+        total = self.steps[function] = self.steps[function] + steps
+        due = self.pending.get(function)
+        return due is not None and total >= due
+
+    def compile(self, function: Function) -> float:
+        """Compile one pending function; returns the seconds it took."""
+        start = time.perf_counter()
+        decoded = self._decoded
+        code, source, nregions, fused, python_seconds = _compile_function(
+            function,
+            decoded.functions[function],
+            decoded.global_layout,
+            self._profile,
+            self._regions,
+        )
+        del self.pending[function]
+        self.functions[function] = code
+        self.sources[function] = source
+        self.region_count += nregions
+        self.fused_blocks += fused
+        self.python_compile_seconds += python_seconds
+        elapsed = time.perf_counter() - start
+        self.compile_seconds += elapsed
+        return elapsed
 
 
 class _Region:
@@ -1659,14 +1748,15 @@ def _compile_function(
     return codes[id(entry)], source, len(regions), fused, python_seconds
 
 
-def trace_compile(
+def trace_program(
     module: Module,
     profile: Optional[Dict[str, float]] = None,
     *,
     regions: bool = True,
-) -> Tuple[TraceProgram, float]:
-    """Compile ``module`` (or return the cached program).
+) -> TraceProgram:
+    """The program cached for ``module`` under one policy and profile.
 
+    Nothing is compiled here: a new program has every function pending.
     ``regions`` selects the policy.  True (the trace tier) fuses
     selected regions: ``profile`` is the ``"function:block" ->
     executions`` map from a warmup run
@@ -1675,12 +1765,9 @@ def trace_compile(
     False (the block tier) selects no region, so every block compiles
     to its own function and ``profile`` is ignored.  Each policy caches
     in its own slot of the module's derived memo, so both programs
-    coexist.
-
-    Returns ``(program, seconds)`` where ``seconds`` is the compile time
-    spent by *this* call -- ``0.0`` on a cache hit.  A cached program
-    hits only when its profile digest matches, so recompiling with a
-    different profile reselects regions.
+    coexist.  A cached program hits only when its profile digest
+    matches, so a different profile starts a new program (and new
+    tier-up counters) that reselects regions.
     """
     digest = None
     if regions and profile is not None:
@@ -1691,22 +1778,32 @@ def trace_compile(
         digest = profile_digest(profile)
     slot = "trace" if regions else "block"
     memo = module.derived()
-    cached = memo.get(slot)
-    if cached is not None and cached.profile_digest == digest:
-        return cached, 0.0
-    start = time.perf_counter()
-    decoded, _ = decode_module(module)
-    program = TraceProgram(digest)
-    for function, entry in decoded.functions.items():
-        code, source, nregions, fused, python_seconds = _compile_function(
-            function, entry, decoded.global_layout, profile, regions
-        )
-        program.python_compile_seconds += python_seconds
-        program.functions[function] = code
-        program.sources[function] = source
-        program.region_count += nregions
-        program.fused_blocks += fused
-    elapsed = time.perf_counter() - start
-    program.compile_seconds = elapsed
-    memo[slot] = program
-    return program, elapsed
+    program = memo.get(slot)
+    if program is None or program.profile_digest != digest:
+        decoded, _ = decode_module(module)
+        # A copy: functions compile later, and must see the counts the
+        # digest was taken of.
+        if profile is not None:
+            profile = dict(profile)
+        program = TraceProgram(decoded, profile, digest, regions)
+        memo[slot] = program
+    return program
+
+
+def trace_compile(
+    module: Module,
+    profile: Optional[Dict[str, float]] = None,
+    *,
+    regions: bool = True,
+) -> Tuple[TraceProgram, float]:
+    """Compile every function of ``module`` still pending (see
+    :func:`trace_program` for the arguments and the cache).
+
+    Returns ``(program, seconds)`` where ``seconds`` is the compile time
+    spent by *this* call -- ``0.0`` when nothing was left to compile.
+    """
+    program = trace_program(module, profile, regions=regions)
+    seconds = 0.0
+    for function in list(program.pending):
+        seconds += program.compile(function)
+    return program, seconds

@@ -122,9 +122,10 @@ class Module:
     def derived(self) -> Dict[object, object]:
         """The memo of artifacts derived from this module's IR.
 
-        The decode (``"decoded"``), the block and trace compiles
-        (``"block"``, ``"trace"``), the CPU metadata (``"cpu_meta"``) and
-        every analysis (``(manager, name)``) live in this one dict.  It
+        The decode (``"decoded"``), the block and trace programs
+        (``"block"``, ``"trace"``; the trace program also holds the
+        tier-up counters), the CPU metadata (``"cpu_meta"``) and every
+        analysis (``(manager, name)``) live in this one dict.  It
         is tagged with the module's shape -- the global count and each
         function's name, block count and instruction count -- and is
         replaced by an empty dict whenever the shape no longer matches,

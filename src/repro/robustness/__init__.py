@@ -40,7 +40,6 @@ __getattr__, __dir__ = lazy_exports(
             "fingerprint_from_frames",
             "record_crash",
             "triage",
-            "triage_exceptions",
         ),
         "chaos": ("ChaosCase", "ChaosReport", "run_chaos"),
         "campaign": ("CampaignReport", "Mutant", "MutantRun", "run_campaign"),
@@ -61,7 +60,6 @@ __all__ = [
     "fingerprint_from_frames",
     "record_crash",
     "triage",
-    "triage_exceptions",
     "ChaosCase",
     "ChaosReport",
     "run_chaos",

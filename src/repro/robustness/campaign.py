@@ -79,6 +79,7 @@ from ..core.config import BASELINE, SCHEMES
 from ..core.framework import protect, protect_all
 from ..frontend.driver import compile_source
 from ..hardware.cpu import CPU
+from ..hardware.tracec import trace_compile
 from ..observability import current_tracer, get_event_log, get_metrics
 from .faults import FaultInjector, FaultPlan, FaultSpec
 from .reduce import reduce_source
@@ -466,6 +467,11 @@ def _run_one(
     """One execution: fresh controller and injector per tier run."""
     controller = build_attack(scenario, mutant)
     cpu = CPU(module, seed=seed, attack=controller, interpreter=interpreter)
+    if interpreter == "trace":
+        # Compile eagerly: a tier-up run of one mutant would mostly
+        # stay decoded and compare the decoded tier against itself.
+        trace_compile(module)
+        assert not cpu.tier_program.pending, "trace run starts compiled"
     injector = None
     if plan is not None:
         injector = FaultInjector(plan)

@@ -195,6 +195,21 @@ def _classify_execution(
     return "faulted", f"{result.status} ({result.trap})"
 
 
+def _cpu(module, seed: int, interpreter: Optional[str]) -> CPU:
+    """A CPU for one chaos run; the trace tier starts fully compiled.
+
+    Compiled eagerly, so the trace column checks the generated code
+    rather than decoded calls that never reached the tier-up threshold.
+    """
+    cpu = CPU(module, seed=seed, interpreter=interpreter)
+    if cpu.interpreter == "trace":
+        from ..hardware.tracec import trace_compile
+
+        trace_compile(module)
+        assert not cpu.tier_program.pending, "trace run starts compiled"
+    return cpu
+
+
 def _run_execution_case(
     index: int,
     spec: FaultSpec,
@@ -209,7 +224,7 @@ def _run_execution_case(
     injector = FaultInjector(plan, only=index)
     task = f"chaos[{index}]:{spec.kind}"
     try:
-        cpu = CPU(protected_module, seed=seed, interpreter=interpreter)
+        cpu = _cpu(protected_module, seed, interpreter)
         injector.arm(cpu)
         result = cpu.run(inputs=list(inputs))
     except Exception as exc:  # an uncaught interpreter bug: triage it
@@ -349,7 +364,7 @@ def run_chaos(
         needed.add(DEFAULT_SCHEME)
     protections = protect_all(module, schemes=tuple(sorted(needed)), consume=True)
     baselines = {
-        scheme: CPU(result.module, seed=seed, interpreter=interpreter).run(
+        scheme: _cpu(result.module, seed, interpreter).run(
             inputs=list(program.inputs)
         )
         for scheme, result in protections.items()

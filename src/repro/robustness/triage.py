@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 #: Frames kept in a stack signature (innermost last).
 MAX_FRAMES = 8
@@ -130,8 +130,3 @@ def triage(records: Iterable[CrashRecord]) -> TriageReport:
     for record in records:
         report.add(record)
     return report
-
-
-def triage_exceptions(pairs: Iterable[Tuple[str, BaseException]]) -> TriageReport:
-    """Convenience: fingerprint and bucket raw ``(task, exc)`` pairs."""
-    return triage(record_crash(task, exc) for task, exc in pairs)

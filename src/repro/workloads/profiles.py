@@ -73,10 +73,6 @@ class BenchmarkProfile:
 
     seed: int = 1
 
-    @property
-    def is_cpp(self) -> bool:
-        return self.language == "c++"
-
 
 def _p(**kwargs) -> BenchmarkProfile:
     return BenchmarkProfile(**kwargs)

@@ -83,7 +83,7 @@ class TestBasics:
         pts_a = alias.points_to(calls[0])
         pts_b = alias.points_to(calls[1])
         assert pts_a and pts_b and not (pts_a & pts_b)
-        assert next(iter(pts_a)).is_heap
+        assert next(iter(pts_a)).kind == "heap"
 
 
 class TestInterprocedural:

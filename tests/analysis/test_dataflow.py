@@ -48,14 +48,6 @@ class TestMemoryDefUse:
         assert len(ic_defs) == 1
         assert ic_defs[0].ic_site.kind == "get"
 
-    def test_may_defs_for_load(self):
-        source = "int main() { int a[2]; a[0] = 5; return a[0]; }"
-        module, alias, memdu = build(source)
-        load = loads_in(module, "main")[0]
-        defs = memdu.may_defs_for_load(load)
-        assert len(defs) == 1
-        assert isinstance(defs[0].inst, Store)
-
     def test_def_ids_unique(self, listing1_module):
         from repro.core import clone_module
 

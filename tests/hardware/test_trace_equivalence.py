@@ -59,6 +59,11 @@ def assert_same(expected, trace, context):
 
 def run_with(module, interpreter, inputs=(), **kwargs):
     cpu = CPU(module, seed=2024, interpreter=interpreter, **kwargs)
+    if interpreter == "trace":
+        # Compile eagerly, so every function runs its generated code
+        # rather than staying decoded below the tier-up threshold.
+        trace_compile(module, kwargs.get("trace_profile"))
+        assert not cpu.tier_program.pending
     return cpu.run(inputs=list(inputs))
 
 
@@ -119,6 +124,8 @@ def test_scenario_equivalence_all_schemes(scenario_name):
     module = scenario.compile()
     for scheme in SCHEMES:
         protected = protect(module, scheme=scheme)
+        # Eager: the scenario's trace runs find every function compiled.
+        trace_compile(protected.module)
         for run in ("benign", "attack"):
             runs = {}
             for interpreter in ("reference", "trace"):

@@ -124,3 +124,29 @@ class TestCPUIntegration:
         assert any(line.startswith("run: status=ok") for line in lines)
         assert any("hot functions" in line for line in lines)
         assert any("hot blocks" in line for line in lines)
+
+
+def test_trace_profile_report_matches_an_eager_compile():
+    """A profiled trace-tier run compiles everything up front, so its
+    report (hot regions by header included) is the one an explicitly
+    compiled module gives, as before the trace tier compiled lazily."""
+    from repro.hardware import trace_compile
+    from repro.workloads import generate_program, get_profile
+
+    program = generate_program(get_profile("505.mcf_r"))
+
+    def profiled_report(eager: bool):
+        module = protect(program.compile(), scheme="pythia").module
+        if eager:
+            trace_compile(module)
+        profiler = ExecutionProfiler()
+        cpu = CPU(module, interpreter="trace", profiler=profiler)
+        assert not cpu.tier_program.pending
+        return profiler.report(cpu.run(inputs=list(program.inputs)))
+
+    report = profiled_report(eager=False)
+    assert report == profiled_report(eager=True)
+    assert report["blocks"] and report["totals"]["interpreter"] == "trace"
+    assert "hot regions (trace tier, by header, by cycles):" in format_report(
+        report
+    )

@@ -9,7 +9,6 @@ from repro.robustness import (
     fingerprint_from_frames,
     record_crash,
     triage,
-    triage_exceptions,
 )
 from repro.robustness.triage import MAX_FRAMES
 
@@ -81,15 +80,6 @@ class TestTriage:
     def test_summary_names_count_and_exemplar(self):
         lines = report = triage(self.records()).summary_lines()
         assert any("2x" in line and "t1" in line for line in lines)
-
-    def test_triage_exceptions_convenience(self):
-        pairs = [
-            ("a", capture("int main() { return bogus; }")),
-            ("b", capture("int main() { return undeclared; }")),
-        ]
-        report = triage_exceptions(pairs)
-        assert report.total_crashes == 2
-        assert len(report.buckets) == 1
 
     def test_record_crash_captures_message(self):
         exc = capture("int main() { return bogus; }")

@@ -38,8 +38,8 @@ class TestProfiles:
         assert profile_names()[-1] == "nginx"
 
     def test_languages(self):
-        assert get_profile("510.parest_r").is_cpp
-        assert not get_profile("505.mcf_r").is_cpp
+        assert get_profile("510.parest_r").language == "c++"
+        assert get_profile("505.mcf_r").language != "c++"
 
     def test_fully_protectable_profiles_have_no_opaque_helpers(self):
         for name in ("519.lbm_r", "505.mcf_r", "525.x264_r"):
