@@ -199,6 +199,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"[exec] {'decode+compile':24s} {result.decode_seconds * 1e3:8.2f}ms",
             file=sys.stderr,
         )
+        program = cpu.tier_program
+        if program is not None:
+            compiled = len(program.functions)
+            print(
+                f"[exec] {'compiled functions':24s} "
+                f"{compiled}/{compiled + len(program.pending)}",
+                file=sys.stderr,
+            )
     sys.stdout.write(result.output.decode("utf-8", "replace"))
     print(
         f"[{args.scheme}] status={result.status} return={result.return_value} "
@@ -770,8 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timings",
         action="store_true",
-        help="print per-phase compile timings and the run's decode and "
-        "compile time to stderr",
+        help="print per-phase compile timings, the run's decode and "
+        "compile time and its compiled-function count to stderr",
     )
     p.add_argument(
         "--profile-out",

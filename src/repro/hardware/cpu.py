@@ -24,10 +24,10 @@ Four interpreter tiers execute the same semantics:
   (:func:`repro.hardware.tracec.trace_compile`) that emits generated
   Python with batched accounting.  ``block`` selects no region, so
   every basic block is one generated function; ``trace`` fuses hot
-  loops and small functions into one function per region.  ``trace``
-  compiles lazily: a function runs decoded until its own steps pay
-  back its compile cost, then compiles for its next call (see
-  :mod:`repro.hardware.tracec`).
+  loops and small functions into one function per region.  Without a
+  profiler or ``trace_profile``, ``trace`` compiles lazily: a function
+  runs decoded until its own steps pay back its compile cost, then
+  compiles for its next call (see :mod:`repro.hardware.tracec`).
 
 Select with ``CPU(..., interpreter="reference")`` or the
 ``REPRO_INTERPRETER`` environment variable.
@@ -390,14 +390,15 @@ class CPU:
             # cannot be trusted (non-default costs or issue width,
             # step-limit crossings).  ``trace_profile`` is the warmup
             # run's per-block execution counts; without it, the trace
-            # tier selects regions statically.  The block tier and a
-            # profiled trace run compile every function up front; an
-            # unprofiled trace run tiers functions up as they get hot.
+            # tier selects regions statically.  The block tier, a trace
+            # run with a profiler and one given ``trace_profile`` compile
+            # every function up front; any other trace run tiers
+            # functions up as they get hot.
             from .tracec import trace_compile, trace_program
 
             self._decoded, self.decode_seconds = decode_module(module)
-            if interpreter == "trace" and profiler is None:
-                self._block = trace_program(module, trace_profile)
+            if interpreter == "trace" and profiler is None and trace_profile is None:
+                self._block = trace_program(module)
             else:
                 self._block, compile_seconds = trace_compile(
                     module, trace_profile, regions=interpreter == "trace"

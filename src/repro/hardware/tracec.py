@@ -78,25 +78,27 @@ digest (:func:`repro.perf.regions.profile_digest`) matches too.
 
 **Tier-up.**  A :class:`TraceProgram` compiles one function at a time
 (:meth:`TraceProgram.compile`).  :func:`trace_compile` compiles every
-function still pending; the block tier, a profiled CPU and the
-tier-differential harnesses use it.  An unprofiled trace-tier CPU
-instead takes the program from :func:`trace_program` with nothing
-compiled and tiers functions up: :meth:`CPU._call` counts the steps
-each decoded call executes itself (its callees' steps excluded) on the
-program's ``steps``, and once a function's count reaches
-:data:`TIER_UP_STEPS_PER_INST` times its IR instruction count, compiles
-it for its *next* call -- a call already running stays decoded.  The
-counters live on the memoized program, so repeated CPUs on one module
-converge on compiled code, and ``invalidate_derived()`` resets them.
+function still pending; the block tier, a CPU with a ``profiler`` or
+a ``trace_profile`` and the tier-differential harnesses use it.  Any
+other trace-tier CPU instead takes the program from
+:func:`trace_program` with nothing compiled and tiers functions up:
+:meth:`CPU._call` counts the steps each decoded call executes itself
+(its callees' steps excluded) on the program's ``steps``, and once a
+function's count reaches :data:`TIER_UP_STEPS_PER_INST` times its IR
+instruction count, compiles it for its *next* call -- a call already
+running stays decoded.  The counters live on the memoized program, so
+repeated CPUs on one module converge on compiled code, and
+``invalidate_derived()`` resets them.
 
 The constant is the measured break-even: one function's compile costs
 161-178 us per IR instruction, and a compiled step saves 0.61-0.88 us
 over a decoded one (pythia variants, static selection, 2-vCPU host,
 Python 3.11), so a function pays back after 182-294 of its own steps
-per instruction.  A program that runs once -- most of the suite, chaos and campaign paths -- then
-compiles nothing it cannot amortize.  The known limit: work inside one
-long call (a hot loop in ``main``) stays decoded for the whole call,
-since compiled code is entered only at a call boundary.
+per instruction.  A program that runs once -- compile-cold and most of
+the suite -- then compiles nothing it cannot amortize.  The known
+limit: work inside one long call (a hot loop in ``main``) stays decoded
+for the whole call, since compiled code is entered only at a call
+boundary; DESIGN.md ("Tier-up") has the measured cost of both sides.
 """
 
 from __future__ import annotations

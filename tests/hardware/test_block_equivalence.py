@@ -63,6 +63,11 @@ def assert_same(expected, block, context):
 
 def run_with(module, interpreter, inputs=(), **kwargs):
     cpu = CPU(module, seed=2024, interpreter=interpreter, **kwargs)
+    if interpreter == "trace":
+        # Compile eagerly, so every function runs its generated code
+        # rather than staying decoded below the tier-up threshold.
+        trace_compile(module, kwargs.get("trace_profile"))
+        assert not cpu.tier_program.pending
     return cpu.run(inputs=list(inputs))
 
 

@@ -164,6 +164,17 @@ def test_profiled_trace_run_compiles_eagerly():
     assert not cpu.tier_program.pending
 
 
+def test_trace_run_given_a_profile_compiles_eagerly():
+    from repro.observability import ExecutionProfiler
+
+    module = compile_source(SOURCE)
+    profiler = ExecutionProfiler()
+    run(module, "block", profiler=profiler)
+    cpu = CPU(module, interpreter="trace", trace_profile=profiler.block_counts())
+    assert not cpu.tier_program.pending
+    assert cpu.tier_program.region_count >= 1
+
+
 def test_default_threshold_compiles_nothing_on_compile_cold_programs():
     # The programs one compile-cold round measures: a seed-1 variant of
     # every profile, under every scheme.

@@ -216,6 +216,10 @@ def test_custom_costs_fall_back_to_decoded(listing1_module):
     expected_cpu.timing.costs["load"] = 9
     expected = expected_cpu.run()
     trace_cpu = CPU(module, seed=2024, interpreter="trace")
+    # Compiled code exists, so the fallback is what keeps it unused.
+    trace_compile(module)
+    assert trace_cpu.tier_program.functions
+    assert not trace_cpu.tier_program.pending
     trace_cpu.timing.costs["load"] = 9
     trace = trace_cpu.run()
     assert_same(expected, trace, "custom costs")
@@ -228,6 +232,10 @@ def test_non_default_issue_width_falls_back(listing1_module):
     expected_cpu.timing.issue_width = 2
     expected = expected_cpu.run()
     trace_cpu = CPU(module, seed=2024, interpreter="trace")
+    # Compiled code exists, so the fallback is what keeps it unused.
+    trace_compile(module)
+    assert trace_cpu.tier_program.functions
+    assert not trace_cpu.tier_program.pending
     trace_cpu.timing.issue_width = 2
     trace = trace_cpu.run()
     assert_same(expected, trace, "issue width 2")

@@ -374,6 +374,40 @@ class TestObservabilityFlags:
         expected.append(f"[timing] {'total':24s} {sum(phases.values()) * 1e3:8.2f}ms")
         assert timing_lines == expected
 
+    def test_timings_report_functions_tiered_up_mid_run(self, tmp_path, capsys):
+        # step()'s own steps pass the default tier-up threshold within
+        # its first calls; main runs once and stays decoded.
+        source = tmp_path / "tierup.c"
+        source.write_text(
+            "int step(int x) {\n"
+            "  int total = 0;\n"
+            "  for (int i = 0; i < 8; i = i + 1) { total = total + x * i; }\n"
+            "  return total % 1009;\n"
+            "}\n"
+            "int main() {\n"
+            "  int acc = 0;\n"
+            "  for (int i = 0; i < 400; i = i + 1) { acc = acc + step(i); }\n"
+            "  printf(\"acc=%d\\n\", acc % 9973);\n"
+            "  return 0;\n"
+            "}\n"
+        )
+        outputs = {}
+        for tier in ("trace", "decoded"):
+            code, out, err = run_cli(
+                ["run", str(source), "--interpreter", tier, "--timings"], capsys
+            )
+            assert code == 0
+            status = [line for line in err.splitlines() if "status=" in line]
+            compiled = [
+                line.split()[-1]
+                for line in err.splitlines()
+                if line.startswith("[exec] compiled functions")
+            ]
+            outputs[tier] = (out, status, compiled)
+        assert outputs["trace"][2] == ["1/2"]
+        assert outputs["decoded"][2] == []
+        assert outputs["trace"][:2] == outputs["decoded"][:2]
+
     def test_suite_merges_worker_telemetry(self, tmp_path, capsys):
         import json
 

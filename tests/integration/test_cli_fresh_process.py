@@ -56,9 +56,13 @@ def repro_cli(*argv):
 
 
 @pytest.mark.parametrize("tier", ["reference", "decoded", "block", "trace"])
-def test_run_matches_in_process(victim_path, capsys, monkeypatch, tier):
+def test_run_matches_in_process(victim_path, tmp_path, capsys, monkeypatch, tier):
     monkeypatch.delenv("REPRO_INTERPRETER", raising=False)
     argv = ["run", victim_path, "--interpreter", tier, "--input", "world"]
+    if tier == "trace":
+        # A profiler makes the trace tier compile every function up
+        # front, so the generated code runs (and imports) here too.
+        argv += ["--profile-out", str(tmp_path / "profile.json")]
     code = main(argv)
     captured = capsys.readouterr()
     fresh = repro_cli(*argv)
