@@ -17,6 +17,12 @@ reference/decoded pairs and the speedup is the ratio of the per-side
 minima -- the minimum estimates the noise-free cost, and interleaving
 keeps slow phases from landing on one side only.
 
+Each scheme also records ``decoded_ops_per_step``: the Python bytecodes
+one decoded run executes per simulated step
+(:func:`repro.perf.count_python_ops`).  It does not jitter with the
+host, so it shows a change to the decoded loop's cost that the
+wall-clock columns cannot; it is reported, not gated.
+
 Appends one entry to ``BENCH_interp.json`` (see repro.perf.trajectory)
 so throughput can be tracked across commits, and fails when the block
 tier's geomean steps/s regresses more than ``--max-block-regression``
@@ -48,7 +54,12 @@ from repro.core.config import SCHEMES
 from repro.core.framework import protect
 from repro.hardware import CPU, decode_module, trace_compile
 from repro.observability import ExecutionProfiler
-from repro.perf import append_entry, check_block_regression_file, run_suite
+from repro.perf import (
+    append_entry,
+    check_block_regression_file,
+    count_python_ops,
+    run_suite,
+)
 from repro.workloads import generate_program, get_profile, profile_names
 
 #: Architectural counters that must match between backends exactly.
@@ -134,6 +145,17 @@ def measure_scheme(module, inputs, seed, repeat):
     return best, results, decode_seconds, block_seconds, trace_seconds, codegen
 
 
+def decoded_ops_per_step(module, inputs, seed):
+    """Python bytecodes per simulated step of one decoded run.
+
+    Called after the timed runs, so the decoded program and frame plans
+    are already built and the count is the same on every call.
+    """
+    cpu = CPU(module, seed=seed, interpreter="decoded")
+    result, ops = count_python_ops(cpu.run, inputs=list(inputs))
+    return round(ops / result.steps, 2)
+
+
 def geomean(values):
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
@@ -216,6 +238,9 @@ def main(argv=None) -> int:
         block_speedup = best["decoded"] / best["block"]
         trace_speedup = best["decoded"] / best["trace"]
         steps = results["decoded"].steps
+        ops_per_step = decoded_ops_per_step(
+            protected.module, program.inputs, args.seed
+        )
         steps_per_second = steps / best["decoded"]
         block_steps_per_second = steps / best["block"]
         trace_steps_per_second = steps / best["trace"]
@@ -238,6 +263,7 @@ def main(argv=None) -> int:
             "steps_per_second": round(steps_per_second, 1),
             "block_steps_per_second": round(block_steps_per_second, 1),
             "trace_steps_per_second": round(trace_steps_per_second, 1),
+            "decoded_ops_per_step": ops_per_step,
         }
         print(
             f"  {scheme:8s} reference={best['reference'] * 1e3:8.2f}ms "
@@ -246,7 +272,8 @@ def main(argv=None) -> int:
             f"trace={best['trace'] * 1e3:8.2f}ms "
             f"decoded/ref={speedup:5.2f}x block/decoded={block_speedup:5.2f}x "
             f"trace/decoded={trace_speedup:5.2f}x "
-            f"({trace_steps_per_second:,.0f} steps/s trace) counters identical"
+            f"({trace_steps_per_second:,.0f} steps/s trace, "
+            f"{ops_per_step:.1f} Python ops/step decoded) counters identical"
         )
 
     geomean_speedup = geomean(speedups)

@@ -2,18 +2,18 @@
 tiers, plus the trap-time counter fix-up they share.
 
 The decoded tier (:mod:`repro.hardware.decoder`) removed operand and
-opcode dispatch but still pays one Python call per dynamic instruction
-(``handler(cpu, frame)``) plus per-instruction step/timing bookkeeping
-in the interpreter loop.  The emitters here remove both: a decoded
-basic block is fused into a *single generated Python function* that
+opcode dispatch and charges its accounting once per *chunk* (a maximal
+run of ops with no interpreter re-entry), but still pays one Python
+call per dynamic instruction (``handler(cpu, frame)``) and one loop
+iteration per chunk.  The emitters here remove both: a decoded basic
+block is fused into a *single generated Python function* that
 
 - inlines the straight-line handler bodies (loads, stores, geps, int
   arithmetic, compares, casts, selects, PAC and DFI intrinsics) as
   plain statements over ``frame[...]`` slots;
-- batches the step count, instruction count, opcode counts and the
-  bounded-width issue model into one update per *chunk* (a maximal run
-  of ops with no interpreter re-entry), using tables precomputed for
-  every possible entry state of the cheap-op run counter;
+- charges each chunk as one inline update, from the decoder's tables
+  of cycles and issue residue per entry state of the cheap-op run
+  counter, and may merge chunks across fused blocks;
 - compiles phi routing inline into the terminator as one parallel
   tuple assignment per taken edge;
 - direct-threads control flow: each generated function returns the
@@ -39,23 +39,24 @@ body in ``except BaseException`` and repairs the counters before
 re-raising: the traceback's line number (every generated line is mapped
 to its op index at compile time) identifies the trapping op, the
 chunk's recorded entry state ``_r0`` replays the issue model up to that
-op, and the overshoot is subtracted.  Order of cycle accumulation
-within a chunk differs from the reference, but every charge in the
-model is a dyadic rational (integer costs, 0.25-per-byte library
-calls), so float accumulation is exact and order-insensitive.
+op, and the overshoot is subtracted -- the same repair the decoded
+loop makes (:func:`~repro.hardware.decoder._undo_chunk_tail`).  Order
+of cycle accumulation within a chunk differs from the reference, but
+every charge in the model is a dyadic rational (integer costs,
+0.25-per-byte library calls), so float accumulation is exact and
+order-insensitive.
 
 Batched accounting bakes in ``DEFAULT_COSTS`` and the default issue
 width; :meth:`CPU._call` only dispatches to compiled code while the
-timing model still matches, and falls back to the decoded tier
-otherwise.  A block whose execution could cross the step limit is
-delegated, pending phi routing included, to the decoded loop, which
-raises ``StepLimitExceeded`` at exactly the right op.
+timing model still matches, and falls back to the decoded tier's
+per-op loop otherwise.  A block whose execution could cross the step
+limit is delegated, pending phi routing included, to the decoded loop,
+which raises ``StepLimitExceeded`` at exactly the right op.
 
 The deliberate divergence on *malformed, unverified* IR is shared with
 the decoded tier (``KeyError`` instead of the reference
-``RuntimeError``), with one addition: a phi-routing ``KeyError`` on a
-malformed edge surfaces with the whole edge's phi charges applied
-rather than a prefix.
+``RuntimeError``), and the tiers may apply different numbers of a
+malformed edge's phi charges before its ``KeyError``.
 """
 
 from __future__ import annotations
@@ -82,14 +83,15 @@ from ..ir.instructions import (
     Store,
 )
 from ..ir.types import IntType
-from .decoder import DecodedBlock, _gep_plan, _spec
+from .decoder import (
+    CHUNK_ISSUE_WIDTH,
+    DecodedBlock,
+    _gep_plan,
+    _spec,
+    _undo_chunk_tail,
+)
 
 _MASK64 = (1 << 64) - 1
-
-#: The issue width the chunk tables are computed for (the TimingModel
-#: default); the CPU only dispatches to compiled code when its timing
-#: model still uses this width and DEFAULT_COSTS.
-BLOCK_ISSUE_WIDTH = 4
 
 
 class BlockCode:
@@ -128,35 +130,15 @@ class _BlockMeta:
         self.line_map: Dict[int, int] = {}
 
 
-def _simulate(costs, width: int, r0: int) -> Tuple[int, int]:
-    """Replay the bounded-width issue model over a cost sequence."""
-    cycles = 0
-    r = r0
-    for cost in costs:
-        if cost <= 1:
-            r += 1
-            if r >= width:
-                cycles += 1
-                r = 0
-        else:
-            cycles += cost
-            r = 0
-    return cycles, r
-
-
-def _chunk_tables(op_info, s: int, e: int) -> Tuple[tuple, tuple]:
-    """Cycles charged and issue residue left by ops ``s:e``, per entry residue."""
-    costs = [op_info[i][1] for i in range(s, e)]
-    runs = [_simulate(costs, BLOCK_ISSUE_WIDTH, r) for r in range(BLOCK_ISSUE_WIDTH)]
-    return tuple(run[0] for run in runs), tuple(run[1] for run in runs)
-
-
 def _trap_fixup(cpu, timing, counts, meta: _BlockMeta, exc: BaseException) -> None:
     """Undo the not-yet-executed tail of the trapping op's chunk.
 
     Called from the generated ``except`` clause; the traceback's head
     frame is the generated function's own invocation, so its lineno and
-    locals identify the trapping op and the chunk entry state.
+    locals identify the trapping op and the chunk entry state, and
+    :func:`~repro.hardware.decoder._undo_chunk_tail` (shared with the
+    decoded loop) takes the tail's charges back.  ``counts`` is
+    ``timing.opcode_counts``, which the generated code has flushed.
     """
     tb = exc.__traceback__
     if tb is None:
@@ -179,43 +161,7 @@ def _trap_fixup(cpu, timing, counts, meta: _BlockMeta, exc: BaseException) -> No
     r0 = frame_locals.get("_r0")
     if r0 is None:
         return
-    width = timing.issue_width
-    applied = 0
-    actual = 0
-    r_actual = r0
-    r = r0
-    for i in range(s, e):
-        cost_i = ops[i][1]
-        if cost_i <= 1:
-            r += 1
-            if r >= width:
-                applied += 1
-                r = 0
-        else:
-            applied += cost_i
-            r = 0
-        if i == k:
-            actual = applied
-            r_actual = r
-    timing.cycles -= applied - actual
-    timing._cheap_run = r_actual
-    over = e - 1 - k
-    if over:
-        timing.instructions -= over
-        # Trace-tier chunks interleave 'phi' pseudo-ops (edge-routing
-        # charges: instructions and issue slots, but no step), so the
-        # step overshoot counts only the real ops past the trap.
-        steps_over = over
-        for i in range(k + 1, e):
-            name = ops[i][0]
-            if name == "phi":
-                steps_over -= 1
-            n = counts.get(name, 0) - 1
-            if n <= 0:
-                counts.pop(name, None)
-            else:
-                counts[name] = n
-        cpu.steps -= steps_over
+    _undo_chunk_tail(cpu, timing, [op[0] for op in ops[s:e]], k - s, r0)
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +638,8 @@ def _emit_phi_edge(gen: _FnGen, route, indent: int, acc: Tuple[str, str, str]) -
     gen.emit(f"{instructions} += {n}", indent=indent)
     gen.emit(f"counts['phi'] += {n}", indent=indent)
     gen.emit(f"_pr = {residue} + {n}", indent=indent)
-    gen.emit(f"{cycles} += _pr // {BLOCK_ISSUE_WIDTH}", indent=indent)
-    gen.emit(f"{residue} = _pr % {BLOCK_ISSUE_WIDTH}", indent=indent)
+    gen.emit(f"{cycles} += _pr // {CHUNK_ISSUE_WIDTH}", indent=indent)
+    gen.emit(f"{residue} = _pr % {CHUNK_ISSUE_WIDTH}", indent=indent)
     targets = ", ".join(gen.target(phi) for phi, _, _ in route)
     values = ", ".join(
         gen.operand((constant, payload)) for _, constant, payload in route

@@ -19,7 +19,8 @@ Four interpreter tiers execute the same semantics:
   kept as the semantic oracle (see the golden-equivalence test suite).
 - ``decoded`` (the default): walks blocks pre-compiled by
   :mod:`repro.hardware.decoder` into bound handler closures -- operand
-  kinds resolved once, constants folded, GEP strides pre-multiplied.
+  kinds resolved once, constants folded, GEP strides pre-multiplied --
+  and charges the timing model once per chunk of ops, not per op.
 - ``block`` and ``trace``: one compiler over the decoded program
   (:func:`repro.hardware.tracec.trace_compile`) that emits generated
   Python with batched accounting.  ``block`` selects no region, so
@@ -46,6 +47,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import length_hint
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from collections import deque
@@ -79,7 +81,9 @@ from .allocator import OutOfMemoryError, SectionedHeap
 from .cache import CacheModel
 from .decoder import (
     BLOCK_RET,
+    CHUNK_ISSUE_WIDTH,
     DecodedBlock,
+    _undo_chunk_tail,
     compute_global_layout,
     decode_module,
 )
@@ -404,27 +408,33 @@ class CPU:
                     module, trace_profile, regions=interpreter == "trace"
                 )
                 self.decode_seconds += compile_seconds
+        #: chunk id -> times the decoded loop charged that chunk; folded
+        #: into the opcode histogram by run() (see _fold_chunk_hits)
+        self._hits = (
+            None if self._decoded is None else [0] * len(self._decoded.chunk_ops)
+        )
         #: steps retired by the calls the current call made (tier-up)
         self._callee_steps = 0
-        self._refresh_block_fast()
+        self._refresh_batched()
         self._layout_globals()
 
-    def _refresh_block_fast(self) -> None:
-        """Cache whether the block/trace program's batched accounting
-        matches this CPU's timing model.
+    def _refresh_batched(self) -> None:
+        """Cache whether batched accounting matches this CPU's timing model.
 
-        The comparison includes a dict equality over the full cost
-        table, far too expensive for every ``_call``; tests that
-        customise ``timing.costs``/``issue_width`` mutate them between
+        Decoded chunks and the block/trace programs charge from tables
+        built for ``DEFAULT_COSTS`` and the default issue width.  The
+        comparison includes a dict equality over the full cost table,
+        far too expensive for every ``_call``; tests that customise
+        ``timing.costs``/``issue_width`` mutate them between
         construction and :meth:`run`, so recomputing at both points
-        keeps the documented fallback-to-decoded contract.
+        keeps the documented fallback to the per-op decoded loop.
         """
-        block = self._block
-        self._block_fast = (
-            block is not None
-            and self.timing.issue_width == block.issue_width
+        self._chunked = (
+            self.timing.issue_width == CHUNK_ISSUE_WIDTH
             and self.timing.costs == DEFAULT_COSTS
         )
+        block = self._block
+        self._block_fast = block is not None and self._chunked
         #: the program whose functions still tier up, while it has any
         self._tier_up = block if self._block_fast and block.pending else None
 
@@ -508,7 +518,7 @@ class CPU:
         inputs: Optional[Sequence[bytes]] = None,
     ) -> ExecutionResult:
         """Execute ``function_name`` to completion or trap."""
-        self._refresh_block_fast()
+        self._refresh_batched()
         if inputs:
             self.input_queue.extend(inputs)
         status = "ok"
@@ -533,6 +543,8 @@ class CPU:
             status, trap = "limit", exc
         except ProgramExit as exc:
             return_value = exc.code
+        finally:
+            self._fold_chunk_hits()
         wall = time.perf_counter() - start
         if trap is not None:
             # Trap-only instrumentation: nothing here runs on the hot
@@ -553,7 +565,8 @@ class CPU:
             ipc=self.timing.ipc,
             # Zero entries mean "never executed" and must read as absent:
             # the trace tier's batched tally flush adds += 0 for region
-            # chunks a trap or side exit skipped entirely.
+            # chunks a trap or side exit skipped entirely, and a trap's
+            # tail repair can bring an opcode back to 0.
             opcode_counts={
                 name: count
                 for name, count in self.timing.opcode_counts.items()
@@ -572,6 +585,18 @@ class CPU:
             decode_seconds=self.decode_seconds,
             interpreter=self.interpreter,
         )
+
+    def _fold_chunk_hits(self) -> None:
+        """Add the decoded chunks charged so far to the opcode histogram."""
+        hits = self._hits
+        if not hits or not any(hits):
+            return
+        counts = self.timing.opcode_counts
+        for n, opcodes in zip(hits, self._decoded.chunk_ops):
+            if n:
+                for name in opcodes:
+                    counts[name] += n
+        hits[:] = [0] * len(hits)
 
     # -- execution engine -----------------------------------------------------------
 
@@ -735,15 +760,157 @@ class CPU:
         frame: Dict[Value, int],
         previous: Optional[DecodedBlock] = None,
     ) -> Optional[int]:
-        # The per-step timing charge is inlined below: the same
-        # arithmetic as TimingModel.charge, but against local mirrors of
-        # the three hottest counters (dynamic steps, instruction count,
-        # cheap-op run length).  Nothing outside the interpreter loops
-        # touches those three -- library models only ever call
-        # charge_cycles/charge_libcall, which update cycles and
-        # opcode_counts directly -- so the mirrors need syncing only
-        # around ops that may re-enter an interpreter loop (calls and
-        # fallbacks, pre-flagged by the decoder) and on the way out.
+        # Batched accounting, one charge per chunk (see the decoder's
+        # module docstring): the step limit is checked, and steps,
+        # instructions, cycles and the issue residue move, once per
+        # chunk before its handlers run; the opcode histogram is one
+        # hit counter per chunk.  Steps, the residue, the instructions
+        # retired beyond the steps (phis) and the cycles not yet added
+        # to ``timing`` live in locals.  Nothing outside the interpreter
+        # loops reads those counters mid-run -- library models and the
+        # cache only add to cycles and opcode_counts, and additions
+        # commute -- so the locals need syncing only around a chunk's
+        # closing impure op (a call or fallback, which may re-enter an
+        # interpreter loop or read the counters) and on the way out.
+        if not self._chunked:
+            return self._interpret_exact(block, frame, previous)
+        timing = self.timing
+        hits = self._hits
+        max_steps = self.max_steps
+        steps = self.steps
+        extra = timing.instructions - steps
+        cheap = timing._cheap_run
+        cycles_due = 0
+        phis = 0
+        synced = False
+        try:
+            while True:
+                if previous is not None and block.phi_routes:
+                    # Routes exist for every decoded edge, and control
+                    # only arrives here along decoded edges.
+                    route = block.phi_routes[previous]
+                    if route.__class__ is str:
+                        raise KeyError(route)
+                    if route:
+                        n = len(route)
+                        if n == 1:
+                            ((phi, is_const, payload),) = route
+                            frame[phi] = payload if is_const else frame[payload]
+                        else:
+                            # Parallel evaluation: read all incoming
+                            # values before writing any.
+                            staged = [
+                                payload if is_const else frame[payload]
+                                for _, is_const, payload in route
+                            ]
+                            for entry, value in zip(route, staged):
+                                frame[entry[0]] = value
+                        # Phis are zero-cost under DEFAULT_COSTS: n phis
+                        # are n cheap issue slots.
+                        extra += n
+                        phis += n
+                        cheap += n
+                        if cheap >= CHUNK_ISSUE_WIDTH:
+                            cycles_due += cheap // CHUNK_ISSUE_WIDTH
+                            cheap %= CHUNK_ISSUE_WIDTH
+                for n, pure, impure, cycles, residues, cid in block.chunks:
+                    steps += n
+                    if steps > max_steps:
+                        # The per-op loop stops at the exact op.
+                        steps -= n
+                        self.steps = steps
+                        timing.instructions = steps + extra
+                        timing._cheap_run = cheap
+                        synced = True
+                        start = 0
+                        for chunk in block.chunks:
+                            if chunk[5] == cid:
+                                break
+                            start += chunk[0]
+                        return self._interpret_exact(block, frame, None, start)
+                    r0 = cheap
+                    cycles_due += cycles[r0]
+                    cheap = residues[r0]
+                    hits[cid] += 1
+                    ops = iter(pure)
+                    try:
+                        for op in ops:
+                            op(self, frame)
+                    except BaseException:
+                        # A pure op trapped: the ops after it never ran.
+                        self.steps = steps
+                        timing.instructions = steps + extra
+                        timing.cycles += cycles_due
+                        cycles_due = 0
+                        synced = True
+                        _undo_chunk_tail(
+                            self,
+                            timing,
+                            self._decoded.chunk_ops[cid],
+                            len(pure) - 1 - length_hint(ops),
+                            r0,
+                        )
+                        raise
+                    if impure is not None:
+                        # While synced is set the callee owns the
+                        # counters, and the finally below must not
+                        # clobber them.
+                        self.steps = steps
+                        timing.instructions = steps + extra
+                        timing._cheap_run = cheap
+                        timing.cycles += cycles_due
+                        cycles_due = 0
+                        synced = True
+                        impure(self, frame)
+                        synced = False
+                        steps = self.steps
+                        extra = timing.instructions - steps
+                        cheap = timing._cheap_run
+                term = block.term
+                kind = term[0]
+                if kind == "br":
+                    is_const, payload = term[1]
+                    taken = (payload if is_const else frame[payload]) & 1
+                    previous, block = block, (term[2] if taken else term[3])
+                elif kind == "jump":
+                    previous, block = block, term[1]
+                elif kind == "ret":
+                    spec = term[1]
+                    if spec is None:
+                        return None
+                    is_const, payload = spec
+                    return payload if is_const else frame[payload]
+                else:
+                    source = block.source
+                    owner = source.parent.name if source.parent is not None else "?"
+                    raise RuntimeError(
+                        f"block %{source.name} in @{owner} fell through"
+                    )
+        finally:
+            if cycles_due:
+                timing.cycles += cycles_due
+            if phis:
+                timing.opcode_counts["phi"] += phis
+            if not synced:
+                self.steps = steps
+                timing.instructions = steps + extra
+                timing._cheap_run = cheap
+
+    def _interpret_exact(
+        self,
+        block: DecodedBlock,
+        frame: Dict[Value, int],
+        previous: Optional[DecodedBlock] = None,
+        start: int = 0,
+    ) -> Optional[int]:
+        # The per-op loop: counts, limit-checks and charges every op on
+        # its own, in the reference interpreter's order, so it is exact
+        # for any cost table and issue width.  It runs when the chunk
+        # tables cannot be trusted (a non-default timing model) and for
+        # the chunk that crosses the step limit, entered at that chunk's
+        # first op (``start``) with its phis already routed.  Each charge
+        # is TimingModel.charge inlined against the same local mirrors
+        # as _interpret_decoded, synced around every impure op.
         timing = self.timing
         costs_get = timing.costs.get
         counts = timing.opcode_counts
@@ -785,7 +952,11 @@ class CPU:
                             stage(payload if is_const else frame[payload])
                         for entry, value in zip(route, staged):
                             frame[entry[0]] = value
-                for opname, cost, impure, op in block.ops:
+                ops = block.ops
+                if start:
+                    ops = ops[start:]
+                    start = 0
+                for opname, cost, impure, op in ops:
                     steps += 1
                     if steps > max_steps:
                         raise StepLimitExceeded(f"exceeded {max_steps} steps")

@@ -25,18 +25,44 @@ The decoded program is cached in the module's derived-artifact memo
 transform pipeline drops and whose shape guard catches modules mutated
 outside the pass manager.
 
+Each decoded block is also split into *chunks*: maximal runs of ops
+that end at an impure op (a call or a fallback handler, which may
+re-enter an interpreter loop) or at the terminator, whose charge joins
+the block's last chunk.  A chunk's cost sequence is fixed at decode
+time, so the cycles it charges and the issue residue it leaves are
+precomputed for every entry residue (:func:`_chunk_tables`, interned by
+opcode sequence).  ``CPU._interpret_decoded`` charges a whole chunk at
+once -- one step-limit check, one add each to steps and cycles, one
+per-CPU hit counter -- and then calls its handlers with no per-op
+bookkeeping; the opcode histogram is rebuilt from the hit counters and
+each chunk's composition when the run's result is built.
+The block and trace tiers (:mod:`repro.hardware.blockc`,
+:mod:`repro.hardware.tracec`) batch their accounting the same way and
+share the tables and the trap-time repair here.
+
 Decoded execution is semantically bit-identical to the reference
-interpreter for well-formed modules: the same traps, the same timing
-charges in the same order, the same ``ExecutionResult`` counters.  (The
-one deliberate difference: using a value that was never computed --
-malformed, unverified IR -- surfaces as a ``KeyError`` rather than the
-reference interpreter's ``RuntimeError``.)
+interpreter for well-formed modules: the same traps, the same counters
+at every call, trap and step-limit stop, the same ``ExecutionResult``.
+The reference interpreter charges each op *before* executing it, so
+when an op traps mid-chunk the charges of the chunk's later ops are
+taken back (:func:`_undo_chunk_tail`).  The order of cycle
+accumulation within a chunk differs from the reference, but every
+charge in the model is a dyadic rational (integer costs, 0.25-per-byte
+library calls), so float accumulation is exact and order-insensitive.
+Chunk tables bake in ``DEFAULT_COSTS`` and the default issue width; a
+CPU with another cost table or width, and a chunk that would cross the
+step limit, run the per-op loop (``CPU._interpret_exact``) instead.
+(The one deliberate difference: using a value that was never computed
+-- malformed, unverified IR -- surfaces as a ``KeyError`` rather than
+the reference interpreter's ``RuntimeError``, possibly with a different
+count of phi charges applied.)
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ir.function import BasicBlock, Function
 from ..ir.instructions import (
@@ -74,6 +100,15 @@ _to_signed64 = I64.to_signed
 OperandSpec = Tuple[bool, Union[int, Value]]
 #: A decoded non-terminator step: ``(opcode, default_cost, impure, handler)``.
 Handler = Callable[["object", Dict[Value, int]], None]
+#: ``(n, pure_handlers, impure_handler, cycles, residues, cid)``; see
+#: :attr:`DecodedBlock.chunks`.
+Chunk = Tuple[int, Tuple[Handler, ...], Optional[Handler], tuple, tuple, int]
+
+#: The issue width every chunk table is computed for (the TimingModel
+#: default).  The CPU runs batched accounting -- decoded chunks and the
+#: compiled tiers -- only while its timing model has this width and
+#: ``DEFAULT_COSTS``.
+CHUNK_ISSUE_WIDTH = 4
 
 
 def compute_global_layout(module: Module) -> Dict[str, int]:
@@ -105,6 +140,68 @@ def _spec(value: Value, layout: Dict[str, int]) -> OperandSpec:
 
 
 # ---------------------------------------------------------------------------
+# Batched accounting, shared by every tier that charges per chunk
+# ---------------------------------------------------------------------------
+
+
+def _simulate(costs: Sequence[int], width: int, r0: int) -> Tuple[int, int]:
+    """Replay the bounded-width issue model over a cost sequence."""
+    cycles = 0
+    r = r0
+    for cost in costs:
+        if cost <= 1:
+            r += 1
+            if r >= width:
+                cycles += 1
+                r = 0
+        else:
+            cycles += cost
+            r = 0
+    return cycles, r
+
+
+@lru_cache(maxsize=4096)
+def _chunk_tables(opcodes: Tuple[str, ...]) -> Tuple[Tuple[str, ...], tuple, tuple]:
+    """``(opcodes, cycles, residues)`` for a chunk's opcode sequence.
+
+    ``cycles[r]`` and ``residues[r]`` are what the chunk charges and the
+    issue residue it leaves from entry residue ``r``, under
+    ``DEFAULT_COSTS``.  Interned: chunks with the same opcodes share one
+    ``opcodes`` tuple and one pair of tables, across blocks, functions
+    and modules.
+    """
+    costs = [DEFAULT_COSTS.get(name, 1) for name in opcodes]
+    runs = [_simulate(costs, CHUNK_ISSUE_WIDTH, r) for r in range(CHUNK_ISSUE_WIDTH)]
+    return opcodes, tuple(run[0] for run in runs), tuple(run[1] for run in runs)
+
+
+def _undo_chunk_tail(cpu, timing, opcodes: Sequence[str], k: int, r0: int) -> None:
+    """Take back the charges of the ops after op ``k`` of a chunk.
+
+    The chunk (``opcodes``) was charged whole from issue residue ``r0``
+    before its first op ran, and op ``k`` trapped.  The reference
+    interpreter charges each op just before running it, so the counters
+    must read as if nothing after ``k`` had been charged.  ``'phi'``
+    pseudo-ops (the trace tier's edge-routing charges) retire
+    instructions and issue slots but no step.  Opcode counts are
+    decremented in place: the caller's tally of the whole chunk is, or
+    will be, in ``timing.opcode_counts``.
+    """
+    costs = [DEFAULT_COSTS.get(name, 1) for name in opcodes]
+    applied, _ = _simulate(costs, CHUNK_ISSUE_WIDTH, r0)
+    actual, residue = _simulate(costs[:k + 1], CHUNK_ISSUE_WIDTH, r0)
+    timing.cycles -= applied - actual
+    timing._cheap_run = residue
+    tail = opcodes[k + 1:]
+    if tail:
+        timing.instructions -= len(tail)
+        counts = timing.opcode_counts
+        for name in tail:
+            counts[name] -= 1
+        cpu.steps -= len(tail) - tail.count("phi")
+
+
+# ---------------------------------------------------------------------------
 # Decoded containers
 # ---------------------------------------------------------------------------
 
@@ -112,7 +209,7 @@ def _spec(value: Value, layout: Dict[str, int]) -> OperandSpec:
 class DecodedBlock:
     """One basic block compiled to handler closures plus a terminator."""
 
-    __slots__ = ("source", "ops", "term", "phi_routes")
+    __slots__ = ("source", "ops", "term", "phi_routes", "chunks")
 
     def __init__(self, source: BasicBlock):
         self.source = source
@@ -129,21 +226,35 @@ class DecodedBlock:
         #: is a tuple of (phi, is_const, payload) triples, or an error
         #: message string when a phi has no incoming for the edge.
         self.phi_routes: Dict["DecodedBlock", object] = {}
+        #: the body and terminator as chunks, one tuple each:
+        #: ``(n, pure, impure, cycles, residues, cid)`` -- ``n`` ops
+        #: charged at once (the terminator counts in the last chunk),
+        #: the pure handlers that run first, then the chunk's closing
+        #: impure handler or None; ``cycles[r]``/``residues[r]`` are the
+        #: cycles charged and issue residue left from entry residue
+        #: ``r``; ``cid`` indexes ``DecodedProgram.chunk_ops`` and the
+        #: CPU's hit counters.
+        self.chunks: Tuple[Chunk, ...] = ()
 
 
 class DecodedProgram:
     """All defined functions of one module, decoded."""
 
-    __slots__ = ("functions", "global_layout", "decode_seconds")
+    __slots__ = ("functions", "global_layout", "chunk_ops", "decode_seconds")
 
     def __init__(
         self,
         functions: Dict[Function, DecodedBlock],
         global_layout: Dict[str, int],
+        chunk_ops: List[tuple],
     ):
         #: Function -> entry DecodedBlock
         self.functions = functions
         self.global_layout = global_layout
+        #: chunk id -> the chunk's opcodes in order, its terminator's
+        #: included (interned, see _chunk_tables): what a chunk hit adds
+        #: to the opcode histogram, and what a trap inside it replays
+        self.chunk_ops = chunk_ops
         #: wall seconds spent building this decode (set by decode_module)
         self.decode_seconds = 0.0
 
@@ -156,9 +267,10 @@ class DecodedProgram:
 # pre-bind everything resolvable at decode time; operand fetches use a
 # pre-bound ``v if c else frame[v]`` ternary, which costs two trivial
 # bytecodes when the operand is constant and nothing when it is not.
-# Step counting and timing charges happen in the interpreter loop
-# (see ``CPU._interpret_decoded``), exactly mirroring the reference
-# interpreter's order: count, limit-check, charge, execute.
+# Handlers do no accounting: the interpreter loop (see
+# ``CPU._interpret_decoded``) counts, limit-checks and charges once per
+# chunk, before the chunk's handlers run, and takes back the charges
+# of the ops after one that traps.
 
 
 def _make_alloca(inst: Alloca, layout: Dict[str, int]) -> Handler:
@@ -569,7 +681,51 @@ def _decode_instruction(
 # ---------------------------------------------------------------------------
 
 
-def _decode_function(function: Function, layout: Dict[str, int]) -> DecodedBlock:
+#: Terminator kind -> the opcode it is charged as.
+_TERM_OPCODES = {"ret": "ret", "jump": "br", "br": "br"}
+
+
+def _chunk_block(ops, term: tuple, chunk_ops: List[tuple]) -> Tuple[Chunk, ...]:
+    """Split a block's ops and terminator charge into chunks.
+
+    A chunk ends after each impure op, which must run with every earlier
+    charge of its block applied and none of the later ones; the
+    terminator's charge joins the last chunk.
+    """
+    chunks = []
+    start = 0
+    for end, op in enumerate(ops, 1):
+        if op[2]:
+            chunks.append(_make_chunk(ops[start:end - 1], op[0], op[3], chunk_ops))
+            start = end
+    closing = _TERM_OPCODES.get(term[0])
+    if start < len(ops) or closing is not None:
+        chunks.append(_make_chunk(ops[start:], closing, None, chunk_ops))
+    return tuple(chunks)
+
+
+def _make_chunk(pure_ops, closing, impure, chunk_ops: List[tuple]) -> Chunk:
+    """One chunk: ``pure_ops``, then the ``closing`` opcode if any (an
+    impure op's, whose handler is ``impure``, or the terminator's).
+    Its opcodes are appended to ``chunk_ops`` under a new chunk id."""
+    opcodes = [op[0] for op in pure_ops]
+    if closing is not None:
+        opcodes.append(closing)
+    opcodes, cycles, residues = _chunk_tables(tuple(opcodes))
+    chunk_ops.append(opcodes)
+    return (
+        len(opcodes),
+        tuple([op[3] for op in pure_ops]),
+        impure,
+        cycles,
+        residues,
+        len(chunk_ops) - 1,
+    )
+
+
+def _decode_function(
+    function: Function, layout: Dict[str, int], chunk_ops: List[tuple]
+) -> DecodedBlock:
     dmap: Dict[BasicBlock, DecodedBlock] = {}
     pending: List[BasicBlock] = []
 
@@ -606,6 +762,7 @@ def _decode_function(function: Function, layout: Dict[str, int]) -> DecodedBlock
             ops.append(_decode_instruction(inst, layout))
         dblock.ops = tuple(ops)
         dblock.term = term if term is not None else ("fall",)
+        dblock.chunks = _chunk_block(dblock.ops, dblock.term, chunk_ops)
 
     # Phi routing, per decoded CFG edge.
     for block, dblock in dmap.items():
@@ -656,11 +813,12 @@ def decode_module(module: Module) -> Tuple[DecodedProgram, float]:
         return cached, 0.0
     start = time.perf_counter()
     layout = compute_global_layout(module)
+    chunk_ops: List[tuple] = []
     functions = {
-        function: _decode_function(function, layout)
+        function: _decode_function(function, layout, chunk_ops)
         for function in module.defined_functions()
     }
-    program = DecodedProgram(functions, layout)
+    program = DecodedProgram(functions, layout, chunk_ops)
     elapsed = time.perf_counter() - start
     program.decode_seconds = elapsed
     memo["decoded"] = program

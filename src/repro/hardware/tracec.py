@@ -59,13 +59,15 @@ edges breaks out of its loop to one epilogue, which flushes the local
 accumulators and the opcode tally once; a deopt then spills the live
 region locals back to the frame and delegates the rest of the call to
 the decoded loop, which raises ``StepLimitExceeded`` at precisely the
-right op.  Batched accounting and the traceback-line trap fixup come
-from :mod:`repro.hardware.blockc` (:func:`blockc._trap_fixup`); a
-region carries one :class:`blockc._BlockMeta` whose op table
-concatenates all member blocks, so the same fixup repairs a trapping
-chunk no matter which fused block it came from.  A region's entry
-point is a :class:`blockc.BlockCode` whose ``blocks`` counts the fused
-blocks, so the block drivers dispatch it unchanged.
+right op.  The chunk tables and the tail repair of batched accounting
+are the decoded loop's own (:mod:`repro.hardware.decoder`); the
+traceback-line trap fixup that finds the trapping op is
+:func:`blockc._trap_fixup`.  A region carries one
+:class:`blockc._BlockMeta` whose op table concatenates all member
+blocks, so the same fixup repairs a trapping chunk no matter which
+fused block it came from.  A region's entry point is a
+:class:`blockc.BlockCode` whose ``blocks`` counts the fused blocks, so
+the block drivers dispatch it unchanged.
 
 Region selection is profile-guided: ``trace_compile(module, profile)``
 takes the ``"function:block" -> executions`` map exported by
@@ -91,9 +93,9 @@ repeated CPUs on one module converge on compiled code, and
 ``invalidate_derived()`` resets them.
 
 The constant is the measured break-even: one function's compile costs
-161-178 us per IR instruction, and a compiled step saves 0.61-0.88 us
+163-198 us per IR instruction, and a compiled step saves 0.57-0.78 us
 over a decoded one (pythia variants, static selection, 2-vCPU host,
-Python 3.11), so a function pays back after 182-294 of its own steps
+Python 3.11), so a function pays back after 255-314 of its own steps
 per instruction.  A program that runs once -- compile-cold and most of
 the suite -- then compiles nothing it cannot amortize.  The known
 limit: work inside one long call (a hot loop in ``main``) stays decoded
@@ -122,12 +124,10 @@ from ..ir.instructions import (
 from ..ir.module import Module
 from ..ir.values import Argument
 from .blockc import (
-    BLOCK_ISSUE_WIDTH,
     BlockCode,
     _BlockMeta,
     _FnGen,
     _body_instructions,
-    _chunk_tables,
     _classify,
     _emit_op,
     _emit_phi_edge,
@@ -138,6 +138,7 @@ from .decoder import (
     BLOCK_RET,
     DecodedBlock,
     DecodedProgram,
+    _chunk_tables,
     _spec,
     decode_module,
 )
@@ -165,11 +166,12 @@ WHOLE_FUNCTION_BLOCKS = 24
 #: Tier-up threshold: a function compiles once the steps its decoded
 #: calls executed themselves (callees excluded) reach this many per IR
 #: instruction of its body.  Break-even measured on the pythia variants
-#: with static selection (2-vCPU host, Python 3.11): compile cost /
-#: (decoded - trace) cost per step is 178/0.61 = 294 (505.mcf_r),
-#: 169/0.87 = 195 (502.gcc_r) and 161/0.88 = 182 (519.lbm_r) steps per
-#: instruction.
-TIER_UP_STEPS_PER_INST = 250
+#: with static selection, against the per-chunk decoded loop (2-vCPU
+#: host, Python 3.11.7, median of 21 back-to-back compile/decoded/trace
+#: triples, two sessions): compile cost / (decoded - trace) cost per
+#: step is 314 (505.mcf_r), 255 (502.gcc_r) and 286 (519.lbm_r) steps
+#: per instruction; 280 is their geometric mean, rounded.
+TIER_UP_STEPS_PER_INST = 280
 
 
 class TraceProgram:
@@ -191,7 +193,6 @@ class TraceProgram:
         "profile_digest",
         "compile_seconds",
         "python_compile_seconds",
-        "issue_width",
         "sources",
         "region_count",
         "fused_blocks",
@@ -215,7 +216,6 @@ class TraceProgram:
         self.compile_seconds = 0.0
         #: the part of compile_seconds spent in CPython's compile()
         self.python_compile_seconds = 0.0
-        self.issue_width = BLOCK_ISSUE_WIDTH
         #: Function -> generated source, kept for debugging
         self.sources: Dict[Function, str] = {}
         self.region_count = 0
@@ -1134,7 +1134,9 @@ def _emit_chunk_charges(
     histogram; only the chunk-entry residue ``_r0`` stays materialised
     because the trap fixup reads it from the frame.
     """
-    cycles_table, cheap_table = _chunk_tables(all_info, s, e)
+    _, cycles_table, cheap_table = _chunk_tables(
+        tuple(info[0] for info in all_info[s:e])
+    )
     n = e - s
     nsteps = sum(1 for i in range(s, e) if all_info[i][0] != "phi")
     gen.emit("_r0 = _cr")
@@ -1163,7 +1165,7 @@ def _emit_impure_charges(gen: _FnGen, all_info, s: int) -> None:
     re-reads ``_cr`` (the callee moved the residue).
     """
     name = all_info[s][0]
-    cycles_table, cheap_table = _chunk_tables(all_info, s, s + 1)
+    _, cycles_table, cheap_table = _chunk_tables((all_info[s][0],))
     gen.emit(f"timing.cycles += _cy + {gen.bind(cycles_table, 'T')}[_cr]")
     gen.emit(f"timing._cheap_run = {gen.bind(cheap_table, 'T')}[_cr]")
     gen.emit("_cy = 0")
@@ -1179,7 +1181,9 @@ def _emit_direct_charges(gen: _FnGen, all_info, s: int, e: int) -> None:
     than they save: every chunk, pure or impure, charges ``timing``,
     ``cpu.steps`` and ``counts`` directly, before its ops run.
     """
-    cycles_table, cheap_table = _chunk_tables(all_info, s, e)
+    _, cycles_table, cheap_table = _chunk_tables(
+        tuple(info[0] for info in all_info[s:e])
+    )
     tallies: Dict[str, int] = {}
     for i in range(s, e):
         name = all_info[i][0]

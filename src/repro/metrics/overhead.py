@@ -90,17 +90,6 @@ class BenchmarkMeasurement:
     def pa_dynamic(self, scheme: str) -> int:
         return self._run(scheme).execution.pa_dynamic
 
-    def pa_executed_fraction(self, scheme: str) -> float:
-        """Fraction of instrumented PA sites that executed dynamically
-        at least once is not directly observable; the paper reports the
-        dynamic/static *instruction* ratio instead."""
-        static = self.pa_static(scheme)
-        if static == 0:
-            return 0.0
-        # dynamic executions per static site, capped at 1 for the
-        # "fraction of sites executed" reading
-        return min(1.0, self.pa_dynamic(scheme) / static)
-
     def isolated_allocations(self, scheme: str) -> int:
         return self._run(scheme).execution.isolated_allocations
 

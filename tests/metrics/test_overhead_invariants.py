@@ -1,8 +1,8 @@
 """Invariants every overhead measurement must satisfy.
 
 These pin the *shape* of the paper's numbers rather than their values:
-fractions stay fractions, the vanilla baseline costs nothing relative
-to itself, and derived ratios agree with their inputs.
+the vanilla baseline costs nothing relative to itself, and derived
+ratios agree with their inputs.
 """
 
 from __future__ import annotations
@@ -29,12 +29,6 @@ def test_vanilla_overhead_is_exactly_zero(measurement):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_pa_executed_fraction_is_a_fraction(measurement, scheme):
-    fraction = measurement.pa_executed_fraction(scheme)
-    assert 0.0 <= fraction <= 1.0
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
 def test_instrumented_schemes_never_run_faster(measurement, scheme):
     # instrumentation only adds instructions; cycles are deterministic
     assert measurement.runtime_overhead(scheme) >= 0.0
@@ -43,7 +37,6 @@ def test_instrumented_schemes_never_run_faster(measurement, scheme):
 def test_vanilla_has_no_pa_instructions(measurement):
     assert measurement.pa_static("vanilla") == 0
     assert measurement.pa_dynamic("vanilla") == 0
-    assert measurement.pa_executed_fraction("vanilla") == 0.0
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

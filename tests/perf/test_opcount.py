@@ -1,0 +1,52 @@
+"""The Python opcode counter: deterministic, and it counts what runs."""
+
+from __future__ import annotations
+
+import sys
+
+from repro.core import protect
+from repro.hardware import CPU
+from repro.perf import count_python_ops
+from repro.workloads import generate_program, get_profile
+
+
+def spin(n):
+    total = 0
+    for i in range(n):
+        total += i
+    return total
+
+
+def test_count_grows_with_the_work_and_returns_the_result():
+    result, small = count_python_ops(spin, 10)
+    assert result == 45
+    _, large = count_python_ops(spin, 100)
+    assert 0 < small < large
+
+
+def test_two_counted_runs_give_the_same_count():
+    program = generate_program(get_profile("505.mcf_r"))
+    module = protect(program.compile(), scheme="pythia").module
+    # An uncounted run fills the caches a first run builds.
+    CPU(module, interpreter="decoded").run(inputs=list(program.inputs))
+    counts = []
+    for _ in range(2):
+        cpu = CPU(module, interpreter="decoded")
+        result, ops = count_python_ops(cpu.run, inputs=list(program.inputs))
+        assert result.ok
+        counts.append(ops)
+    assert counts[0] == counts[1]
+    assert counts[0] > result.steps
+
+
+def test_restores_the_previous_trace_function():
+    def tracer(frame, event, arg):
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        count_python_ops(spin, 3)
+        assert sys.gettrace() is tracer
+    finally:
+        sys.settrace(previous)
