@@ -17,11 +17,12 @@ reference/decoded pairs and the speedup is the ratio of the per-side
 minima -- the minimum estimates the noise-free cost, and interleaving
 keeps slow phases from landing on one side only.
 
-Each scheme also records ``decoded_ops_per_step``: the Python bytecodes
-one decoded run executes per simulated step
-(:func:`repro.perf.count_python_ops`).  It does not jitter with the
-host, so it shows a change to the decoded loop's cost that the
-wall-clock columns cannot; it is reported, not gated.
+Each scheme also records ``decoded_ops_per_step``, ``block_ops_per_step``
+and ``trace_ops_per_step``: the Python bytecodes one run of that tier
+executes per simulated step (:func:`repro.perf.count_python_ops`; the
+trace tier on its profile-guided program).  They do not jitter with
+the host, so they show a change to a tier's per-step cost that the
+wall-clock columns cannot; they are reported, not gated.
 
 Appends one entry to ``BENCH_interp.json`` (see repro.perf.trajectory)
 so throughput can be tracked across commits, and fails when the block
@@ -96,6 +97,7 @@ TIERS = ("reference", "decoded", "block", "trace")
 def measure_scheme(module, inputs, seed, repeat):
     """Interleaved min-of-``repeat`` timing of all four backends.
 
+    Also returns each batched tier's Python ops per simulated step.
     The trace tier is exercised through its profile-guided path: a
     profiled warmup run under the block tier collects per-block
     execution counts, and those counts seed region selection.  The
@@ -128,6 +130,7 @@ def measure_scheme(module, inputs, seed, repeat):
         )
 
     best = {tier: math.inf for tier in TIERS}
+    ops = {}
     results = {}
     for _ in range(repeat):
         for interpreter in TIERS:
@@ -142,18 +145,18 @@ def measure_scheme(module, inputs, seed, repeat):
             elapsed = time.perf_counter() - start
             best[interpreter] = min(best[interpreter], elapsed)
             results[interpreter] = result
-    return best, results, decode_seconds, block_seconds, trace_seconds, codegen
-
-
-def decoded_ops_per_step(module, inputs, seed):
-    """Python bytecodes per simulated step of one decoded run.
-
-    Called after the timed runs, so the decoded program and frame plans
-    are already built and the count is the same on every call.
-    """
-    cpu = CPU(module, seed=seed, interpreter="decoded")
-    result, ops = count_python_ops(cpu.run, inputs=list(inputs))
-    return round(ops / result.steps, 2)
+    # After the timed runs, so every program and frame plan is built and
+    # each count is the same on every call.
+    for interpreter in ("decoded", "block", "trace"):
+        cpu = CPU(
+            module,
+            seed=seed,
+            interpreter=interpreter,
+            trace_profile=trace_profile if interpreter == "trace" else None,
+        )
+        result, count = count_python_ops(cpu.run, inputs=list(inputs))
+        ops[f"{interpreter}_ops_per_step"] = round(count / result.steps, 2)
+    return best, results, decode_seconds, block_seconds, trace_seconds, codegen, ops
 
 
 def geomean(values):
@@ -228,7 +231,7 @@ def main(argv=None) -> int:
         protected = protect(module, scheme=scheme)
         (
             best, results, decode_seconds, block_seconds, trace_seconds,
-            codegen,
+            codegen, ops,
         ) = measure_scheme(protected.module, program.inputs, args.seed, args.repeat)
         name = f"{args.profile}/{scheme}"
         _check_identical(name, results["reference"], results["decoded"], "decoded")
@@ -238,9 +241,6 @@ def main(argv=None) -> int:
         block_speedup = best["decoded"] / best["block"]
         trace_speedup = best["decoded"] / best["trace"]
         steps = results["decoded"].steps
-        ops_per_step = decoded_ops_per_step(
-            protected.module, program.inputs, args.seed
-        )
         steps_per_second = steps / best["decoded"]
         block_steps_per_second = steps / best["block"]
         trace_steps_per_second = steps / best["trace"]
@@ -263,7 +263,7 @@ def main(argv=None) -> int:
             "steps_per_second": round(steps_per_second, 1),
             "block_steps_per_second": round(block_steps_per_second, 1),
             "trace_steps_per_second": round(trace_steps_per_second, 1),
-            "decoded_ops_per_step": ops_per_step,
+            **ops,
         }
         print(
             f"  {scheme:8s} reference={best['reference'] * 1e3:8.2f}ms "
@@ -273,7 +273,9 @@ def main(argv=None) -> int:
             f"decoded/ref={speedup:5.2f}x block/decoded={block_speedup:5.2f}x "
             f"trace/decoded={trace_speedup:5.2f}x "
             f"({trace_steps_per_second:,.0f} steps/s trace, "
-            f"{ops_per_step:.1f} Python ops/step decoded) counters identical"
+            f"Python ops/step {ops['decoded_ops_per_step']:.1f} decoded, "
+            f"{ops['block_ops_per_step']:.1f} block, "
+            f"{ops['trace_ops_per_step']:.1f} trace) counters identical"
         )
 
     geomean_speedup = geomean(speedups)

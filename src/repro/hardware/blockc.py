@@ -13,7 +13,10 @@ block is fused into a *single generated Python function* that
   plain statements over ``frame[...]`` slots;
 - charges each chunk as one inline update, from the decoder's tables
   of cycles and issue residue per entry state of the cheap-op run
-  counter, and may merge chunks across fused blocks;
+  counter, plus one hit of the chunk's composition in the CPU's hit
+  store (the opcode counts and retired instructions are folded from
+  the hits when the run returns), and may merge chunks across fused
+  blocks;
 - compiles phi routing inline into the terminator as one parallel
   tuple assignment per taken edge;
 - direct-threads control flow: each generated function returns the
@@ -51,7 +54,9 @@ width; :meth:`CPU._call` only dispatches to compiled code while the
 timing model still matches, and falls back to the decoded tier's
 per-op loop otherwise.  A block whose execution could cross the step
 limit is delegated, pending phi routing included, to the decoded loop,
-which raises ``StepLimitExceeded`` at exactly the right op.
+which raises ``StepLimitExceeded`` at exactly the right op; so is the
+rest of a block after a call, whose callee retired steps the entry
+guard could not count (``tracec._emit_resume_guard``).
 
 The deliberate divergence on *malformed, unverified* IR is shared with
 the decoded tier (``KeyError`` instead of the reference
@@ -84,8 +89,8 @@ from ..ir.instructions import (
 )
 from ..ir.types import IntType
 from .decoder import (
-    CHUNK_ISSUE_WIDTH,
     DecodedBlock,
+    _chunk_tables,
     _gep_plan,
     _spec,
     _undo_chunk_tail,
@@ -119,7 +124,14 @@ class BlockCode:
 
 
 class _BlockMeta:
-    """Per-block data for the trap-time counter fixup."""
+    """Per-block data for the trap-time counter fixup.
+
+    Generated code records a chunk's opcodes only as one hit of its
+    composition, which the run's fold expands.  When an op traps, the
+    fixup takes the chunk's unexecuted tail back out of the steps,
+    cycles, instructions and opcode counts, so it needs each op's
+    opcode, cost and chunk bounds: this table.
+    """
 
     __slots__ = ("ops", "line_map")
 
@@ -130,15 +142,14 @@ class _BlockMeta:
         self.line_map: Dict[int, int] = {}
 
 
-def _trap_fixup(cpu, timing, counts, meta: _BlockMeta, exc: BaseException) -> None:
+def _trap_fixup(cpu, timing, meta: _BlockMeta, exc: BaseException) -> None:
     """Undo the not-yet-executed tail of the trapping op's chunk.
 
     Called from the generated ``except`` clause; the traceback's head
     frame is the generated function's own invocation, so its lineno and
     locals identify the trapping op and the chunk entry state, and
     :func:`~repro.hardware.decoder._undo_chunk_tail` (shared with the
-    decoded loop) takes the tail's charges back.  ``counts`` is
-    ``timing.opcode_counts``, which the generated code has flushed.
+    decoded loop) takes the tail's charges back.
     """
     tb = exc.__traceback__
     if tb is None:
@@ -198,6 +209,21 @@ class _FnGen:
         #: id(value) -> Python local name for the SSA values the function
         #: currently being generated keeps out of the frame
         self.block_locals: Dict[int, str] = {}
+        #: composition id -> local hit counter of the region being
+        #: generated; None while its hits go straight to the hit store
+        self.counters: Optional[Dict[int, str]] = None
+
+    def hit(self, cid: int) -> str:
+        """The counter one hit of composition ``cid`` increments: the
+        CPU's hit store (the generated function's ``hits`` argument),
+        or the current region's local counter for ``cid``."""
+        counters = self.counters
+        if counters is None:
+            return f"hits[{cid}]"
+        name = counters.get(cid)
+        if name is None:
+            name = counters[cid] = f"_k{len(counters)}"
+        return name
 
     def bind(self, obj: object, prefix: str) -> str:
         name = self._by_id.get(id(obj))
@@ -619,13 +645,16 @@ def _emit_phi_edge(gen: _FnGen, route, indent: int, acc: Tuple[str, str, str]) -
     """Emit the phi routing for one taken CFG edge, inline.
 
     The predecessor knows which edge it takes, so the successor's phi
-    batch (batched accounting: phis are zero-cost under DEFAULT_COSTS,
-    so a run of n phis is n cheap issue slots) plus one parallel
-    assignment compile straight into the terminator -- no per-edge
-    closure, no driver routing.  ``acc`` names the (instructions, issue
-    residue, cycles) accumulators the charges land in: ``timing``'s own
-    attributes for a region with no internal edges, the region's locals
-    otherwise (see ``tracec._gen_region``).
+    batch plus one parallel assignment compile straight into the
+    terminator -- no per-edge closure, no driver routing.  The batch
+    charges like a chunk of n ``'phi'`` ops: one lookup in its
+    :func:`~repro.hardware.decoder._chunk_tables` row for the cycles and
+    the issue residue, and one hit of its composition
+    (:meth:`_FnGen.hit`), which the run's fold turns into n phi
+    instructions.  ``acc`` names the (issue residue, cycles)
+    accumulators the charges land in: ``timing``'s own attributes for a
+    region with no internal edges, the region's locals otherwise (see
+    ``tracec._gen_region``).
     Phi targets may be region locals.  Returns True when the edge is an
     unresolvable route and the emitted code raises instead of falling
     through to the ``return``.
@@ -633,13 +662,14 @@ def _emit_phi_edge(gen: _FnGen, route, indent: int, acc: Tuple[str, str, str]) -
     if isinstance(route, str):
         gen.emit(f"raise KeyError({route!r})", indent=indent)
         return True
-    instructions, residue, cycles = acc
-    n = len(route)
-    gen.emit(f"{instructions} += {n}", indent=indent)
-    gen.emit(f"counts['phi'] += {n}", indent=indent)
-    gen.emit(f"_pr = {residue} + {n}", indent=indent)
-    gen.emit(f"{cycles} += _pr // {CHUNK_ISSUE_WIDTH}", indent=indent)
-    gen.emit(f"{residue} = _pr % {CHUNK_ISSUE_WIDTH}", indent=indent)
+    residue, cycles = acc
+    _, cycles_table, cheap_table, cid = _chunk_tables(("phi",) * len(route))
+    gen.emit(
+        f"{cycles} += {gen.bind(cycles_table, 'T')}[{residue}]; "
+        f"{residue} = {gen.bind(cheap_table, 'T')}[{residue}]; "
+        f"{gen.hit(cid)} += 1",
+        indent=indent,
+    )
     targets = ", ".join(gen.target(phi) for phi, _, _ in route)
     values = ", ".join(
         gen.operand((constant, payload)) for _, constant, payload in route

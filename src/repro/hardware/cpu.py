@@ -46,7 +46,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from operator import length_hint
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -82,6 +82,7 @@ from .cache import CacheModel
 from .decoder import (
     BLOCK_RET,
     CHUNK_ISSUE_WIDTH,
+    CHUNK_OPS,
     DecodedBlock,
     _undo_chunk_tail,
     compute_global_layout,
@@ -408,11 +409,12 @@ class CPU:
                     module, trace_profile, regions=interpreter == "trace"
                 )
                 self.decode_seconds += compile_seconds
-        #: chunk id -> times the decoded loop charged that chunk; folded
-        #: into the opcode histogram by run() (see _fold_chunk_hits)
-        self._hits = (
-            None if self._decoded is None else [0] * len(self._decoded.chunk_ops)
-        )
+        #: composition id -> times a chunk of that composition was
+        #: charged, by the decoded loop or by compiled code; folded into
+        #: the opcode histogram and the instructions by run() (see
+        #: _fold_chunk_hits).  A list, the fastest store to index; the
+        #: block drivers grow it for ids interned after construction.
+        self._hits: List[int] = [0] * len(CHUNK_OPS)
         #: steps retired by the calls the current call made (tier-up)
         self._callee_steps = 0
         self._refresh_batched()
@@ -564,9 +566,8 @@ class CPU:
             instructions=self.timing.instructions,
             ipc=self.timing.ipc,
             # Zero entries mean "never executed" and must read as absent:
-            # the trace tier's batched tally flush adds += 0 for region
-            # chunks a trap or side exit skipped entirely, and a trap's
-            # tail repair can bring an opcode back to 0.
+            # a trap's tail repair can bring an opcode back to 0 (the
+            # fold skips zero hits, so it adds none).
             opcode_counts={
                 name: count
                 for name, count in self.timing.opcode_counts.items()
@@ -587,16 +588,39 @@ class CPU:
         )
 
     def _fold_chunk_hits(self) -> None:
-        """Add the decoded chunks charged so far to the opcode histogram."""
+        """Add the chunks charged so far, on any tier, to the opcode
+        histogram and the retired instructions.
+
+        Every batched tier -- the decoded loop and the block and trace
+        tiers' generated code -- counts one hit per chunk it charges,
+        keyed by the chunk's composition id (:data:`CHUNK_OPS`), and
+        nothing reads the histogram or the instruction count mid-run,
+        so both are built here once per run.
+        """
         hits = self._hits
-        if not hits or not any(hits):
-            return
         counts = self.timing.opcode_counts
-        for n, opcodes in zip(hits, self._decoded.chunk_ops):
-            if n:
-                for name in opcodes:
-                    counts[name] += n
-        hits[:] = [0] * len(hits)
+        retired = 0
+        for cid in compress(range(len(hits)), hits):  # ids hit at least once
+            n = hits[cid]
+            opcodes = CHUNK_OPS[cid]
+            retired += n * len(opcodes)
+            for name in opcodes:
+                counts[name] += n
+        self.timing.instructions += retired
+        hits[:] = repeat(0, len(hits))
+
+    def _hit_store(self) -> List[int]:
+        """The hit store, grown to cover every composition id interned
+        so far: compiled code may use ids allocated after this CPU was
+        built (by a tier-up compile, another CPU's, or an explicit
+        ``trace_compile``).  The block drivers call it on entry, the
+        only way into compiled code; decoded chunks' ids predate the
+        store."""
+        hits = self._hits
+        missing = len(CHUNK_OPS) - len(hits)
+        if missing > 0:
+            hits.extend(repeat(0, missing))
+        return hits
 
     # -- execution engine -----------------------------------------------------------
 
@@ -716,16 +740,18 @@ class CPU:
         # execution could cross the limit is delegated to the decoded
         # loop -- with no ``previous``, since any pending phi edge has
         # already been applied inline -- which raises StepLimitExceeded
-        # at exactly the right op.
+        # at exactly the right op.  The guard covers the block's own
+        # steps; after a call, the generated code re-checks the rest.
+        # Generated code counts its chunks in the hit store ``hits``.
         timing = self.timing
-        counts = timing.opcode_counts
+        hits = self._hit_store()
         max_steps = self.max_steps
         pair = entry.self_pair
         while True:
             code = pair[0]
             if self.steps + code.nsteps > max_steps:
                 return self._interpret_decoded(code.dblock, frame)
-            pair = code.fn(self, frame, timing, counts)
+            pair = code.fn(self, frame, timing, hits)
             if pair[0] is BLOCK_RET:
                 return pair[1]
 
@@ -737,7 +763,7 @@ class CPU:
         # block containing a call attributes the callee's retirement
         # inclusively (the callee's own blocks are attributed too).
         timing = self.timing
-        counts = timing.opcode_counts
+        hits = self._hit_store()
         max_steps = self.max_steps
         block_hook = self.profiler.block
         pair = entry.self_pair
@@ -747,7 +773,7 @@ class CPU:
                 return self._interpret_decoded(code.dblock, frame)
             steps0 = self.steps
             cycles0 = timing.cycles
-            pair = code.fn(self, frame, timing, counts)
+            pair = code.fn(self, frame, timing, hits)
             block_hook(code.label, self.steps - steps0, timing.cycles - cycles0)
             if pair[0] is BLOCK_RET:
                 return pair[1]
@@ -762,11 +788,11 @@ class CPU:
     ) -> Optional[int]:
         # Batched accounting, one charge per chunk (see the decoder's
         # module docstring): the step limit is checked, and steps,
-        # instructions, cycles and the issue residue move, once per
-        # chunk before its handlers run; the opcode histogram is one
-        # hit counter per chunk.  Steps, the residue, the instructions
-        # retired beyond the steps (phis) and the cycles not yet added
-        # to ``timing`` live in locals.  Nothing outside the interpreter
+        # cycles and the issue residue move, once per chunk before its
+        # handlers run; the opcode histogram and the instructions are
+        # one hit counter per chunk, folded when run() returns.  Steps,
+        # the residue, the phis routed and the cycles not yet added to
+        # ``timing`` live in locals.  Nothing outside the interpreter
         # loops reads those counters mid-run -- library models and the
         # cache only add to cycles and opcode_counts, and additions
         # commute -- so the locals need syncing only around a chunk's
@@ -778,7 +804,6 @@ class CPU:
         hits = self._hits
         max_steps = self.max_steps
         steps = self.steps
-        extra = timing.instructions - steps
         cheap = timing._cheap_run
         cycles_due = 0
         phis = 0
@@ -807,7 +832,6 @@ class CPU:
                                 frame[entry[0]] = value
                         # Phis are zero-cost under DEFAULT_COSTS: n phis
                         # are n cheap issue slots.
-                        extra += n
                         phis += n
                         cheap += n
                         if cheap >= CHUNK_ISSUE_WIDTH:
@@ -819,7 +843,6 @@ class CPU:
                         # The per-op loop stops at the exact op.
                         steps -= n
                         self.steps = steps
-                        timing.instructions = steps + extra
                         timing._cheap_run = cheap
                         synced = True
                         start = 0
@@ -839,14 +862,13 @@ class CPU:
                     except BaseException:
                         # A pure op trapped: the ops after it never ran.
                         self.steps = steps
-                        timing.instructions = steps + extra
                         timing.cycles += cycles_due
                         cycles_due = 0
                         synced = True
                         _undo_chunk_tail(
                             self,
                             timing,
-                            self._decoded.chunk_ops[cid],
+                            CHUNK_OPS[cid],
                             len(pure) - 1 - length_hint(ops),
                             r0,
                         )
@@ -856,7 +878,6 @@ class CPU:
                         # counters, and the finally below must not
                         # clobber them.
                         self.steps = steps
-                        timing.instructions = steps + extra
                         timing._cheap_run = cheap
                         timing.cycles += cycles_due
                         cycles_due = 0
@@ -864,7 +885,6 @@ class CPU:
                         impure(self, frame)
                         synced = False
                         steps = self.steps
-                        extra = timing.instructions - steps
                         cheap = timing._cheap_run
                 term = block.term
                 kind = term[0]
@@ -891,9 +911,9 @@ class CPU:
                 timing.cycles += cycles_due
             if phis:
                 timing.opcode_counts["phi"] += phis
+                timing.instructions += phis
             if not synced:
                 self.steps = steps
-                timing.instructions = steps + extra
                 timing._cheap_run = cheap
 
     def _interpret_exact(

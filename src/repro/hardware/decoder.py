@@ -31,14 +31,17 @@ re-enter an interpreter loop) or at the terminator, whose charge joins
 the block's last chunk.  A chunk's cost sequence is fixed at decode
 time, so the cycles it charges and the issue residue it leaves are
 precomputed for every entry residue (:func:`_chunk_tables`, interned by
-opcode sequence).  ``CPU._interpret_decoded`` charges a whole chunk at
-once -- one step-limit check, one add each to steps and cycles, one
-per-CPU hit counter -- and then calls its handlers with no per-op
-bookkeeping; the opcode histogram is rebuilt from the hit counters and
-each chunk's composition when the run's result is built.
-The block and trace tiers (:mod:`repro.hardware.blockc`,
-:mod:`repro.hardware.tracec`) batch their accounting the same way and
-share the tables and the trap-time repair here.
+opcode sequence, which also gives each distinct sequence a
+process-wide composition id).  ``CPU._interpret_decoded`` charges a
+whole chunk at once -- one step-limit check, one add each to steps and
+cycles, one per-CPU hit counter keyed by the composition id -- and
+then calls its handlers with no per-op bookkeeping; the opcode
+histogram and the retired instructions are rebuilt from the hit
+counters and each composition (:data:`CHUNK_OPS`) when the run's
+result is built.  The block and trace tiers (:mod:`repro.hardware.blockc`,
+:mod:`repro.hardware.tracec`) batch their accounting the same way,
+bump the same hit counters, and share the tables and the trap-time
+repair here.
 
 Decoded execution is semantically bit-identical to the reference
 interpreter for well-formed modules: the same traps, the same counters
@@ -160,19 +163,34 @@ def _simulate(costs: Sequence[int], width: int, r0: int) -> Tuple[int, int]:
     return cycles, r
 
 
-@lru_cache(maxsize=4096)
-def _chunk_tables(opcodes: Tuple[str, ...]) -> Tuple[Tuple[str, ...], tuple, tuple]:
-    """``(opcodes, cycles, residues)`` for a chunk's opcode sequence.
+#: composition id -> a chunk's opcodes in order: what one hit of that
+#: chunk adds to the opcode histogram and to the retired instructions
+#: (``CPU._fold_chunk_hits``), and what a trap inside it replays.
+#: Append-only and process-wide, so a composition id stays valid for
+#: every CPU and every compiled program, whenever it was allocated.
+CHUNK_OPS: List[Tuple[str, ...]] = []
+
+
+@lru_cache(maxsize=None)
+def _chunk_tables(opcodes: Tuple[str, ...]) -> Tuple[Tuple[str, ...], tuple, tuple, int]:
+    """``(opcodes, cycles, residues, cid)`` for a chunk's opcode sequence.
 
     ``cycles[r]`` and ``residues[r]`` are what the chunk charges and the
     issue residue it leaves from entry residue ``r``, under
-    ``DEFAULT_COSTS``.  Interned: chunks with the same opcodes share one
-    ``opcodes`` tuple and one pair of tables, across blocks, functions
-    and modules.
+    ``DEFAULT_COSTS``; ``cid`` indexes :data:`CHUNK_OPS` and the CPU's
+    hit counters.  Interned: chunks with the same opcodes share one
+    ``opcodes`` tuple, one pair of tables and one id, across blocks,
+    functions, modules and tiers.
     """
     costs = [DEFAULT_COSTS.get(name, 1) for name in opcodes]
     runs = [_simulate(costs, CHUNK_ISSUE_WIDTH, r) for r in range(CHUNK_ISSUE_WIDTH)]
-    return opcodes, tuple(run[0] for run in runs), tuple(run[1] for run in runs)
+    CHUNK_OPS.append(opcodes)
+    return (
+        opcodes,
+        tuple(run[0] for run in runs),
+        tuple(run[1] for run in runs),
+        len(CHUNK_OPS) - 1,
+    )
 
 
 def _undo_chunk_tail(cpu, timing, opcodes: Sequence[str], k: int, r0: int) -> None:
@@ -183,9 +201,9 @@ def _undo_chunk_tail(cpu, timing, opcodes: Sequence[str], k: int, r0: int) -> No
     interpreter charges each op just before running it, so the counters
     must read as if nothing after ``k`` had been charged.  ``'phi'``
     pseudo-ops (the trace tier's edge-routing charges) retire
-    instructions and issue slots but no step.  Opcode counts are
-    decremented in place: the caller's tally of the whole chunk is, or
-    will be, in ``timing.opcode_counts``.
+    instructions and issue slots but no step.  Instructions and opcode
+    counts are decremented in place: the chunk's hit adds the whole
+    chunk to both when the run's hits are folded, and additions commute.
     """
     costs = [DEFAULT_COSTS.get(name, 1) for name in opcodes]
     applied, _ = _simulate(costs, CHUNK_ISSUE_WIDTH, r0)
@@ -232,29 +250,23 @@ class DecodedBlock:
         #: the pure handlers that run first, then the chunk's closing
         #: impure handler or None; ``cycles[r]``/``residues[r]`` are the
         #: cycles charged and issue residue left from entry residue
-        #: ``r``; ``cid`` indexes ``DecodedProgram.chunk_ops`` and the
-        #: CPU's hit counters.
+        #: ``r``; ``cid`` is the composition id (:data:`CHUNK_OPS`).
         self.chunks: Tuple[Chunk, ...] = ()
 
 
 class DecodedProgram:
     """All defined functions of one module, decoded."""
 
-    __slots__ = ("functions", "global_layout", "chunk_ops", "decode_seconds")
+    __slots__ = ("functions", "global_layout", "decode_seconds")
 
     def __init__(
         self,
         functions: Dict[Function, DecodedBlock],
         global_layout: Dict[str, int],
-        chunk_ops: List[tuple],
     ):
         #: Function -> entry DecodedBlock
         self.functions = functions
         self.global_layout = global_layout
-        #: chunk id -> the chunk's opcodes in order, its terminator's
-        #: included (interned, see _chunk_tables): what a chunk hit adds
-        #: to the opcode histogram, and what a trap inside it replays
-        self.chunk_ops = chunk_ops
         #: wall seconds spent building this decode (set by decode_module)
         self.decode_seconds = 0.0
 
@@ -685,7 +697,7 @@ def _decode_instruction(
 _TERM_OPCODES = {"ret": "ret", "jump": "br", "br": "br"}
 
 
-def _chunk_block(ops, term: tuple, chunk_ops: List[tuple]) -> Tuple[Chunk, ...]:
+def _chunk_block(ops, term: tuple) -> Tuple[Chunk, ...]:
     """Split a block's ops and terminator charge into chunks.
 
     A chunk ends after each impure op, which must run with every earlier
@@ -696,36 +708,32 @@ def _chunk_block(ops, term: tuple, chunk_ops: List[tuple]) -> Tuple[Chunk, ...]:
     start = 0
     for end, op in enumerate(ops, 1):
         if op[2]:
-            chunks.append(_make_chunk(ops[start:end - 1], op[0], op[3], chunk_ops))
+            chunks.append(_make_chunk(ops[start:end - 1], op[0], op[3]))
             start = end
     closing = _TERM_OPCODES.get(term[0])
     if start < len(ops) or closing is not None:
-        chunks.append(_make_chunk(ops[start:], closing, None, chunk_ops))
+        chunks.append(_make_chunk(ops[start:], closing, None))
     return tuple(chunks)
 
 
-def _make_chunk(pure_ops, closing, impure, chunk_ops: List[tuple]) -> Chunk:
+def _make_chunk(pure_ops, closing, impure) -> Chunk:
     """One chunk: ``pure_ops``, then the ``closing`` opcode if any (an
-    impure op's, whose handler is ``impure``, or the terminator's).
-    Its opcodes are appended to ``chunk_ops`` under a new chunk id."""
+    impure op's, whose handler is ``impure``, or the terminator's)."""
     opcodes = [op[0] for op in pure_ops]
     if closing is not None:
         opcodes.append(closing)
-    opcodes, cycles, residues = _chunk_tables(tuple(opcodes))
-    chunk_ops.append(opcodes)
+    opcodes, cycles, residues, cid = _chunk_tables(tuple(opcodes))
     return (
         len(opcodes),
         tuple([op[3] for op in pure_ops]),
         impure,
         cycles,
         residues,
-        len(chunk_ops) - 1,
+        cid,
     )
 
 
-def _decode_function(
-    function: Function, layout: Dict[str, int], chunk_ops: List[tuple]
-) -> DecodedBlock:
+def _decode_function(function: Function, layout: Dict[str, int]) -> DecodedBlock:
     dmap: Dict[BasicBlock, DecodedBlock] = {}
     pending: List[BasicBlock] = []
 
@@ -762,7 +770,7 @@ def _decode_function(
             ops.append(_decode_instruction(inst, layout))
         dblock.ops = tuple(ops)
         dblock.term = term if term is not None else ("fall",)
-        dblock.chunks = _chunk_block(dblock.ops, dblock.term, chunk_ops)
+        dblock.chunks = _chunk_block(dblock.ops, dblock.term)
 
     # Phi routing, per decoded CFG edge.
     for block, dblock in dmap.items():
@@ -813,12 +821,11 @@ def decode_module(module: Module) -> Tuple[DecodedProgram, float]:
         return cached, 0.0
     start = time.perf_counter()
     layout = compute_global_layout(module)
-    chunk_ops: List[tuple] = []
     functions = {
-        function: _decode_function(function, layout, chunk_ops)
+        function: _decode_function(function, layout)
         for function in module.defined_functions()
     }
-    program = DecodedProgram(functions, layout, chunk_ops)
+    program = DecodedProgram(functions, layout)
     elapsed = time.perf_counter() - start
     program.decode_seconds = elapsed
     memo["decoded"] = program

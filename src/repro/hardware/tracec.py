@@ -21,6 +21,15 @@ counts exact.  Such a region runs its body once per call, so it
 charges the CPU directly and skips the loop machinery below (local
 accumulators, method aliases, inline PAC probes, segment guards).
 
+Generated code keeps no opcode histogram and no instruction count.
+Each chunk it charges -- a run of ops, or the phis of one edge -- adds
+one hit for its composition id (:func:`decoder._chunk_tables`) to the
+hit store the driver passes in (``hits``), the decoded loop's own, and
+``CPU._fold_chunk_hits`` turns the hits into opcode counts and retired
+instructions when ``run()`` returns.  A block compiled alone bumps the
+store directly; a region with internal edges counts in one local per
+composition and adds them to the store on its way out.
+
 A region is a natural loop (plus the superblock chains hanging off its
 header) or, for small functions, the entire function body, selected
 with the per-block hot-spot counts an
@@ -56,11 +65,15 @@ function per region
 
 Every return, side exit and step-limit deopt of a region with internal
 edges breaks out of its loop to one epilogue, which flushes the local
-accumulators and the opcode tally once; a deopt then spills the live
+accumulators and hit counters once; a deopt then spills the live
 region locals back to the frame and delegates the rest of the call to
 the decoded loop, which raises ``StepLimitExceeded`` at precisely the
-right op.  The chunk tables and the tail repair of batched accounting
-are the decoded loop's own (:mod:`repro.hardware.decoder`); the
+right op.  A callee retires steps the entry and segment guards could
+not count, so after each call that more ops of its block follow, a
+guard hands the rest of the call to the per-op decoded loop, from the
+op after the call, when those ops would cross the limit
+(:func:`_emit_resume_guard`).  The chunk tables and the tail repair of
+batched accounting are the decoded loop's own (:mod:`repro.hardware.decoder`); the
 traceback-line trap fixup that finds the trapping op is
 :func:`blockc._trap_fixup`.  A region carries one
 :class:`blockc._BlockMeta` whose op table concatenates all member
@@ -147,11 +160,11 @@ from .memory import MemoryFault
 from .pac import ADDR_MASK, PAC_BITS, VA_BITS
 from .timing import DEFAULT_COSTS
 
-#: Accumulators phi routing charges (instructions, issue residue,
-#: cycles): region locals, flushed by the epilogue, when the region has
-#: internal edges; ``timing``'s own attributes when it has none.
-_REGION_ACC = ("_in", "_cr", "_cy")
-_DIRECT_ACC = ("timing.instructions", "timing._cheap_run", "timing.cycles")
+#: Accumulators phi routing charges (issue residue, cycles): region
+#: locals, flushed by the epilogue, when the region has internal edges;
+#: ``timing``'s own attributes when it has none.
+_REGION_ACC = ("_cr", "_cy")
+_DIRECT_ACC = ("timing._cheap_run", "timing.cycles")
 
 #: Hard cap on blocks fused into one region; oversized loops are left
 #: to the per-block functions rather than truncated (truncation would
@@ -1119,22 +1132,21 @@ def _static_target(dblock: DecodedBlock) -> Optional[DecodedBlock]:
     return None
 
 
-def _emit_chunk_charges(
-    gen: _FnGen, all_info, s: int, e: int, kvar: str
-) -> None:
+def _emit_chunk_charges(gen: _FnGen, all_info, s: int, e: int) -> None:
     """Batched retirement for one (possibly cross-block) pure chunk.
 
     A chunk may span every block fused between two impure ops or
     conditional branches, plus the 'phi' pseudo-ops of statically-taken
     edges inside that span.  All charges land in the region's local
-    accumulators (``_cy`` cycles, ``_cr`` issue residue, ``_in``
-    instructions, ``_st`` steps -- phi routing retires instructions and
-    issue slots but no steps) plus one execution counter per chunk
-    (``kvar``), from which the epilogue reconstructs the opcode
-    histogram; only the chunk-entry residue ``_r0`` stays materialised
-    because the trap fixup reads it from the frame.
+    accumulators (``_cy`` cycles, ``_cr`` issue residue, ``_st`` steps
+    -- phi routing retires issue slots but no steps) plus the region's
+    local hit counter for the chunk's composition (:meth:`_FnGen.hit`),
+    which the epilogue adds to the CPU's hit store and which stands for
+    the chunk's opcodes and retired instructions; only the chunk-entry
+    residue ``_r0`` stays materialised because the trap fixup reads it
+    from the frame.
     """
-    _, cycles_table, cheap_table = _chunk_tables(
+    _, cycles_table, cheap_table, cid = _chunk_tables(
         tuple(info[0] for info in all_info[s:e])
     )
     n = e - s
@@ -1143,11 +1155,10 @@ def _emit_chunk_charges(
     parts = [
         f"_cy += {gen.bind(cycles_table, 'T')}[_r0]",
         f"_cr = {gen.bind(cheap_table, 'T')}[_r0]",
-        f"_in += {n}",
     ]
     if nsteps:
         parts.append(f"_st += {nsteps}")
-    parts.append(f"{kvar} += 1")
+    parts.append(f"{gen.hit(cid)} += 1")
     gen.emit("; ".join(parts))
 
 
@@ -1158,65 +1169,108 @@ def _emit_impure_charges(gen: _FnGen, all_info, s: int) -> None:
     ``timing.cycles`` and ``timing._cheap_run`` itself, so the pending
     local accumulators for those must flush *before* re-entry -- this
     is also what keeps a step-limit or trap raised inside the callee
-    bit-identical to the block tier.  Pending instructions and opcode
-    tallies stay local: the callee only ever adds to them, so the sums
-    commute, and the region's epilogue (or its exception handler)
-    flushes them.  The caller emits the op statement itself, then
-    re-reads ``_cr`` (the callee moved the residue).
+    bit-identical to the block tier.  The hit stays local: nothing reads
+    the hit store before the run's fold, and the region's epilogue (or
+    its exception handler) flushes it.  The caller emits the op
+    statement itself, then re-reads ``_cr`` (the callee moved the
+    residue).
     """
-    name = all_info[s][0]
-    _, cycles_table, cheap_table = _chunk_tables((all_info[s][0],))
+    _, cycles_table, cheap_table, cid = _chunk_tables((all_info[s][0],))
     gen.emit(f"timing.cycles += _cy + {gen.bind(cycles_table, 'T')}[_cr]")
     gen.emit(f"timing._cheap_run = {gen.bind(cheap_table, 'T')}[_cr]")
     gen.emit("_cy = 0")
     gen.emit("cpu.steps += _st + 1; _st = 0")
-    gen.emit("_in += 1")
-    gen.emit(f"counts[{name!r}] += 1")
+    gen.emit(f"{gen.hit(cid)} += 1")
 
 
 def _emit_direct_charges(gen: _FnGen, all_info, s: int, e: int) -> None:
     """Batched retirement for one chunk of a region with no internal edges.
 
     Its code runs once per call, so local accumulators would cost more
-    than they save: every chunk, pure or impure, charges ``timing``,
-    ``cpu.steps`` and ``counts`` directly, before its ops run.
+    than they save: every chunk, pure or impure, charges cycles, the
+    issue residue and ``cpu.steps`` directly and counts one hit of its
+    composition in the CPU's hit store (its opcodes and retired
+    instructions), before its ops run.
     """
-    _, cycles_table, cheap_table = _chunk_tables(
+    opcodes, cycles_table, cheap_table, cid = _chunk_tables(
         tuple(info[0] for info in all_info[s:e])
     )
-    tallies: Dict[str, int] = {}
-    for i in range(s, e):
-        name = all_info[i][0]
-        tallies[name] = tallies.get(name, 0) + 1
-    gen.emit("_r0 = timing._cheap_run")
-    gen.emit(f"timing.cycles += {gen.bind(cycles_table, 'T')}[_r0]")
-    gen.emit(f"timing._cheap_run = {gen.bind(cheap_table, 'T')}[_r0]")
-    gen.emit(f"timing.instructions += {e - s}")
-    gen.emit(f"cpu.steps += {e - s - tallies.get('phi', 0)}")
-    # counts is TimingModel's defaultdict(int): += needs no probe
-    for name, count in tallies.items():
-        gen.emit(f"counts[{name!r}] += {count}")
+    gen.emit(
+        f"_r0 = timing._cheap_run; "
+        f"timing.cycles += {gen.bind(cycles_table, 'T')}[_r0]; "
+        f"timing._cheap_run = {gen.bind(cheap_table, 'T')}[_r0]"
+    )
+    gen.emit(f"cpu.steps += {e - s - opcodes.count('phi')}; hits[{cid}] += 1")
+
+
+def _make_resumer(dblock: DecodedBlock, body, block_locals: Dict[int, str]):
+    """Closure a block compiled alone returns through to hand the rest
+    of its call to the per-op loop (see :func:`_emit_resume_guard`);
+    it spills the block's locals first."""
+    spill = _make_spiller(
+        tuple((value, block_locals[id(value)]) for value in body if id(value) in block_locals)
+    )
+
+    def _resume(cpu, frame, loc, start):
+        spill(frame, loc)
+        return (BLOCK_RET, cpu._interpret_exact(dblock, frame, None, start))
+
+    return _resume
+
+
+def _emit_resume_guard(
+    gen: _FnGen, nsteps: int, dblock: DecodedBlock, i: int, resume: Optional[str]
+) -> None:
+    """Step-limit guard after impure op ``i`` of ``dblock``.
+
+    The driver's entry guard (or a segment guard) covered the block's
+    own steps, but a callee retires steps of its own, so the block's
+    remaining ``nsteps`` may cross ``max_steps`` after the call returns.
+    When they would, the rest of the call runs on the per-op decoded
+    loop from op ``i + 1`` (``CPU._interpret_exact``), which stops at
+    the exact op -- within this block, so the slow loop runs only a
+    handful of ops.  Nothing after op ``i`` is charged yet, and every
+    earlier charge has been applied, so the hand-off needs only the
+    block's locals in the frame: a region's epilogue spills them, and a
+    block compiled alone returns through its ``resume`` closure
+    (:func:`_make_resumer`), which does.
+    """
+    if resume is None:
+        gen.emit(
+            f"if cpu.steps + {nsteps} > _ms: "
+            f"_dx = {gen.bind(dblock, 'D')}; _rs = {i + 1}; break"
+        )
+    else:
+        gen.emit(
+            f"if cpu.steps + {nsteps} > cpu.max_steps: "
+            f"return {resume}(cpu, frame, locals(), {i + 1})"
+        )
 
 
 def _emit_loop_preamble(
     gen: _FnGen,
     region: _Region,
     plan: _RegionPlan,
-    kvars: List[str],
     uses_mem: bool,
     uses_pac: bool,
     uses_dfi: bool,
-) -> None:
-    """Region entry up to ``while True:`` for a region with internal edges."""
+) -> int:
+    """Region entry up to ``while True:`` for a region with internal edges.
+
+    Returns the index in ``gen.lines`` of the accumulator line, which
+    :func:`_gen_region` completes with the hit counters' initialisation
+    (and ``_rs``, when some call has a resume guard) once the body has
+    been emitted.
+    """
     # Local accounting accumulators (initialised before anything that
     # can raise -- the except clause flushes them unconditionally):
-    # _cy cycles, _in instructions, _st steps, _cr issue residue, _kN
-    # per-chunk execution counters; _dx is the block a deopt replays
-    # from.  Hot-loop chunks touch only these locals; attribute and dict
-    # traffic happens once, in the epilogue.
-    gen.emit("_cy = 0; _in = 0; _st = 0; _dx = None", indent=3)
-    for at in range(0, len(kvars), 20):
-        gen.emit(" = ".join(kvars[at:at + 20]) + " = 0", indent=3)
+    # _cy cycles, _st steps, _cr issue residue, _kN per-composition hit
+    # counters; _dx is the block a deopt replays from, and _rs the op
+    # it resumes at (0: the block's entry).  Hot-loop chunks
+    # touch only these locals; attribute and dict traffic happens once,
+    # in the epilogue.
+    gen.emit("_cy = 0; _st = 0; _dx = None", indent=3)
+    init_line = len(gen.lines) - 1
     gen.emit("_cr = timing._cheap_run", indent=3)
 
     # Loop-invariant aliases: generated op bodies are rewritten (see
@@ -1275,6 +1329,7 @@ def _emit_loop_preamble(
     if len(region.chains) > 1:
         gen.emit("_n = 0", indent=3)
     gen.emit("while True:", indent=3)
+    return init_line
 
 
 def _gen_region(
@@ -1421,28 +1476,6 @@ def _gen_region(
         for g, info in enumerate(all_info)
     )
 
-    # One local execution counter per pure chunk; the epilogue rebuilds
-    # the opcode histogram as counts[name] += sum(counter * multiplicity).
-    chunk_no: Dict[int, str] = {}
-    tally_terms: Dict[str, List[str]] = {}
-    for s in sorted(chunk_at):
-        e = chunk_at[s][1]
-        if direct or all_info[s][2]:
-            continue  # these chunks charge counts directly
-        kvar = f"_k{len(chunk_no)}"
-        chunk_no[s] = kvar
-        tallies: Dict[str, int] = {}
-        for i in range(s, e):
-            name = all_info[i][0]
-            tallies[name] = tallies.get(name, 0) + 1
-        for name, count in tallies.items():
-            tally_terms.setdefault(name, []).append(
-                kvar if count == 1 else f"{kvar}*{count}"
-            )
-    tally_flush = [
-        (name, " + ".join(terms)) for name, terms in tally_terms.items()
-    ]
-
     uses_mem = uses_pac = uses_dfi = False
     for _, body, _, _, _, _ in infos:
         for inst in body:
@@ -1459,7 +1492,11 @@ def _gen_region(
     gen.fn_names.append(fn_name)
     gen.current_map = meta.line_map
     gen.block_locals = plan.locals_map
-    gen.emit(f"def {fn_name}(cpu, frame, timing, counts):", indent=1)
+    # A region with internal edges counts its hits in one local per
+    # composition (allocated as the body is emitted), flushed with the
+    # other accumulators; a direct region bumps the CPU's hit store.
+    gen.counters = None if direct else {}
+    gen.emit(f"def {fn_name}(cpu, frame, timing, hits):", indent=1)
     gen.emit("try:", indent=2)
     if direct:
         for used, line in (
@@ -1470,8 +1507,8 @@ def _gen_region(
             if used:
                 gen.emit(line, indent=3)
     else:
-        _emit_loop_preamble(
-            gen, region, plan, list(chunk_no.values()), uses_mem, uses_pac, uses_dfi
+        init_line = _emit_loop_preamble(
+            gen, region, plan, uses_mem, uses_pac, uses_dfi
         )
 
     def leave(value: str, indent: int, k: int) -> None:
@@ -1483,14 +1520,15 @@ def _gen_region(
 
     def flush(indent: int, residue: bool) -> None:
         gen.emit("timing.cycles += _cy", indent=indent)
-        gen.emit("timing.instructions += _in", indent=indent)
         gen.emit("cpu.steps += _st", indent=indent)
         if residue:
             gen.emit("timing._cheap_run = _cr", indent=indent)
-        for name, expr in tally_flush:
-            gen.emit(f"counts[{name!r}] += {expr}", indent=indent)
+        for cid, counter in gen.counters.items():
+            gen.emit(f"hits[{cid}] += {counter}", indent=indent)
 
     multi = len(region.chains) > 1
+    resumes = False  # some call is followed by a step-limit guard
+    resume = None  # a direct region's resume closure, once bound
     old_emit = gen.emit
     for ci, chain in enumerate(region.chains):
         if multi:
@@ -1556,8 +1594,7 @@ def _gen_region(
                             _emit_impure_charges(gen, all_info, g)
                         else:
                             _emit_chunk_charges(
-                                gen, all_info, bounds[0], bounds[1],
-                                chunk_no[g],
+                                gen, all_info, bounds[0], bounds[1]
                             )
                     if j < nlead or j > tidx:
                         j += 1  # 'phi' pseudo-op: charge-only
@@ -1609,10 +1646,21 @@ def _gen_region(
                         j += 1
                         continue
                     _emit_op(gen, inst, dblock.ops[i], layout, g)
-                    if dblock.ops[i][2] and not direct:
-                        # The callee moved the issue residue; re-seed
-                        # the local before the next chunk charges.
-                        gen.emit("_cr = timing._cheap_run")
+                    if dblock.ops[i][2]:
+                        if not direct:
+                            # The callee moved the issue residue; re-seed
+                            # the local before the next chunk charges.
+                            gen.emit("_cr = timing._cheap_run")
+                        rest = sum(1 for op in op_info[j + 1:] if op[0] != "phi")
+                        if rest:
+                            if direct and resume is None:
+                                # A direct region is one block.
+                                resume = gen.bind(
+                                    _make_resumer(dblock, body, gen.block_locals),
+                                    "Z",
+                                )
+                            resumes = True
+                            _emit_resume_guard(gen, rest, dblock, i, resume)
                     j += 1
                 if dblock.term[0] == "fall":
                     source = dblock.source
@@ -1623,6 +1671,11 @@ def _gen_region(
                     gen.emit(f"raise RuntimeError({message!r})")
         finally:
             gen.emit = old_emit  # type: ignore[method-assign]
+    if not direct:
+        if resumes:
+            gen.lines[init_line] += "; _rs = 0"
+        if gen.counters:
+            gen.lines[init_line] += "; " + " = ".join(gen.counters.values()) + " = 0"
     gen.emit("except BaseException as _exc:", indent=2)
     if not direct:
         # Flush pending local charges so the trap fixup reconciles
@@ -1632,7 +1685,7 @@ def _gen_region(
         # of a callee, timing._cheap_run is already live (the local _cr
         # is the stale pre-call value).
         flush(3, residue=False)
-    gen.emit(f"    _FIX(cpu, timing, counts, {meta_name}, _exc)", indent=2)
+    gen.emit(f"    _FIX(cpu, timing, {meta_name}, _exc)", indent=2)
     gen.emit("    raise", indent=2)
     if not direct:
         # The loop's one way out.  A deopt's replay only adds to
@@ -1644,12 +1697,18 @@ def _gen_region(
         if plan.spill:
             spill = gen.bind(_make_spiller(tuple(plan.spill)), "P")
             gen.emit(f"    {spill}(frame, locals())", indent=2)
+        if resumes:
+            gen.emit(
+                "    if _rs: return (_RET, cpu._interpret_exact(_dx, frame, None, _rs))",
+                indent=2,
+            )
         gen.emit(
             "    return (_RET, cpu._interpret_decoded(_dx, frame))", indent=2
         )
         gen.emit("return _x", indent=2)
     gen.current_map = None
     gen.block_locals = {}
+    gen.counters = None
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,10 @@ class ExecutionProfiler:
             "block_counts": self.block_counts(),
         }
         if result is not None:
+            # Name breaks count ties: the histogram's insertion order
+            # depends on the tier that ran, and must not pick the rows.
             opcodes = sorted(
-                result.opcode_counts.items(), key=lambda item: -item[1]
+                result.opcode_counts.items(), key=lambda item: (-item[1], item[0])
             )[:top]
             out["opcodes"] = [
                 {"opcode": name, "count": count} for name, count in opcodes

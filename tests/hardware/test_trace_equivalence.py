@@ -178,15 +178,15 @@ def test_each_region_flushes_its_tally_at_most_twice(scheme):
     """Exits share one epilogue; only the except clause repeats the flush.
 
     A region with internal edges (its function has a ``while True``
-    loop) rebuilds each opcode's count from its chunk counters
-    (``counts['op'] += _k0*2 + _k1``).  That line must appear once in
-    the epilogue and once in the except clause, however many returns,
-    side exits and step-limit guards the region has.
+    loop) counts each chunk composition's hits in a local and adds it
+    to the CPU's hit store (``hits[17] += _k0``).  That line must appear
+    once in the epilogue and once in the except clause, however many
+    returns, side exits and step-limit guards the region has.
     """
     program = generate_program(get_profile("502.gcc_r"))
     protected = protect(program.compile(), scheme=scheme)
     trace_program, _ = trace_compile(protected.module)
-    tally = re.compile(r"^\s*counts\[('[^']+')\] \+= .*\b_k\d+")
+    tally = re.compile(r"^\s*hits\[(\d+)\] \+= _k\d+$")
     regions = exits = 0
     for source in trace_program.sources.values():
         for function in re.split(r"\n    def ", source)[1:]:

@@ -150,3 +150,36 @@ def test_trace_profile_report_matches_an_eager_compile():
     assert "hot regions (trace tier, by header, by cycles):" in format_report(
         report
     )
+
+
+#: Three opcodes run 3 times each (zext, call, ret), and the tiers add
+#: them to the histogram in different orders.
+TIE_SOURCE = """
+int twice(int x) { return x + x; }
+int main() {
+    int acc = 1;
+    for (int i = 0; i < 2; i = i + 1) { acc = twice(acc) % 5; }
+    printf("%d\\n", acc);
+    return acc;
+}
+"""
+
+
+@pytest.mark.parametrize("scheme", ["vanilla", "pythia"])
+def test_report_opcodes_and_totals_do_not_depend_on_the_tier(scheme):
+    module = protect(compile_source(TIE_SOURCE, name="tie"), scheme=scheme).module
+    top = 5
+    reports = {}
+    for interpreter in ("decoded", "block", "trace"):
+        profiler = ExecutionProfiler()
+        result = CPU(module, interpreter=interpreter, profiler=profiler).run()
+        assert result.ok
+        full = sorted(result.opcode_counts.values(), reverse=True)
+        # The cut at ``top`` falls inside a run of equal counts.
+        assert full[top - 1] == full[top]
+        report = profiler.report(result, top=top)
+        assert report["totals"].pop("interpreter") == interpreter
+        reports[interpreter] = (report["opcodes"], report["totals"])
+    assert reports["block"] == reports["decoded"]
+    assert reports["trace"] == reports["decoded"]
+    assert [row["opcode"] for row in reports["decoded"][0]][-1] == "call"
