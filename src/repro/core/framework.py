@@ -18,22 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..hardware.errors import ReproError
 from ..ir.instructions import is_pa_instruction
 from ..ir.module import Module
 from ..ir.verifier import VerificationError, verify_module
 from ..observability import phase_span
-from ..transforms.cpa import CompletePointerAuthentication
-from ..transforms.dfi import DataFlowIntegrityPass
-from ..transforms.field_protect import FieldProtectionPass
-from ..transforms.heap_section import HeapSectionPass
 from ..transforms.mem2reg import Mem2Reg
-from ..transforms.pass_manager import PassManager
-from ..transforms.stack_protect import StackProtectionPass
 from .config import BASELINE, DEFAULT_SCHEME, SCHEMES, DefenseConfig
-from .vulnerability import VulnerabilityAnalysis, VulnerabilityReport
+
+if TYPE_CHECKING:
+    from .vulnerability import VulnerabilityReport
 
 #: Estimated bytes per IR instruction when reporting binary sizes
 #: (AArch64 instructions are 4 bytes).
@@ -111,27 +107,64 @@ class ProtectionResult:
         return int(stats.get("canaries", 0))
 
 
+def _cpa_passes(config: DefenseConfig, report: VulnerabilityReport) -> list:
+    from ..transforms.cpa import CompletePointerAuthentication
+
+    return [CompletePointerAuthentication(report)]
+
+
 def _pythia_passes(config: DefenseConfig, report: VulnerabilityReport) -> list:
     passes = []
     if config.protect_fields:
+        from ..transforms.field_protect import FieldProtectionPass
+
         passes.append(FieldProtectionPass(report))
     if config.protect_stack:
+        from ..transforms.stack_protect import StackProtectionPass
+
         passes.append(
             StackProtectionPass(report, rerandomize=config.rerandomize_canaries)
         )
     if config.protect_heap:
+        from ..transforms.heap_section import HeapSectionPass
+
         passes.append(HeapSectionPass(report))
     return passes
 
 
+def _dfi_passes(config: DefenseConfig, report: VulnerabilityReport) -> list:
+    from ..transforms.dfi import DataFlowIntegrityPass
+
+    return [DataFlowIntegrityPass(report)]
+
+
 #: The defense passes of every scheme, built from its config and the
 #: vulnerability report.  The baseline has no entry: it is never
-#: instrumented.
+#: instrumented.  Each builder imports the pass modules it instantiates,
+#: so a process that protects under one scheme loads no other scheme's
+#: passes.
 SCHEME_PASSES = {
-    "cpa": lambda config, report: [CompletePointerAuthentication(report)],
+    "cpa": _cpa_passes,
     "pythia": _pythia_passes,
-    "dfi": lambda config, report: [DataFlowIntegrityPass(report)],
+    "dfi": _dfi_passes,
 }
+
+
+def preload_passes() -> None:
+    """Import every scheme's passes and the analysis they consume.
+
+    Pools call this before they fork, so each worker inherits these
+    modules instead of compiling them again on its first protection.
+    """
+    from ..transforms import (  # noqa: F401
+        cpa,
+        dfi,
+        field_protect,
+        heap_section,
+        pass_manager,
+        stack_protect,
+    )
+    from . import remap  # noqa: F401 - PreparedModule.variant, and the analyses
 
 
 def _prepare(
@@ -159,6 +192,8 @@ def _instrument(
     timings: Dict[str, float],
 ) -> ProtectionResult:
     """Run ``config``'s defense passes over the prepared ``target``."""
+    from ..transforms.pass_manager import PassManager
+
     # The incoming module was verified while being prepared, so the
     # pipeline only re-verifies after each mutation.
     passes = SCHEME_PASSES[config.scheme](config, report)
@@ -210,6 +245,8 @@ def protect(
         return ProtectionResult(
             module=target, scheme=BASELINE, report=None, timings=timings
         )
+    from .vulnerability import VulnerabilityAnalysis
+
     with phase_span("analysis", timings):
         report = VulnerabilityAnalysis(target).analyze()
     return _instrument(target, config, report, timings)

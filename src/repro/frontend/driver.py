@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-
 from ..ir.module import Module
 from ..ir.verifier import verify_module
 from .codegen import generate_module
@@ -27,4 +25,7 @@ def compile_source(source: str, name: str = "minic") -> Module:
 
 def source_digest(source: str) -> str:
     """Content address of one source text (hex SHA-256)."""
+    # Imported here: a run hashes its source only to report a trap.
+    import hashlib
+
     return hashlib.sha256(source.encode("utf-8")).hexdigest()

@@ -8,8 +8,9 @@ into the modelled C library.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List
 
 KEYWORDS = {
     "int",
@@ -94,111 +95,102 @@ class LexError(Exception):
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"', "'": "'"}
 
 
+#: One alternative per token class, tried in order at each offset, so
+#: comments win over ``/`` and each operator over its prefixes (maximal
+#: munch).  ``skip`` is blanks and line comments.  An ``open_*`` alternative matches only where the full
+#: comment or literal before it cannot: the source ends inside it.
+#: ``number`` declines a digit run that a non-ASCII character follows,
+#: because MiniC digits are ``str.isdigit``, which accepts more than
+#: 0-9; such runs, and identifiers that start with a non-ASCII letter,
+#: take ``other``.
+_TOKEN = re.compile(
+    "|".join(
+        (
+            r"(?P<skip>[ \t\r]+|//[^\n]*)",
+            r"(?P<newline>\n)",
+            r"(?P<ident>[A-Za-z_]\w*)",
+            r"(?P<block>/\*.*?\*/)",
+            r"(?P<open_block>/\*)",
+            "(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")",
+            r"(?P<number>0[xX][0-9a-fA-F]*|[0-9]+(?![0-9]|[^\x00-\x7f]))",
+            r'(?P<string>"[^"\\]*(?:\\.[^"\\]*)*")',
+            r'(?P<open_string>")',
+            r"(?P<char>'(?:\\.|[^\\])')",
+            r"(?P<open_char>')",
+            r"(?P<other>.)",
+        )
+    ),
+    re.DOTALL,
+)
+
+_WORD = re.compile(r"\w*")
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+_UNTERMINATED = {
+    "open_block": "unterminated block comment",
+    "open_string": "unterminated string literal",
+    "open_char": "unterminated char literal",
+}
+
+
+def _unescape(match: "re.Match[str]") -> str:
+    return _ESCAPES.get(match[1], match[1])
+
+
 def tokenize(source: str) -> List[Token]:
     """Turn MiniC source text into a token list ending with EOF."""
     tokens: List[Token] = []
+    append = tokens.append
+    scan = _TOKEN.match
     line = 1
-    column = 1
-    i = 0
+    line_start = 0  # offset of the current line's first character
+    pos = 0
     n = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, column
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        # whitespace
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        # comments
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, column
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                raise LexError("unterminated block comment", start_line, start_col)
-            advance(2)
-            continue
-        # identifiers / keywords
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_line, start_col = line, column
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                advance(1)
-            text = source[start:i]
+    while pos < n:
+        match = scan(source, pos)
+        kind = match.lastgroup
+        end = match.end()
+        if kind == "skip":
+            pass
+        elif kind == "newline":
+            line += 1
+            line_start = end
+        elif kind == "ident":
+            text = match.group()
             kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, start_line, start_col))
-            continue
-        # numbers (decimal and hex)
-        if ch.isdigit():
-            start = i
-            start_line, start_col = line, column
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                advance(2)
-                while i < n and source[i] in "0123456789abcdefABCDEF":
-                    advance(1)
-            else:
-                while i < n and source[i].isdigit():
-                    advance(1)
-            tokens.append(Token("number", source[start:i], start_line, start_col))
-            continue
-        # string literals
-        if ch == '"':
-            start_line, start_col = line, column
-            advance(1)
-            out: List[str] = []
-            while i < n and source[i] != '"':
-                if source[i] == "\\":
-                    advance(1)
-                    if i >= n:
-                        break
-                    out.append(_ESCAPES.get(source[i], source[i]))
-                    advance(1)
-                else:
-                    out.append(source[i])
-                    advance(1)
-            if i >= n:
-                raise LexError("unterminated string literal", start_line, start_col)
-            advance(1)
-            tokens.append(Token("string", "".join(out), start_line, start_col))
-            continue
-        # char literals
-        if ch == "'":
-            start_line, start_col = line, column
-            advance(1)
-            if i < n and source[i] == "\\":
-                advance(1)
-                value = _ESCAPES.get(source[i], source[i])
-                advance(1)
-            else:
-                value = source[i]
-                advance(1)
-            if i >= n or source[i] != "'":
-                raise LexError("unterminated char literal", start_line, start_col)
-            advance(1)
-            tokens.append(Token("char", value, start_line, start_col))
-            continue
-        # operators / punctuation
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line, column))
-                advance(len(op))
-                break
+            append(Token(kind, text, line, pos - line_start + 1))
+        elif kind == "op" or kind == "number":
+            append(Token(kind, match.group(), line, pos - line_start + 1))
+        elif kind in ("string", "char", "block"):
+            text = match.group()
+            if kind == "string":
+                body = text[1:-1]
+                if "\\" in body:
+                    body = _ESCAPE.sub(_unescape, body)
+                append(Token(kind, body, line, pos - line_start + 1))
+            elif kind == "char":
+                value = _ESCAPES.get(text[2], text[2]) if text[1] == "\\" else text[1]
+                append(Token(kind, value, line, pos - line_start + 1))
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", pos, end) + 1
+        elif kind in _UNTERMINATED:
+            raise LexError(_UNTERMINATED[kind], line, pos - line_start + 1)
         else:
-            raise LexError(f"unexpected character {ch!r}", line, column)
+            ch = match.group()
+            if ch.isalpha():
+                end = _WORD.match(source, end).end()
+                append(Token("ident", source[pos:end], line, pos - line_start + 1))
+            elif ch.isdigit():
+                while end < n and source[end].isdigit():
+                    end += 1
+                append(Token("number", source[pos:end], line, pos - line_start + 1))
+            else:
+                raise LexError(
+                    f"unexpected character {ch!r}", line, pos - line_start + 1
+                )
+        pos = end
 
-    tokens.append(Token("eof", "", line, column))
+    append(Token("eof", "", line, n - line_start + 1))
     return tokens

@@ -52,7 +52,9 @@ from .events import (
 from .metrics import (
     METRICS_SCHEMA,
     MetricsRegistry,
+    bucket_index,
     histogram_percentiles,
+    percentile_from_buckets,
     publish_execution,
     validate_snapshot,
     write_metrics,
@@ -69,13 +71,7 @@ from .trace import (
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "aggregate": (
-            "QuantileSketch",
-            "WindowAggregator",
-            "bucket_index",
-            "percentile_from_buckets",
-            "render_dashboard",
-        ),
+        "aggregate": ("QuantileSketch", "WindowAggregator", "render_dashboard"),
         "audit": ("audit_events", "render_audit"),
         "slo": (
             "SloBreach",

@@ -3,13 +3,13 @@
 Two building blocks sit here:
 
 - a **log-bucketed quantile sketch** (:class:`QuantileSketch`): values
-  map to geometric buckets (ratio :data:`BUCKET_BASE` per step, ~9%
-  relative error), so percentile estimation over millions of latency
-  samples costs a small dict instead of the sample list.  The same
-  bucketing backs the optional ``buckets`` field of
-  ``repro-metrics-v1`` histograms, which is how ``serve stats`` renders
-  p50/p90/p99 from the metrics snapshot -- one source of truth with
-  ``loadgen`` and ``repro top``;
+  map to the geometric buckets of :mod:`.metrics` (ratio
+  :data:`~.metrics.BUCKET_BASE` per step), so percentile estimation
+  over millions of latency samples costs a small dict instead of the
+  sample list.  The same bucketing backs the optional ``buckets`` field
+  of ``repro-metrics-v1`` histograms, which is how ``serve stats``
+  renders p50/p90/p99 from the metrics snapshot -- one source of truth
+  with ``loadgen`` and ``repro top``;
 - a **rolling time-window aggregator** (:class:`WindowAggregator`):
   counters and sketches sliced into fixed time buckets that expire as
   the window slides, yielding req/s, error rates, per-scheme trap
@@ -27,58 +27,7 @@ import math
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Geometric ratio between adjacent bucket upper bounds.  2**(1/8)
-#: keeps worst-case relative error under ~4.5% (half a bucket) while a
-#: nanosecond..hour range still fits in ~350 buckets.
-BUCKET_BASE = 2.0 ** 0.125
-
-_LOG_BASE = math.log(BUCKET_BASE)
-
-#: Bucket index reserved for zero and negative values.
-ZERO_BUCKET = -(10 ** 6)
-
-
-def bucket_index(value: float) -> int:
-    """The sketch bucket holding ``value`` (seconds, bytes, ...)."""
-    if value <= 0.0:
-        return ZERO_BUCKET
-    return int(math.ceil(math.log(value) / _LOG_BASE - 1e-9))
-
-
-def bucket_value(index: int) -> float:
-    """A representative value for one bucket (geometric midpoint)."""
-    if index == ZERO_BUCKET:
-        return 0.0
-    upper = BUCKET_BASE ** index
-    return upper / math.sqrt(BUCKET_BASE)
-
-
-def percentile_from_buckets(buckets: Dict[Any, int], q: float) -> float:
-    """Estimate the ``q``-th percentile (0..100) from bucket counts.
-
-    Accepts int or string bucket keys (JSON round-trips dict keys to
-    strings), so it can read sketches straight out of a
-    ``repro-metrics-v1`` snapshot.
-    """
-    total = 0
-    pairs: List[Tuple[int, int]] = []
-    for key, count in buckets.items():
-        index = int(key)
-        count = int(count)
-        if count <= 0:
-            continue
-        pairs.append((index, count))
-        total += count
-    if total == 0:
-        return 0.0
-    pairs.sort()
-    rank = max(1, math.ceil((q / 100.0) * total))
-    seen = 0
-    for index, count in pairs:
-        seen += count
-        if seen >= rank:
-            return bucket_value(index)
-    return bucket_value(pairs[-1][0])
+from .metrics import bucket_index, percentile_from_buckets
 
 
 class QuantileSketch:

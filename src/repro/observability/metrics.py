@@ -7,11 +7,14 @@ A :class:`MetricsRegistry` is a process-local bag of named metrics:
 - **gauges** -- last-written values (effective job fan-out, whether the
   compilation cache degraded to off);
 - **histograms** -- running ``count/sum/min/max`` summaries of repeated
-  observations (compile phase seconds, per-run wall time), plus a
-  log-bucketed quantile sketch (see :mod:`.aggregate`) so consumers
-  can render p50/p90/p99 from the snapshot alone -- ``serve stats``,
+  observations (compile phase seconds, per-run wall time), plus
+  log-spaced bucket counts (:func:`bucket_index`) so consumers can
+  render p50/p90/p99 from the snapshot alone -- ``serve stats``,
   ``repro top``, and ``loadgen`` all read the same buckets, which is
-  what keeps their percentiles one source of truth.
+  what keeps their percentiles one source of truth.  The bucketing
+  lives here rather than beside the dashboard's sketches
+  (:mod:`.aggregate`), so recording a histogram never loads the
+  dashboard code.
 
 Snapshots serialize to a single schema (:data:`METRICS_SCHEMA`) that
 the CLI ``--metrics-out`` flag, the suite failure manifest, and the CI
@@ -30,12 +33,63 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Optional
-
-from .aggregate import bucket_index, percentile_from_buckets
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Schema tag stamped into every snapshot (validated by the checker).
 METRICS_SCHEMA = "repro-metrics-v1"
+
+#: Geometric ratio between adjacent bucket upper bounds.  2**(1/8)
+#: keeps worst-case relative error under ~4.5% (half a bucket) while a
+#: nanosecond..hour range still fits in ~350 buckets.
+BUCKET_BASE = 2.0 ** 0.125
+
+_LOG_BASE = math.log(BUCKET_BASE)
+
+#: Bucket index reserved for zero and negative values.
+ZERO_BUCKET = -(10 ** 6)
+
+
+def bucket_index(value: float) -> int:
+    """The sketch bucket holding ``value`` (seconds, bytes, ...)."""
+    if value <= 0.0:
+        return ZERO_BUCKET
+    return int(math.ceil(math.log(value) / _LOG_BASE - 1e-9))
+
+
+def bucket_value(index: int) -> float:
+    """A representative value for one bucket (geometric midpoint)."""
+    if index == ZERO_BUCKET:
+        return 0.0
+    upper = BUCKET_BASE ** index
+    return upper / math.sqrt(BUCKET_BASE)
+
+
+def percentile_from_buckets(buckets: Dict[Any, int], q: float) -> float:
+    """Estimate the ``q``-th percentile (0..100) from bucket counts.
+
+    Accepts int or string bucket keys (JSON round-trips dict keys to
+    strings), so it can read sketches straight out of a
+    ``repro-metrics-v1`` snapshot.
+    """
+    total = 0
+    pairs: List[Tuple[int, int]] = []
+    for key, count in buckets.items():
+        index = int(key)
+        count = int(count)
+        if count <= 0:
+            continue
+        pairs.append((index, count))
+        total += count
+    if total == 0:
+        return 0.0
+    pairs.sort()
+    rank = max(1, math.ceil((q / 100.0) * total))
+    seen = 0
+    for index, count in pairs:
+        seen += count
+        if seen >= rank:
+            return bucket_value(index)
+    return bucket_value(pairs[-1][0])
 
 
 class MetricsRegistry:

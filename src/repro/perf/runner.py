@@ -451,8 +451,11 @@ def run_tasks(
         # Import what measure_program attempts load lazily before
         # forking, so every attempt shares it copy-on-write instead of
         # importing it.
+        from ..core.framework import preload_passes
         from ..hardware import tracec  # noqa: F401
         from . import cache  # noqa: F401
+
+        preload_passes()
 
     results: Dict[str, Any] = {}
     failures: Dict[str, TaskFailure] = {}

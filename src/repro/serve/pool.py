@@ -74,8 +74,11 @@ class WorkerPool:
         # worker shares it copy-on-write instead of importing it on its
         # first request.
         from ..attacks import scenarios  # noqa: F401
+        from ..core.framework import preload_passes
         from ..hardware import tracec  # noqa: F401
         from ..perf import cache  # noqa: F401
+
+        preload_passes()
 
         self._executor = ThreadPoolExecutor(
             max_workers=self.size, thread_name_prefix="serve-pipe"

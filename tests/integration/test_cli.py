@@ -150,6 +150,13 @@ class TestExitCodes:
         assert "repro: error:" in err
         assert "expected a type" in err
 
+    def test_source_ending_in_a_char_literal_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "cut.c"
+        path.write_text("int main() { char c = '")
+        code, _, err = run_cli(["run", str(path)], capsys)
+        assert code == 4
+        assert err == "repro: error: unterminated char literal at 1:23\n"
+
     def test_sema_error_exits_4(self, tmp_path, capsys):
         path = tmp_path / "sema.c"
         path.write_text("int main() { return bogus; }")

@@ -39,15 +39,31 @@ PACKAGES = sorted(
 )
 
 #: Submodules a package import may load besides ``repro._lazy``:
-#: observability builds its process-global state from these (``metrics``
-#: imports ``aggregate``), and ``robustness.triage`` is an export sharing
-#: its submodule's name.
+#: observability builds its process-global state from these, and
+#: ``robustness.triage`` is an export sharing its submodule's name.
 PACKAGE_EAGER = {
-    "observability": ("trace", "metrics", "events", "aggregate"),
+    "observability": ("trace", "metrics", "events"),
     "robustness": ("triage",),
 }
 
 TINY_SOURCE = "int main() { puts(\"hi\"); return 0; }"
+
+#: The defense pass modules each scheme's run instruments with (Pythia's
+#: field pass only under ``--fields``).
+SCHEME_PASS_MODULES = {
+    "vanilla": (),
+    "cpa": ("repro.transforms.cpa",),
+    "pythia": ("repro.transforms.stack_protect", "repro.transforms.heap_section"),
+    "dfi": ("repro.transforms.dfi",),
+}
+
+PASS_MODULES = (
+    "repro.transforms.cpa",
+    "repro.transforms.dfi",
+    "repro.transforms.field_protect",
+    "repro.transforms.heap_section",
+    "repro.transforms.stack_protect",
+)
 
 
 def run_fresh(code: str) -> dict:
@@ -153,7 +169,16 @@ def test_suite_runner_preloads_before_forking():
         import json, sys
         from repro.perf.runner import run_tasks
 
-        WANTED = ("repro.hardware.blockc", "repro.hardware.tracec", "repro.perf.cache")
+        WANTED = (
+            "repro.hardware.blockc",
+            "repro.hardware.tracec",
+            "repro.perf.cache",
+            "repro.transforms.cpa",
+            "repro.transforms.dfi",
+            "repro.transforms.field_protect",
+            "repro.transforms.heap_section",
+            "repro.transforms.stack_protect",
+        )
         before = [name for name in WANTED if name in sys.modules]
 
         def worker(payload):
@@ -169,6 +194,7 @@ def test_suite_runner_preloads_before_forking():
         "repro.hardware.blockc",
         "repro.hardware.tracec",
         "repro.perf.cache",
+        *PASS_MODULES,
     ]
 
 
@@ -184,6 +210,11 @@ def test_serve_pool_preloads_before_forking():
             "repro.hardware.blockc",
             "repro.hardware.tracec",
             "repro.perf.cache",
+            "repro.transforms.cpa",
+            "repro.transforms.dfi",
+            "repro.transforms.field_protect",
+            "repro.transforms.heap_section",
+            "repro.transforms.stack_protect",
         )
 
         class RecordingContext:
@@ -210,12 +241,14 @@ def test_serve_pool_preloads_before_forking():
     assert "repro.hardware.blockc" not in result["before"]
     assert "repro.hardware.tracec" not in result["before"]
     assert "repro.perf.cache" not in result["before"]
+    assert not set(PASS_MODULES) & set(result["before"])
     assert result["at_fork"] == [
         [
             "repro.attacks.scenarios",
             "repro.hardware.blockc",
             "repro.hardware.tracec",
             "repro.perf.cache",
+            *PASS_MODULES,
         ]
     ]
 
@@ -238,3 +271,26 @@ def test_detected_run_does_not_load_serve(tmp_path):
     )
     assert result["code"] == 2
     assert loaded(result["modules"], CLI_FORBIDDEN) == []
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_PASS_MODULES))
+def test_run_loads_only_its_own_scheme(tmp_path, scheme):
+    path = tmp_path / "tiny.c"
+    path.write_text(TINY_SOURCE)
+    result = run_fresh(
+        f"""
+        import contextlib, io, json, sys
+        from repro.cli import main
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", {str(path)!r}, "--scheme", {scheme!r}])
+        print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
+        """
+    )
+    assert result["code"] == 0
+    modules = result["modules"]
+    own = SCHEME_PASS_MODULES[scheme]
+    assert loaded(modules, PASS_MODULES) == sorted(own)
+    forbidden = ("repro.observability.aggregate", "repro.commands", "hashlib")
+    if scheme == "vanilla":
+        forbidden += ("repro.analysis.", "repro.core.vulnerability")
+    assert loaded(modules, forbidden) == []

@@ -13,7 +13,7 @@ from repro.observability import (
     percentile_from_buckets,
     render_dashboard,
 )
-from repro.observability.aggregate import BUCKET_BASE, ZERO_BUCKET, bucket_value
+from repro.observability.metrics import BUCKET_BASE, ZERO_BUCKET, bucket_value
 
 
 class TestBuckets:
