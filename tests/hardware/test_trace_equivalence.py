@@ -19,8 +19,9 @@ import pytest
 
 from repro.attacks import build_scenarios
 from repro.core import SCHEMES, protect
+from repro.frontend import compile_source
 from repro.hardware import CPU, trace_compile
-from repro.hardware.errors import StepLimitExceeded
+from repro.hardware.errors import DfiTrap, StepLimitExceeded
 from repro.observability import ExecutionProfiler
 from repro.perf.regions import profile_digest
 from repro.workloads import generate_program, get_profile
@@ -144,6 +145,50 @@ def test_scenario_equivalence_all_schemes(scenario_name):
                 assert scenario.attack_outcome(
                     runs["reference"]
                 ) == scenario.attack_outcome(runs["trace"]), context
+
+
+# -- a call-free leaf loop over a global ----------------------------------------------
+
+#: ``leaf``'s loop reads the global ``limit`` on every iteration and
+#: makes no call; under ``dfi`` each read is a ``dfi.chkdef`` whose
+#: pointer is the same global on every iteration.  ``main`` first stores
+#: ``buf[%d]``: in bounds at 0, and at 8 past ``buf``'s end onto
+#: ``limit``, which then carries the wrong writer when the loop reads it.
+LEAF_LOOP = r"""
+char buf[8];
+int limit = 3;
+
+int leaf(int n) {
+    int total = 0;
+    for (int i = 0; i < n; i = i + 1) { total = total + limit * i; }
+    return total;
+}
+
+int main() {
+    buf[%d] = 9;
+    printf("t=%%d\n", leaf(6));
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("index", (0, 8))
+def test_leaf_loop_over_a_global_matches_reference(index):
+    module = compile_source(LEAF_LOOP % index, name=f"leaf{index}")
+    for scheme in SCHEMES:
+        protected = protect(module, scheme=scheme)
+        context = f"leaf loop, buf[{index}], {scheme}"
+        reference = run_with(protected.module, "reference")
+        trace = run_with(protected.module, "trace")
+        assert_same(reference, trace, context)
+        if index == 8 and scheme == "dfi":
+            # The overwrite is caught at the loop's read of ``limit``.
+            assert isinstance(trace.trap, DfiTrap), context
+            assert "writer 1 not in [0]" in str(trace.trap), context
+        else:
+            assert trace.ok, context
+            expected = 45 if index == 0 else 135  # limit 3, or 9
+            assert trace.output == f"t={expected}\n".encode(), context
 
 
 # -- step-limit delegation -----------------------------------------------------------
