@@ -22,12 +22,16 @@ and ``trace_ops_per_step``: the Python bytecodes one run of that tier
 executes per simulated step (:func:`repro.perf.count_python_ops`; the
 trace tier on its profile-guided program).  They do not jitter with
 the host, so they show a change to a tier's per-step cost that the
-wall-clock columns cannot; they are reported, not gated.
+wall-clock columns cannot.
 
 Appends one entry to ``BENCH_interp.json`` (see repro.perf.trajectory)
-so throughput can be tracked across commits, and fails when the block
-tier's geomean steps/s regresses more than ``--max-block-regression``
-below the trajectory's previous block-tier entry.
+so throughput can be tracked across commits.  Fails when the block or
+trace tier's geomean steps/s regresses more than
+``--max-block-regression`` below the trajectory's previous entry, and
+when any scheme's ops per step rises more than 0.5% above the latest
+entry from the same host and profile that carries it
+(:func:`repro.perf.check_ops_regression`; skipped, with a note, when no
+such entry exists).
 
 Usage::
 
@@ -58,8 +62,10 @@ from repro.observability import ExecutionProfiler
 from repro.perf import (
     append_entry,
     check_block_regression_file,
+    check_ops_regression,
     count_python_ops,
     run_suite,
+    safe_load_entries,
 )
 from repro.workloads import generate_program, get_profile, profile_names
 
@@ -339,6 +345,11 @@ def main(argv=None) -> int:
         )
         if skip_note is not None:
             print(skip_note)
+    ops_regression, skip_note = check_ops_regression(
+        safe_load_entries(args.baseline or args.out) or [], entry
+    )
+    if skip_note is not None:
+        print(skip_note)
 
     append_entry(args.out, entry)
     print(f"appended trajectory entry to {args.out}")
@@ -367,6 +378,9 @@ def main(argv=None) -> int:
         failed = True
     if regression is not None:
         print(f"FAIL: {regression}", file=sys.stderr)
+        failed = True
+    if ops_regression is not None:
+        print(f"FAIL: Python ops per step: {ops_regression}", file=sys.stderr)
         failed = True
     return 1 if failed else 0
 

@@ -112,12 +112,16 @@ def _load_trace_profile(path: str) -> dict:
             report = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ReproError(f"invalid profile JSON in {path}: {exc}") from exc
-    counts = hot_block_counts(report)
-    if counts is None:
+    counts = hot_block_counts(report) if isinstance(report, dict) else None
+    totals = report.get("totals") if counts is not None else None
+    # A trace-tier report counts each fused region under its header.
+    if counts is None or (
+        isinstance(totals, dict) and totals.get("interpreter") == "trace"
+    ):
         raise ReproError(
             f"{path} carries no per-block execution counts (expected a "
             f"{PROFILE_SCHEMA} report from --profile-out under the block "
-            f"or trace tier)"
+            f"tier)"
         )
     return counts
 
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-in",
         default=None,
         metavar="FILE",
-        help="feed a saved --profile-out report to trace-tier region "
+        help="feed a block-tier --profile-out report to trace-tier region "
         "selection (only the trace interpreter consumes it)",
     )
     _add_observability_args(p)
@@ -329,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-in",
         default=None,
         metavar="FILE",
-        help="feed a saved --profile-out report to trace-tier region "
+        help="feed a block-tier --profile-out report to trace-tier region "
         "selection (only the trace interpreter consumes it)",
     )
     _add_observability_args(p)

@@ -48,20 +48,7 @@ function per region
   while the region runs);
 - routes internal CFG edges with inline parallel assignments and a
   small ``_n`` chain dispatch (direct branches between fused chains
-  never return to the driver);
-- hoists provably loop-invariant ``dfi.chkdef`` runs into a single
-  :meth:`DfiShadow.check_batch` at region entry -- legal only when the
-  region contains no ``dfi.setdef``, no calls and no fallback handlers
-  (the shadow is frozen for the whole invocation) and each hoisted
-  pointer is region-invariant and set on every path to the header; a
-  failing entry check *deopts* the whole invocation to the decoded
-  tier before any charge is applied, so trap sites and counters stay
-  bit-identical;
-- memoizes loop-invariant PAC ``sign``/``auth`` results keyed on
-  :attr:`PointerAuthentication.key_epoch`: ``corrupt_key``/``rekey``
-  bump the epoch, so the memo can never replay a stale MAC, and both
-  the hit test and the store require ``pac.fault_hook is None`` so
-  chaos injection always sees the real call.
+  never return to the driver).
 
 Every return, side exit and step-limit deopt of a region with internal
 edges breaks out of its loop to one epilogue, which flushes the local
@@ -311,16 +298,7 @@ class _Region:
 class _RegionPlan:
     """Per-region analysis results consumed by the generator."""
 
-    __slots__ = (
-        "locals_map",
-        "spill",
-        "invariants",
-        "header_phis",
-        "dfi_specs",
-        "dfi_skip",
-        "pac_sites",
-        "has_loop",
-    )
+    __slots__ = ("locals_map", "spill", "invariants", "header_phis")
 
     def __init__(self):
         #: id(value) -> Python local name (region locals + invariants)
@@ -331,13 +309,6 @@ class _RegionPlan:
         self.invariants: List[Tuple[object, str]] = []
         #: (phi, local name) preamble loads of localized header phis
         self.header_phis: List[Tuple[Phi, str]] = []
-        #: hoisted dfi.chkdef specs, check_batch format (deduplicated)
-        self.dfi_specs: List[tuple] = []
-        #: (id(dblock), body index) of hoisted sites (skipped inline)
-        self.dfi_skip: Set[Tuple[int, int]] = set()
-        #: (id(dblock), body index) -> memo index for PAC sign/auth
-        self.pac_sites: Dict[Tuple[int, int], int] = {}
-        self.has_loop = False
 
 
 def _successors(dblock: DecodedBlock) -> tuple:
@@ -621,7 +592,7 @@ def _build_chains(region: _Region, hotness, pos: Dict[int, int]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Region analysis: locals, invariants, hoisting, memoization
+# Region analysis: locals and loop invariants
 # ---------------------------------------------------------------------------
 
 
@@ -727,16 +698,6 @@ def _plan_region(
 ) -> _RegionPlan:
     plan = _RegionPlan()
     by_id = {id(d): d for d in order}
-    header_source = region.header.source
-
-    backedge_sources = [
-        dblock
-        for dblock in region.blocks
-        for successor in _successors(dblock)
-        if id(successor) in region.ids
-        and dom.dominates(successor.source, dblock.source)
-    ]
-    plan.has_loop = bool(backedge_sources)
 
     # Everything a region invocation may (re)define: body results --
     # def_ok or not, since fallback handlers write their result through
@@ -753,14 +714,6 @@ def _plan_region(
                 region_defined.add(id(inst))
         for phi in dblock.source.phis:
             region_defined.add(id(phi))
-
-    def always_set_at_entry(value) -> bool:
-        """Frame slot guaranteed bound whenever the region is entered."""
-        if isinstance(value, (Argument, Alloca)):
-            return True
-        if isinstance(value, Instruction) and value.parent is not None:
-            return dom.dominates(value.parent, header_source)
-        return False
 
     # -- region locals ------------------------------------------------------
     def consider(value, dblock) -> None:
@@ -792,21 +745,25 @@ def _plan_region(
             if def_ok:
                 consider(inst, dblock)
 
-    region_pure = True
-    for dblock in region.blocks:
-        for i, inst in enumerate(region_bodies[id(dblock)]):
-            if dblock.ops[i][2] or isinstance(inst, DfiSetDef):
-                region_pure = False
-                break
-        if not region_pure:
-            break
-
-    if not plan.has_loop:
+    # Without a back edge the body runs once per call: nothing to preload.
+    if not any(
+        id(successor) in region.ids
+        and dom.dominates(successor.source, dblock.source)
+        for dblock in region.blocks
+        for successor in _successors(dblock)
+    ):
         return plan
 
     # -- loop-invariant operand loads ---------------------------------------
     def invariant(value) -> bool:
-        return id(value) not in region_defined and always_set_at_entry(value)
+        """Not redefined in the region; its frame slot is bound at entry."""
+        if id(value) in region_defined:
+            return False
+        if isinstance(value, (Argument, Alloca)):
+            return True
+        if isinstance(value, Instruction) and value.parent is not None:
+            return dom.dominates(value.parent, region.header.source)
+        return False
 
     seen_inv: Set[int] = set()
     for dblock in region.blocks:
@@ -839,52 +796,6 @@ def _plan_region(
             name = f"_i{len(plan.invariants)}"
             plan.invariants.append((value, name))
             plan.locals_map[id(value)] = name
-
-    # -- hoisted DFI checks -------------------------------------------------
-    if region_pure:
-        seen_specs: Set[tuple] = set()
-        for dblock in region.blocks:
-            # Only sites that run on every completed iteration (their
-            # block dominates a back edge) are worth hoisting; others
-            # would risk deopting on checks the program never executes.
-            if not any(
-                dom.dominates(dblock.source, x.source) for x in backedge_sources
-            ):
-                continue
-            body = region_bodies[id(dblock)]
-            for i, inst in enumerate(body):
-                if not isinstance(inst, DfiChkDef) or dblock.ops[i][2]:
-                    continue
-                constant, pointer = _spec(inst.pointer, layout)
-                if not constant and not invariant(pointer):
-                    continue
-                plan.dfi_skip.add((id(dblock), i))
-                key = (
-                    constant,
-                    pointer if constant else id(pointer),
-                    inst.size,
-                    inst.allowed,
-                )
-                if key in seen_specs:
-                    continue
-                seen_specs.add(key)
-                plan.dfi_specs.append(
-                    (constant, pointer, inst.size, inst.allowed)
-                )
-
-    # -- PAC sign/auth memoization ------------------------------------------
-    for dblock in region.blocks:
-        body = region_bodies[id(dblock)]
-        for i, inst in enumerate(body):
-            if not isinstance(inst, (PacSign, PacAuth)) or dblock.ops[i][2]:
-                continue
-            vconst, vvalue = _spec(inst.value, layout)
-            mconst, mvalue = _spec(inst.modifier, layout)
-            if not vconst and id(vvalue) in region_defined:
-                continue
-            if not mconst and id(mvalue) in region_defined:
-                continue
-            plan.pac_sites[(id(dblock), i)] = len(plan.pac_sites)
 
     return plan
 
@@ -1006,30 +917,6 @@ def _emit_region_term(
     )
 
 
-def _emit_pac_memo(
-    gen: _FnGen, inst, layout, k: int, d: int, memo: int
-) -> None:
-    value = gen.operand(_spec(inst.value, layout))
-    modifier = gen.operand(_spec(inst.modifier, layout))
-    target = gen.target(inst)
-    method = "sign" if isinstance(inst, PacSign) else "auth"
-    gen.emit(
-        f"if _pe{memo} == pac.key_epoch and pac.fault_hook is None:", indent=d
-    )
-    gen.emit(f"    pac.{method}_count += 1", indent=d)
-    gen.emit(f"    {target} = _pv{memo}", indent=d)
-    gen.emit("else:", indent=d)
-    gen.emit(
-        f"    _t = pac.{method}({value}, {modifier}, {inst.key_id!r})",
-        indent=d,
-        op=k,
-    )
-    gen.emit(f"    {target} = _t", indent=d)
-    gen.emit("    if pac.fault_hook is None:", indent=d)
-    gen.emit(f"        _pe{memo} = pac.key_epoch", indent=d)
-    gen.emit(f"        _pv{memo} = _t", indent=d)
-
-
 _PAC_FIELD = (1 << PAC_BITS) - 1
 _U64_MASK = (1 << 64) - 1
 
@@ -1037,13 +924,12 @@ _U64_MASK = (1 << 64) - 1
 def _emit_pac_inline(gen: _FnGen, inst, layout, k: int, d: int) -> None:
     """Open-code the MAC-memo probe of ``PointerAuthentication.sign``/``auth``.
 
-    Sites whose operands vary across iterations cannot use the
-    loop-invariant memo slot, but the signed or authenticated value is
-    often dynamically stable, so the shared ``_pac_cache`` usually holds
-    the expected PAC already.  The probe replicates the method's own hit
-    path -- same key tuple, same counter bump, same strip -- and any
-    miss (or, for auth, mismatch) defers to the real method, which
-    recomputes, stores, and raises exactly as before.  The probe stands
+    The signed or authenticated value is often dynamically stable, so
+    the shared ``_pac_cache`` usually holds the expected PAC already.
+    The probe replicates the method's own hit path -- same key tuple,
+    same counter bump, same strip -- and any miss (or, for auth,
+    mismatch) defers to the real method, which recomputes, stores, and
+    raises exactly as before.  The probe stands
     down whenever a fault hook is installed: sign routes through the
     hook and auth routes substitution faults (``on_pac_auth``) through
     the full method, so chaos runs must never short-circuit a PAC site.
@@ -1307,25 +1193,10 @@ def _emit_loop_preamble(
             indent=3,
         )
     gen.emit("_ms = cpu.max_steps", indent=3)
-    if plan.dfi_specs:
-        # Entry check for every hoisted site; a violation deopts the
-        # whole invocation to the decoded oracle *before any charge*,
-        # which then traps at the exact site (or completes clean when
-        # the violating site turns out to be unreachable this call).
-        specs = gen.bind(tuple(plan.dfi_specs), "B")
-        header_name = gen.bind(region.header, "D")
-        gen.emit(f"_v = dfi.check_batch({specs}, frame)", indent=3)
-        gen.emit("if _v is not None:", indent=3)
-        gen.emit(
-            f"    return (_RET, cpu._interpret_decoded({header_name}, frame))",
-            indent=3,
-        )
     for value, name in plan.invariants:
         gen.emit(f"{name} = frame[{gen.bind(value, 'V')}]", indent=3)
     for phi, name in plan.header_phis:
         gen.emit(f"{name} = frame[{gen.bind(phi, 'V')}]", indent=3)
-    for memo in range(len(plan.pac_sites)):
-        gen.emit(f"_pe{memo} = -1", indent=3)
     if len(region.chains) > 1:
         gen.emit("_n = 0", indent=3)
     gen.emit("while True:", indent=3)
@@ -1485,8 +1356,6 @@ def _gen_region(
                 uses_pac = True
             elif isinstance(inst, (DfiSetDef, DfiChkDef)):
                 uses_dfi = True
-    if plan.dfi_specs:
-        uses_dfi = True
 
     meta_name = gen.bind(meta, "M")
     gen.fn_names.append(fn_name)
@@ -1616,16 +1485,12 @@ def _gen_region(
                         continue
                     i = j - nlead
                     inst = body[i]
-                    if (id(dblock), i) in plan.dfi_skip:
-                        j += 1  # checked once, at region entry
-                        continue
                     if isinstance(inst, DfiChkDef):
                         run = [(g, inst)]
                         nxt = i + 1
                         while (
                             nxt < nbody
                             and isinstance(body[nxt], DfiChkDef)
-                            and (id(dblock), nxt) not in plan.dfi_skip
                             and chunk_of[bbase + nlead + nxt] == chunk_of[g]
                         ):
                             run.append((bbase + nlead + nxt, body[nxt]))
@@ -1634,11 +1499,6 @@ def _gen_region(
                             _gen_dfi_chk_batch(gen, run, layout)
                             j = nlead + nxt
                             continue
-                    memo = plan.pac_sites.get((id(dblock), i))
-                    if memo is not None:
-                        _emit_pac_memo(gen, inst, layout, g, d, memo)
-                        j += 1
-                        continue
                     if isinstance(inst, (PacSign, PacAuth)) and not (
                         direct or dblock.ops[i][2]
                     ):

@@ -23,6 +23,7 @@ __getattr__, __dir__ = lazy_exports(
             "block_throughput",
             "check_block_regression",
             "check_block_regression_file",
+            "check_ops_regression",
             "check_serve_regression",
             "check_serve_regression_file",
             "load_entries",
@@ -42,6 +43,7 @@ __all__ = [
     "block_throughput",
     "check_block_regression",
     "check_block_regression_file",
+    "check_ops_regression",
     "check_serve_regression",
     "check_serve_regression_file",
     "count_python_ops",

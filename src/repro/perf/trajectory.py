@@ -186,6 +186,40 @@ def check_block_regression_file(
     return check_block_regression(entries, entry, tolerance), None
 
 
+def check_ops_regression(
+    entries: Sequence[Dict[str, Any]], entry: Dict[str, Any]
+) -> Tuple[Optional[str], Optional[str]]:
+    """Gate every scheme's ``*_ops_per_step`` fields in ``entry``.
+
+    The counts are deterministic, so the tolerance is tight: a field
+    fails when it rises more than 0.5% above the latest entry from the
+    same host (:func:`_same_host`) and ``profile`` carrying it.
+    Returns ``(failure, skip_note)``; the note names every field no
+    such entry carries.
+    """
+    prior = [
+        e.get("schemes") or {}
+        for e in _same_host(entries, entry)
+        if e.get("profile") == entry.get("profile")
+    ]
+    failures, missing = [], []
+    for scheme, fields in sorted((entry.get("schemes") or {}).items()):
+        for field in sorted(f for f in fields if f.endswith("_ops_per_step")):
+            bases = [s[scheme][field] for s in prior if field in s.get(scheme, {})]
+            if not bases:
+                missing.append(f"{scheme}/{field}")
+            elif fields[field] > bases[-1] * 1.005:
+                failures.append(
+                    f"{scheme} {field} rose: {fields[field]:.2f} vs "
+                    f"{bases[-1]:.2f} baseline (tolerance +0.5%)"
+                )
+    note = missing and (
+        f"no baseline, skipping ops-per-step check for {', '.join(missing)} "
+        f"(no prior entry from this host and profile carries them)"
+    )
+    return "; ".join(failures) or None, note or None
+
+
 # -- serve-daemon latency gate (BENCH_serve.json) ------------------------------
 
 

@@ -1,13 +1,13 @@
 """Golden equivalence: the profile-guided trace tier vs the other tiers.
 
 The trace tier fuses hot multi-block regions into single generated
-functions (inlined handlers, loop-local registers, hoisted DFI batch
-checks, memoized PAC auth), so every architectural observable must stay
-bit-identical to the decoded oracle and the reference interpreter --
-including mid-region traps (side-exit reconciliation), step-limit
-crossings, and attack scenarios.  Both region-selection modes are
-covered: static (no profile) and profile-guided (warmup counts from
-``ExecutionProfiler``).
+functions (inlined handlers, loop-local registers, loop-invariant
+preloads, batched DFI checks, inline PAC-cache probes), so every
+architectural observable must stay bit-identical to the decoded oracle
+and the reference interpreter -- including mid-region traps (side-exit
+reconciliation), step-limit crossings, and attack scenarios.  Both
+region-selection modes are covered: static (no profile) and
+profile-guided (warmup counts from ``ExecutionProfiler``).
 """
 
 from __future__ import annotations

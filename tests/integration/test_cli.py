@@ -534,6 +534,45 @@ class TestProfileGuidedTrace:
         assert "repro: error:" in err
         assert "no per-block execution counts" in err
 
+    def test_trace_tier_profile_is_refused(self, victim_path, tmp_path, capsys):
+        prof = tmp_path / "prof.json"
+        code, _, _ = run_cli(
+            ["run", victim_path, "--input", "x",
+             "--interpreter", "trace", "--profile-out", str(prof)],
+            capsys,
+        )
+        assert code == 0
+        code, _, err = run_cli(
+            ["run", victim_path, "--input", "x",
+             "--interpreter", "trace", "--profile-in", str(prof)],
+            capsys,
+        )
+        assert code != 0
+        assert "repro: error:" in err
+        assert "no per-block execution counts" in err
+        assert "under the block tier)" in err
+
+    @pytest.mark.parametrize(
+        "report, code",
+        (
+            ([1, 2], 1),  # not a report at all: refused
+            ({"block_counts": {"main:entry": 1}, "totals": "x"}, 0),
+        ),
+    )
+    def test_malformed_profile_is_no_crash(
+        self, victim_path, tmp_path, capsys, report, code
+    ):
+        import json
+
+        prof = tmp_path / "prof.json"
+        prof.write_text(json.dumps(report))
+        got, _, err = run_cli(
+            ["run", victim_path, "--input", "x",
+             "--interpreter", "trace", "--profile-in", str(prof)],
+            capsys,
+        )
+        assert got == code, err  # and no exception escaped main()
+
     def test_trace_interpreter_without_profile(self, victim_path, capsys):
         code, out, err = run_cli(
             ["run", victim_path, "--input", "x", "--interpreter", "trace"],

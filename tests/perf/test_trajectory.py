@@ -11,6 +11,7 @@ from repro.perf import (
     block_throughput,
     check_block_regression,
     check_block_regression_file,
+    check_ops_regression,
     check_serve_regression,
     check_serve_regression_file,
     load_entries,
@@ -220,6 +221,71 @@ class TestTraceTierGate:
         )
         assert note is None
         assert "trace tier regressed" in failure
+
+
+def ops_entry(trace=25.42, profile="502.gcc_r", **host):
+    """An entry whose pythia scheme carries every tier's ops per step."""
+    schemes = {
+        "pythia": {
+            "decoded_ops_per_step": 72.1,
+            "block_ops_per_step": 38.61,
+            "trace_ops_per_step": trace,
+        }
+    }
+    return on_host({"profile": profile, "schemes": schemes}, **host)
+
+
+class TestOpsPerStepGate:
+    def test_equal_counts_pass(self):
+        assert check_ops_regression([ops_entry()], ops_entry()) == (None, None)
+
+    def test_rise_within_half_a_percent_passes(self):
+        failure, note = check_ops_regression([ops_entry(25.42)], ops_entry(25.54))
+        assert failure is None and note is None
+
+    def test_rise_beyond_half_a_percent_fails(self):
+        failure, note = check_ops_regression([ops_entry(25.42)], ops_entry(25.56))
+        assert note is None
+        assert "pythia trace_ops_per_step rose: 25.56 vs 25.42" in failure
+        assert "decoded" not in failure and "block" not in failure
+
+    def test_fall_passes(self):
+        failure, _ = check_ops_regression([ops_entry(25.42)], ops_entry(20.0))
+        assert failure is None
+
+    def test_baseline_is_latest_entry_carrying_the_field(self):
+        # The latest same-host entry lacks ops counts (an older bench
+        # wrote it), so the gate looks further back for each field.
+        latest = on_host(dict(entry(1000.0), profile="502.gcc_r"))
+        history = [ops_entry(30.0), ops_entry(25.42), latest]
+        failure, note = check_ops_regression(history, ops_entry(26.0))
+        assert note is None
+        assert "26.00 vs 25.42" in failure
+
+    def test_other_host_or_profile_is_never_the_baseline(self):
+        history = [
+            ops_entry(20.0, python="3.12.1"),
+            ops_entry(20.0, cpu_count=8),
+            ops_entry(20.0, profile="505.mcf_r"),
+        ]
+        failure, note = check_ops_regression(history, ops_entry(25.42))
+        assert failure is None
+        assert note.startswith("no baseline, skipping ops-per-step check")
+        assert "pythia/trace_ops_per_step" in note
+
+    def test_field_without_baseline_skips_alone(self):
+        old = ops_entry(25.42)
+        del old["schemes"]["pythia"]["block_ops_per_step"]
+        failure, note = check_ops_regression([old], ops_entry(30.0))
+        assert "trace_ops_per_step rose" in failure
+        assert "pythia/block_ops_per_step" in note
+        assert "trace_ops_per_step" not in note
+
+    def test_entry_without_counts_checks_nothing(self):
+        assert check_ops_regression([ops_entry()], on_host(entry())) == (
+            None,
+            None,
+        )
 
 
 def serve_entry(p99=20.0):

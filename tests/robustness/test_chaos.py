@@ -116,13 +116,13 @@ class TestInterpreterInterop:
         )
 
     def test_trace_tier_sees_identical_fault_sites(self, smoke_reports):
-        # The trace tier memoizes PAC auth/sign and probes the PAC cache
-        # inline from generated code, so it is the tier most at risk of
-        # hiding an injected fault: the inline sign probe must stand
-        # down while a fault hook is armed, and the memo key carries
-        # ``key_epoch`` so ``pac.key`` faults (corrupt_key mid-run)
-        # invalidate every cached tag.  Same plan, same sites, same
-        # classifications as the reference baseline proves all of it.
+        # The trace tier probes the PAC cache inline from generated
+        # code, so it is the tier most at risk of hiding an injected
+        # fault: the inline probes must stand down while a fault hook
+        # is armed, and the probe key carries ``key_epoch`` so
+        # ``pac.key`` faults (corrupt_key mid-run) invalidate every
+        # cached tag.  Same plan, same sites, same classifications as
+        # the reference baseline proves all of it.
         baseline, _ = smoke_reports
         trace = run_chaos(smoke_plan(2024), seed=2024, interpreter="trace")
         assert trace.signature() == baseline.signature()
