@@ -18,7 +18,6 @@ Two granularities are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..ir.cfg import predecessor_map, reverse_postorder
@@ -29,15 +28,25 @@ from .alias import AliasAnalysis, MemObject
 from .input_channels import InputChannelAnalysis, InputChannelSite
 
 
-@dataclass(eq=False)
 class MemoryDef:
     """One definition of memory: a store or an input-channel write."""
 
-    def_id: int
-    inst: Instruction  # Store or Call
-    function: Function
-    objects: FrozenSet[MemObject]
-    ic_site: Optional[InputChannelSite] = None
+    __slots__ = ("def_id", "inst", "function", "objects", "ic_site")
+
+    def __init__(
+        self,
+        def_id: int,
+        inst: Instruction,
+        function: Function,
+        objects: FrozenSet[MemObject],
+        ic_site: Optional[InputChannelSite] = None,
+    ):
+        self.def_id = def_id
+        #: a Store or a Call
+        self.inst = inst
+        self.function = function
+        self.objects = objects
+        self.ic_site = ic_site
 
     @property
     def is_input_channel(self) -> bool:

@@ -20,7 +20,6 @@ Detection covers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hardware.libc import LIBRARY
@@ -34,17 +33,27 @@ from ..ir.values import Argument, Value
 IC_CATEGORIES = ("print", "scan", "movecopy", "get", "put", "map")
 
 
-@dataclass
 class InputChannelSite:
     """One call site of an input channel."""
 
-    call: Call
-    function: Function  # the function containing the call
-    kind: str
-    #: operand values the channel writes through (overflow destinations)
-    written_pointers: Tuple[Value, ...]
-    #: True when the channel's *return value* carries external data
-    writes_return: bool = False
+    __slots__ = ("call", "function", "kind", "written_pointers", "writes_return")
+
+    def __init__(
+        self,
+        call: Call,
+        function: Function,
+        kind: str,
+        written_pointers: Tuple[Value, ...],
+        writes_return: bool = False,
+    ):
+        self.call = call
+        #: the function containing the call
+        self.function = function
+        self.kind = kind
+        #: operand values the channel writes through (overflow destinations)
+        self.written_pointers = written_pointers
+        #: True when the channel's *return value* carries external data
+        self.writes_return = writes_return
 
 
 def channel_kind_of(function: Function) -> Optional[str]:

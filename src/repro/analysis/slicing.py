@@ -24,7 +24,6 @@ The DFI comparison baseline reuses the same machinery with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.function import Function
@@ -70,26 +69,49 @@ def dfi_hostile_gep(gep: GetElementPtr) -> bool:
     return not isinstance(gep.pointer, Argument)
 
 
-@dataclass
 class BranchSlice:
     """The backward slice of one conditional branch (or, via
     :meth:`BackwardSlicer.slice_value`, of an arbitrary value, in which
     case ``branch`` is ``None``)."""
 
-    branch: Optional[CondBranch]
-    function: Function
-    #: SSA instructions in the slice
-    values: Set[Instruction] = field(default_factory=set)
-    #: abstract memory objects (program variables) in the slice
-    variables: Set[MemObject] = field(default_factory=set)
-    #: input channels whose writes reach the slice, with traversal depth
-    input_channels: List[Tuple[InputChannelSite, int]] = field(default_factory=list)
-    has_pointer_arithmetic: bool = False
-    has_field_access: bool = False
-    #: the walk required reasoning through caller-opaque memory
-    complex_interprocedural: bool = False
-    #: instructions the slicer refused to cross (DFI termination points)
-    terminated_at: List[Instruction] = field(default_factory=list)
+    __slots__ = (
+        "branch",
+        "function",
+        "values",
+        "variables",
+        "input_channels",
+        "has_pointer_arithmetic",
+        "has_field_access",
+        "complex_interprocedural",
+        "terminated_at",
+    )
+
+    def __init__(
+        self,
+        branch: Optional[CondBranch],
+        function: Function,
+        values: Optional[Set[Instruction]] = None,
+        variables: Optional[Set[MemObject]] = None,
+        input_channels: Optional[List[Tuple[InputChannelSite, int]]] = None,
+        has_pointer_arithmetic: bool = False,
+        has_field_access: bool = False,
+        complex_interprocedural: bool = False,
+        terminated_at: Optional[List[Instruction]] = None,
+    ):
+        self.branch = branch
+        self.function = function
+        #: SSA instructions in the slice
+        self.values = set() if values is None else values
+        #: abstract memory objects (program variables) in the slice
+        self.variables = set() if variables is None else variables
+        #: input channels whose writes reach the slice, with traversal depth
+        self.input_channels = [] if input_channels is None else input_channels
+        self.has_pointer_arithmetic = has_pointer_arithmetic
+        self.has_field_access = has_field_access
+        #: the walk required reasoning through caller-opaque memory
+        self.complex_interprocedural = complex_interprocedural
+        #: instructions the slicer refused to cross (DFI termination points)
+        self.terminated_at = [] if terminated_at is None else terminated_at
 
     @property
     def length(self) -> int:
@@ -351,13 +373,20 @@ class BackwardSlicer:
         return self._site_by_call.get(id(call))
 
 
-@dataclass
 class ForwardSlice:
     """Everything reachable forward from input-channel writes."""
 
-    sites: List[InputChannelSite]
-    values: Set[Instruction] = field(default_factory=set)
-    variables: Set[MemObject] = field(default_factory=set)
+    __slots__ = ("sites", "values", "variables")
+
+    def __init__(
+        self,
+        sites: List[InputChannelSite],
+        values: Optional[Set[Instruction]] = None,
+        variables: Optional[Set[MemObject]] = None,
+    ):
+        self.sites = sites
+        self.values = set() if values is None else values
+        self.variables = set() if variables is None else variables
 
     @property
     def length(self) -> int:

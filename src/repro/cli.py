@@ -45,7 +45,11 @@ only its scheme's passes, so a cold ``repro run`` loads only what
 ``run`` executes.  It loads no other subcommand, no other scheme's
 passes, no analysis under the baseline scheme, no dashboard code
 (:mod:`repro.observability.aggregate`) and no ``hashlib`` unless the
-run traps.
+run traps.  It loads no benchmark profile table (the ``bench`` and
+``chaos`` choices resolve on first use) and no per-op interpreter
+(:mod:`repro.hardware.oracle`) unless the run needs one.  It builds no
+dataclass but ``ExecutionResult`` and ``DefenseConfig``: AST nodes,
+tokens, analysis results and the timing model are plain classes.
 """
 
 from __future__ import annotations
@@ -76,7 +80,6 @@ from .observability import (
     write_metrics,
     write_trace,
 )
-from .workloads.profiles import profile_names
 
 #: Exit code per failure layer.  :class:`~repro.hardware.errors.ReproError`
 #: subclasses carry their own ``exit_code`` and take precedence.
@@ -90,11 +93,44 @@ EXIT_CODES = {
 _FRONTEND_ERRORS = (LexError, CParseError, SemaError, CodegenError)
 
 
+class _ProfileNames:
+    """The benchmark profile names as argparse ``choices``.
+
+    The profile table loads on the first membership test or iteration
+    (parsing a ``bench``/``chaos`` argument, or printing the invalid-choice
+    error), not when the parser is built, so ``run`` never loads it.
+    """
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
+
+    @staticmethod
+    def _names() -> List[str]:
+        from .workloads.profiles import profile_names
+
+        return profile_names()
+
+
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+def _compile_program(source: str, name: str):
+    """Compile a program for ``run``/``profile``, which start at ``main``:
+    a source that defines no ``main`` is invalid input, not a crash."""
+    from .frontend.driver import compile_source
+
+    module = compile_source(source, name=name)
+    main = module.functions.get("main")
+    if main is None or main.is_declaration:
+        raise SemaError("program defines no function 'main'")
+    return module
 
 
 def _parse_inputs(items: Optional[List[str]]) -> List[bytes]:
@@ -151,11 +187,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     from .core.framework import protect
-    from .frontend.driver import compile_source, source_digest
+    from .frontend.driver import source_digest
     from .hardware.cpu import CPU
 
     source = _read_source(args.source)
-    module = compile_source(source, name=args.name)
+    module = _compile_program(source, args.name)
     config = DefenseConfig(scheme=args.scheme, protect_fields=args.fields)
     # The module was compiled for this run alone: protect it in place.
     protected = protect(module, config=config, clone=False)
@@ -326,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
 
     p = sub.add_parser("bench", help="run one generated benchmark")
-    p.add_argument("benchmark", choices=profile_names(), metavar="BENCHMARK")
+    p.add_argument("benchmark", choices=_ProfileNames(), metavar="BENCHMARK")
     p.add_argument("--seed", type=int, default=2024)
     _add_interpreter_arg(p)
     p.add_argument(
@@ -395,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workload",
         default="nginx",
-        choices=profile_names(),
+        choices=_ProfileNames(),
         metavar="BENCHMARK",
         help="workload to run under faults (default: nginx, the "
         "profile with live heap traffic)",

@@ -13,6 +13,7 @@ import sys
 
 from .cli import (
     EXIT_CODES,
+    _compile_program,
     _fail,
     _load_trace_profile,
     _parse_inputs,
@@ -288,11 +289,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from .core.framework import protect
-    from .frontend.driver import compile_source
     from .hardware.cpu import CPU
     from .observability.profile import ExecutionProfiler, format_report
 
-    module = compile_source(_read_source(args.source), name=args.name)
+    module = _compile_program(_read_source(args.source), args.name)
     protected = protect(module, scheme=args.scheme)
     profiler = ExecutionProfiler()
     cpu = CPU(

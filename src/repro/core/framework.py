@@ -16,7 +16,6 @@ oracle in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Optional
 
@@ -65,18 +64,28 @@ def clone_module_textual(module: Module) -> Module:
     return parse_module(print_module(module))
 
 
-@dataclass
 class ProtectionResult:
-    """An instrumented module plus its static statistics."""
+    """An instrumented module plus its static statistics.
 
-    module: Module
-    scheme: str
-    report: Optional[VulnerabilityReport]
-    pass_stats: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    #: wall seconds per compile phase: ``verify``, ``mem2reg``,
-    #: ``analysis`` (or ``remap`` under the shared-analysis path), and
-    #: ``pass:<name>`` per defense pass
-    timings: Dict[str, float] = field(default_factory=dict)
+    No ``__slots__``: the ``cached_property`` memos need a ``__dict__``.
+    """
+
+    def __init__(
+        self,
+        module: Module,
+        scheme: str,
+        report: Optional[VulnerabilityReport],
+        pass_stats: Optional[Dict[str, Dict[str, object]]] = None,
+        timings: Optional[Dict[str, float]] = None,
+    ):
+        self.module = module
+        self.scheme = scheme
+        self.report = report
+        self.pass_stats = {} if pass_stats is None else pass_stats
+        #: wall seconds per compile phase: ``verify``, ``mem2reg``,
+        #: ``analysis`` (or ``remap`` under the shared-analysis path), and
+        #: ``pass:<name>`` per defense pass
+        self.timings = {} if timings is None else timings
 
     @cached_property
     def pa_static(self) -> int:

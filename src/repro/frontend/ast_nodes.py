@@ -1,16 +1,36 @@
-"""Abstract syntax tree for MiniC."""
+"""Abstract syntax tree for MiniC.
+
+Nodes are plain ``__slots__`` classes with one explicit ``__init__``
+each, not dataclasses: a cold ``repro run`` defines all 32 of them and
+builds ~1,500 nodes, and ``@dataclass`` would compile generated source
+for every class at import.  Each ``__init__`` takes the node's fields
+in declaration order (positionally or by keyword), every field has a
+default, list fields default to a fresh list per node, and ``line`` is
+keyword-only.  Nodes compare by identity; sema keys its tables by
+``id(node)``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 
-@dataclass
 class Node:
     """Base AST node carrying its source position."""
 
-    line: int = field(default=0, kw_only=True)
+    __slots__ = ("line",)
+
+    def __init__(self, *, line: int = 0):
+        self.line = line
+
+    def __repr__(self) -> str:
+        names = [
+            name
+            for cls in reversed(type(self).__mro__)
+            for name in cls.__dict__.get("__slots__", ())
+        ]
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__name__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -18,16 +38,26 @@ class Node:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TypeRef(Node):
     """A type as written: base name + pointer depth + array dims.
 
     ``base`` is ``"int"``, ``"char"``, ``"void"``, or ``"struct NAME"``.
     """
 
-    base: str = "int"
-    pointer_depth: int = 0
-    array_dims: Tuple[int, ...] = ()
+    __slots__ = ("base", "pointer_depth", "array_dims")
+
+    def __init__(
+        self,
+        base: str = "int",
+        pointer_depth: int = 0,
+        array_dims: Tuple[int, ...] = (),
+        *,
+        line: int = 0,
+    ):
+        self.line = line
+        self.base = base
+        self.pointer_depth = pointer_depth
+        self.array_dims = array_dims
 
 
 # ---------------------------------------------------------------------------
@@ -35,92 +65,161 @@ class TypeRef(Node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Expr(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class IntLiteral(Expr):
-    value: int = 0
+    __slots__ = ("value",)
+
+    def __init__(self, value: int = 0, *, line: int = 0):
+        self.line = line
+        self.value = value
 
 
-@dataclass
 class CharLiteral(Expr):
-    value: str = "\0"
+    __slots__ = ("value",)
+
+    def __init__(self, value: str = "\0", *, line: int = 0):
+        self.line = line
+        self.value = value
 
 
-@dataclass
 class StringLiteral(Expr):
-    value: str = ""
+    __slots__ = ("value",)
+
+    def __init__(self, value: str = "", *, line: int = 0):
+        self.line = line
+        self.value = value
 
 
-@dataclass
 class NullLiteral(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class Identifier(Expr):
-    name: str = ""
+    __slots__ = ("name",)
+
+    def __init__(self, name: str = "", *, line: int = 0):
+        self.line = line
+        self.name = name
 
 
-@dataclass
 class BinaryOp(Expr):
-    op: str = "+"
-    left: Optional[Expr] = None
-    right: Optional[Expr] = None
+    __slots__ = ("op", "left", "right")
+
+    def __init__(
+        self,
+        op: str = "+",
+        left: Optional[Expr] = None,
+        right: Optional[Expr] = None,
+        *,
+        line: int = 0,
+    ):
+        self.line = line
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class UnaryOp(Expr):
     """``-x``, ``!x``, ``~x``, ``*p`` (deref), ``&x`` (address-of)."""
 
-    op: str = "-"
-    operand: Optional[Expr] = None
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str = "-", operand: Optional[Expr] = None, *, line: int = 0):
+        self.line = line
+        self.op = op
+        self.operand = operand
 
 
-@dataclass
 class Assignment(Expr):
-    target: Optional[Expr] = None
-    value: Optional[Expr] = None
+    __slots__ = ("target", "value")
+
+    def __init__(
+        self,
+        target: Optional[Expr] = None,
+        value: Optional[Expr] = None,
+        *,
+        line: int = 0,
+    ):
+        self.line = line
+        self.target = target
+        self.value = value
 
 
-@dataclass
 class CallExpr(Expr):
-    name: str = ""
-    args: List[Expr] = field(default_factory=list)
+    __slots__ = ("name", "args")
+
+    def __init__(
+        self, name: str = "", args: Optional[List[Expr]] = None, *, line: int = 0
+    ):
+        self.line = line
+        self.name = name
+        self.args = [] if args is None else args
 
 
-@dataclass
 class IndexExpr(Expr):
     """``base[index]`` on arrays or pointers."""
 
-    base: Optional[Expr] = None
-    index: Optional[Expr] = None
+    __slots__ = ("base", "index")
+
+    def __init__(
+        self,
+        base: Optional[Expr] = None,
+        index: Optional[Expr] = None,
+        *,
+        line: int = 0,
+    ):
+        self.line = line
+        self.base = base
+        self.index = index
 
 
-@dataclass
 class FieldExpr(Expr):
     """``base.field`` or ``base->field`` (``arrow=True``)."""
 
-    base: Optional[Expr] = None
-    field_name: str = ""
-    arrow: bool = False
+    __slots__ = ("base", "field_name", "arrow")
+
+    def __init__(
+        self,
+        base: Optional[Expr] = None,
+        field_name: str = "",
+        arrow: bool = False,
+        *,
+        line: int = 0,
+    ):
+        self.line = line
+        self.base = base
+        self.field_name = field_name
+        self.arrow = arrow
 
 
-@dataclass
 class TernaryExpr(Expr):
     """``cond ? then_value : else_value`` with short-circuit arms."""
 
-    condition: Optional[Expr] = None
-    then_value: Optional[Expr] = None
-    else_value: Optional[Expr] = None
+    __slots__ = ("condition", "then_value", "else_value")
+
+    def __init__(
+        self,
+        condition: Optional[Expr] = None,
+        then_value: Optional[Expr] = None,
+        else_value: Optional[Expr] = None,
+        *,
+        line: int = 0,
+    ):
+        self.line = line
+        self.condition = condition
+        self.then_value = then_value
+        self.else_value = else_value
 
 
-@dataclass
 class SizeofExpr(Expr):
-    type_ref: Optional[TypeRef] = None
+    __slots__ = ("type_ref",)
+
+    def __init__(self, type_ref: Optional[TypeRef] = None, *, line: int = 0):
+        self.line = line
+        self.type_ref = type_ref
 
 
 # ---------------------------------------------------------------------------
@@ -128,72 +227,127 @@ class SizeofExpr(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Stmt(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class ExprStmt(Stmt):
-    expr: Optional[Expr] = None
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Optional[Expr] = None, *, line: int = 0):
+        self.line = line
+        self.expr = expr
 
 
-@dataclass
 class DeclStmt(Stmt):
     """A local declaration: ``int x = 3;`` / ``char buf[16];``"""
 
-    type_ref: Optional[TypeRef] = None
-    name: str = ""
-    initializer: Optional[Expr] = None
+    __slots__ = ("type_ref", "name", "initializer")
+
+    def __init__(
+        self,
+        type_ref: Optional[TypeRef] = None,
+        name: str = "",
+        initializer: Optional[Expr] = None,
+        *,
+        line: int = 0,
+    ):
+        self.line = line
+        self.type_ref = type_ref
+        self.name = name
+        self.initializer = initializer
 
 
-@dataclass
 class IfStmt(Stmt):
-    condition: Optional[Expr] = None
-    then_body: List[Stmt] = field(default_factory=list)
-    else_body: List[Stmt] = field(default_factory=list)
+    __slots__ = ("condition", "then_body", "else_body")
+
+    def __init__(
+        self,
+        condition: Optional[Expr] = None,
+        then_body: Optional[List[Stmt]] = None,
+        else_body: Optional[List[Stmt]] = None,
+        *,
+        line: int = 0,
+    ):
+        self.line = line
+        self.condition = condition
+        self.then_body = [] if then_body is None else then_body
+        self.else_body = [] if else_body is None else else_body
 
 
-@dataclass
 class WhileStmt(Stmt):
-    condition: Optional[Expr] = None
-    body: List[Stmt] = field(default_factory=list)
+    __slots__ = ("condition", "body")
+
+    def __init__(
+        self,
+        condition: Optional[Expr] = None,
+        body: Optional[List[Stmt]] = None,
+        *,
+        line: int = 0,
+    ):
+        self.line = line
+        self.condition = condition
+        self.body = [] if body is None else body
 
 
-@dataclass
 class DoWhileStmt(Stmt):
     """``do { body } while (condition);`` -- body runs at least once."""
 
-    condition: Optional[Expr] = None
-    body: List[Stmt] = field(default_factory=list)
+    __slots__ = ("condition", "body")
+
+    def __init__(
+        self,
+        condition: Optional[Expr] = None,
+        body: Optional[List[Stmt]] = None,
+        *,
+        line: int = 0,
+    ):
+        self.line = line
+        self.condition = condition
+        self.body = [] if body is None else body
 
 
-@dataclass
 class ForStmt(Stmt):
-    init: Optional[Stmt] = None
-    condition: Optional[Expr] = None
-    step: Optional[Expr] = None
-    body: List[Stmt] = field(default_factory=list)
+    __slots__ = ("init", "condition", "step", "body")
+
+    def __init__(
+        self,
+        init: Optional[Stmt] = None,
+        condition: Optional[Expr] = None,
+        step: Optional[Expr] = None,
+        body: Optional[List[Stmt]] = None,
+        *,
+        line: int = 0,
+    ):
+        self.line = line
+        self.init = init
+        self.condition = condition
+        self.step = step
+        self.body = [] if body is None else body
 
 
-@dataclass
 class ReturnStmt(Stmt):
-    value: Optional[Expr] = None
+    __slots__ = ("value",)
+
+    def __init__(self, value: Optional[Expr] = None, *, line: int = 0):
+        self.line = line
+        self.value = value
 
 
-@dataclass
 class BreakStmt(Stmt):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class ContinueStmt(Stmt):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class BlockStmt(Stmt):
-    body: List[Stmt] = field(default_factory=list)
+    __slots__ = ("body",)
+
+    def __init__(self, body: Optional[List[Stmt]] = None, *, line: int = 0):
+        self.line = line
+        self.body = [] if body is None else body
 
 
 # ---------------------------------------------------------------------------
@@ -201,35 +355,76 @@ class BlockStmt(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Param(Node):
-    type_ref: Optional[TypeRef] = None
-    name: str = ""
+    __slots__ = ("type_ref", "name")
+
+    def __init__(
+        self, type_ref: Optional[TypeRef] = None, name: str = "", *, line: int = 0
+    ):
+        self.line = line
+        self.type_ref = type_ref
+        self.name = name
 
 
-@dataclass
 class FunctionDef(Node):
-    return_type: Optional[TypeRef] = None
-    name: str = ""
-    params: List[Param] = field(default_factory=list)
-    body: List[Stmt] = field(default_factory=list)
+    __slots__ = ("return_type", "name", "params", "body")
+
+    def __init__(
+        self,
+        return_type: Optional[TypeRef] = None,
+        name: str = "",
+        params: Optional[List[Param]] = None,
+        body: Optional[List[Stmt]] = None,
+        *,
+        line: int = 0,
+    ):
+        self.line = line
+        self.return_type = return_type
+        self.name = name
+        self.params = [] if params is None else params
+        self.body = [] if body is None else body
 
 
-@dataclass
 class GlobalDecl(Node):
-    type_ref: Optional[TypeRef] = None
-    name: str = ""
-    initializer: Optional[Expr] = None
+    __slots__ = ("type_ref", "name", "initializer")
+
+    def __init__(
+        self,
+        type_ref: Optional[TypeRef] = None,
+        name: str = "",
+        initializer: Optional[Expr] = None,
+        *,
+        line: int = 0,
+    ):
+        self.line = line
+        self.type_ref = type_ref
+        self.name = name
+        self.initializer = initializer
 
 
-@dataclass
 class StructDef(Node):
-    name: str = ""
-    fields: List[Param] = field(default_factory=list)
+    __slots__ = ("name", "fields")
+
+    def __init__(
+        self, name: str = "", fields: Optional[List[Param]] = None, *, line: int = 0
+    ):
+        self.line = line
+        self.name = name
+        self.fields = [] if fields is None else fields
 
 
-@dataclass
 class Program(Node):
-    structs: List[StructDef] = field(default_factory=list)
-    globals: List[GlobalDecl] = field(default_factory=list)
-    functions: List[FunctionDef] = field(default_factory=list)
+    __slots__ = ("structs", "globals", "functions")
+
+    def __init__(
+        self,
+        structs: Optional[List[StructDef]] = None,
+        globals: Optional[List[GlobalDecl]] = None,
+        functions: Optional[List[FunctionDef]] = None,
+        *,
+        line: int = 0,
+    ):
+        self.line = line
+        self.structs = [] if structs is None else structs
+        self.globals = [] if globals is None else globals
+        self.functions = [] if functions is None else functions

@@ -9,7 +9,6 @@ into the modelled C library.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import List
 
 KEYWORDS = {
@@ -72,12 +71,15 @@ OPERATORS = [
 ]
 
 
-@dataclass
 class Token:
-    kind: str  # "ident" | "keyword" | "number" | "string" | "char" | "op" | "eof"
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        #: "ident" | "keyword" | "number" | "string" | "char" | "op" | "eof"
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.column})"

@@ -12,7 +12,6 @@ function signatures (including the modelled C library's).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..hardware.libc import LIBRARY
@@ -38,15 +37,23 @@ class SemaError(Exception):
         self.line = line
 
 
-@dataclass
 class SemaInfo:
     """Everything codegen needs, keyed by AST node identity."""
 
-    expr_types: Dict[int, Type] = field(default_factory=dict)
-    structs: Dict[str, StructType] = field(default_factory=dict)
-    function_types: Dict[str, FunctionType] = field(default_factory=dict)
-    #: names of library functions the program references
-    used_library: List[str] = field(default_factory=list)
+    __slots__ = ("expr_types", "structs", "function_types", "used_library")
+
+    def __init__(
+        self,
+        expr_types: Optional[Dict[int, Type]] = None,
+        structs: Optional[Dict[str, StructType]] = None,
+        function_types: Optional[Dict[str, FunctionType]] = None,
+        used_library: Optional[List[str]] = None,
+    ):
+        self.expr_types = {} if expr_types is None else expr_types
+        self.structs = {} if structs is None else structs
+        self.function_types = {} if function_types is None else function_types
+        #: names of library functions the program references
+        self.used_library = [] if used_library is None else used_library
 
     def type_of(self, expr: ast.Expr) -> Type:
         return self.expr_types[id(expr)]

@@ -17,6 +17,9 @@ Four interpreter tiers execute the same semantics:
 
 - ``reference``: the original ``isinstance``-dispatch interpreter,
   kept as the semantic oracle (see the golden-equivalence test suite).
+  It lives in :mod:`repro.hardware.oracle` with the decoded program's
+  exact per-op loop, and a run imports that module only when it needs
+  one of them.
 - ``decoded`` (the default): walks blocks pre-compiled by
   :mod:`repro.hardware.decoder` into bound handler closures -- operand
   kinds resolved once, constants folded, GEP strides pre-multiplied --
@@ -48,35 +51,15 @@ import time
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import length_hint
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from collections import deque
 
-from ..ir.function import BasicBlock, Function
-from ..ir.instructions import (
-    Alloca,
-    BinOp,
-    Call,
-    Cast,
-    CondBranch,
-    DfiChkDef,
-    DfiSetDef,
-    GetElementPtr,
-    ICmp,
-    Instruction,
-    Jump,
-    Load,
-    PacAuth,
-    PacSign,
-    Phi,
-    Ret,
-    SecAssert,
-    Select,
-    Store,
-)
+from ..ir.function import Function
+from ..ir.instructions import Alloca, DfiChkDef, DfiSetDef
 from ..ir.module import Module
-from ..ir.types import ArrayType, I64, IntType, PointerType, StructType
-from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
+from ..ir.types import ArrayType
+from ..ir.values import GlobalVariable, Value
 from .allocator import OutOfMemoryError, SectionedHeap
 from .cache import CacheModel
 from .decoder import (
@@ -101,7 +84,7 @@ from .errors import (
     UnknownInterpreterError,
 )
 from .libc import LIBRARY
-from .memory import GLOBAL_BASE, Memory, MemoryFault, STACK_BASE
+from .memory import Memory, MemoryFault, STACK_BASE
 from .pac import PacAuthError, PointerAuthentication
 from .rng import CanaryRng
 from .timing import DEFAULT_COSTS, TimingModel
@@ -679,7 +662,9 @@ class CPU:
                         ):
                             self.decode_seconds += tier.compile(function)
                         return result
-                return self._interpret_reference(function, frame)
+                from .oracle import interpret_reference
+
+                return interpret_reference(self, function, frame)
             finally:
                 self.frames.pop()
                 self.frame_slots.pop()
@@ -799,7 +784,13 @@ class CPU:
         # closing impure op (a call or fallback, which may re-enter an
         # interpreter loop or read the counters) and on the way out.
         if not self._chunked:
-            return self._interpret_exact(block, frame, previous)
+            # Straight to the per-op loop, not through the
+            # _interpret_exact stub: every simulated call nests the
+            # frames on this path, and one more each would bring deep
+            # simulated recursion to Python's recursion limit sooner.
+            from .oracle import interpret_exact
+
+            return interpret_exact(self, block, frame, previous)
         timing = self.timing
         hits = self._hits
         max_steps = self.max_steps
@@ -923,191 +914,11 @@ class CPU:
         previous: Optional[DecodedBlock] = None,
         start: int = 0,
     ) -> Optional[int]:
-        # The per-op loop: counts, limit-checks and charges every op on
-        # its own, in the reference interpreter's order, so it is exact
-        # for any cost table and issue width.  It runs when the chunk
-        # tables cannot be trusted (a non-default timing model) and for
-        # the chunk that crosses the step limit, entered at that chunk's
-        # first op (``start``) with its phis already routed.  Each charge
-        # is TimingModel.charge inlined against the same local mirrors
-        # as _interpret_decoded, synced around every impure op.
-        timing = self.timing
-        costs_get = timing.costs.get
-        counts = timing.opcode_counts
-        counts_get = counts.get
-        issue_width = timing.issue_width
-        # decoded ops carry their DEFAULT_COSTS cost; only trust it
-        # while this timing model still uses the default table
-        default_costs = timing.costs == DEFAULT_COSTS
-        max_steps = self.max_steps
-        steps = self.steps
-        instructions = timing.instructions
-        cheap = timing._cheap_run
-        in_call = False
-        try:
-            while True:
-                if previous is not None and block.phi_routes:
-                    # Routes exist for every decoded edge, and control
-                    # only arrives here along decoded edges.
-                    route = block.phi_routes[previous]
-                    if route.__class__ is str:
-                        raise KeyError(route)
-                    if route:
-                        # Parallel evaluation: read all incoming values
-                        # before writing any.
-                        staged = []
-                        stage = staged.append
-                        cost = costs_get("phi", 1)
-                        for _, is_const, payload in route:
-                            instructions += 1
-                            counts["phi"] = counts_get("phi", 0) + 1
-                            if cost <= 1:
-                                cheap += 1
-                                if cheap >= issue_width:
-                                    timing.cycles += 1
-                                    cheap = 0
-                            else:
-                                timing.cycles += cost
-                                cheap = 0
-                            stage(payload if is_const else frame[payload])
-                        for entry, value in zip(route, staged):
-                            frame[entry[0]] = value
-                ops = block.ops
-                if start:
-                    ops = ops[start:]
-                    start = 0
-                for opname, cost, impure, op in ops:
-                    steps += 1
-                    if steps > max_steps:
-                        raise StepLimitExceeded(f"exceeded {max_steps} steps")
-                    instructions += 1
-                    counts[opname] = counts_get(opname, 0) + 1
-                    if not default_costs:
-                        cost = costs_get(opname, 1)
-                    if cost <= 1:
-                        cheap += 1
-                        if cheap >= issue_width:
-                            timing.cycles += 1
-                            cheap = 0
-                    else:
-                        timing.cycles += cost
-                        cheap = 0
-                    if impure:
-                        # Sync the mirrors so the callee's interpreter
-                        # loop continues from the right counts; while
-                        # in_call is set the callee owns the counters,
-                        # and the finally below must not clobber them.
-                        self.steps = steps
-                        timing.instructions = instructions
-                        timing._cheap_run = cheap
-                        in_call = True
-                        op(self, frame)
-                        in_call = False
-                        steps = self.steps
-                        instructions = timing.instructions
-                        cheap = timing._cheap_run
-                    else:
-                        op(self, frame)
-                term = block.term
-                kind = term[0]
-                if kind == "fall":
-                    source = block.source
-                    owner = source.parent.name if source.parent is not None else "?"
-                    raise RuntimeError(
-                        f"block %{source.name} in @{owner} fell through"
-                    )
-                steps += 1
-                if steps > max_steps:
-                    raise StepLimitExceeded(f"exceeded {max_steps} steps")
-                instructions += 1
-                if kind == "jump" or kind == "br":
-                    counts["br"] = counts_get("br", 0) + 1
-                    cost = costs_get("br", 1)
-                    if cost <= 1:
-                        cheap += 1
-                        if cheap >= issue_width:
-                            timing.cycles += 1
-                            cheap = 0
-                    else:
-                        timing.cycles += cost
-                        cheap = 0
-                    if kind == "jump":
-                        previous, block = block, term[1]
-                    else:
-                        is_const, payload = term[1]
-                        taken = (payload if is_const else frame[payload]) & 1
-                        previous, block = block, (term[2] if taken else term[3])
-                    continue
-                # kind == "ret"
-                counts["ret"] = counts_get("ret", 0) + 1
-                cost = costs_get("ret", 1)
-                if cost <= 1:
-                    cheap += 1
-                    if cheap >= issue_width:
-                        timing.cycles += 1
-                        cheap = 0
-                else:
-                    timing.cycles += cost
-                    cheap = 0
-                spec = term[1]
-                if spec is None:
-                    return None
-                is_const, payload = spec
-                return payload if is_const else frame[payload]
-        finally:
-            if not in_call:
-                self.steps = steps
-                timing.instructions = instructions
-                timing._cheap_run = cheap
+        """The per-op decoded loop (:func:`repro.hardware.oracle.interpret_exact`),
+        imported on first use; generated code calls it here too."""
+        from .oracle import interpret_exact
 
-    # -- reference backend -------------------------------------------------------
-
-    def _interpret_reference(
-        self, function: Function, frame: Dict[Value, int]
-    ) -> Optional[int]:
-        block = function.entry_block
-        previous: Optional[BasicBlock] = None
-        while True:
-            if previous is not None:
-                self._run_phis(block, previous, frame)
-            start = block.first_non_phi_index()
-            next_block: Optional[BasicBlock] = None
-            for inst in block.instructions[start:]:
-                self.steps += 1
-                if self.steps > self.max_steps:
-                    raise StepLimitExceeded(f"exceeded {self.max_steps} steps")
-                self.timing.charge(inst.opcode)
-                if isinstance(inst, Ret):
-                    if inst.value is None:
-                        return None
-                    return self._value(inst.value, frame)
-                if isinstance(inst, Jump):
-                    next_block = inst.target
-                    break
-                if isinstance(inst, CondBranch):
-                    taken = self._value(inst.condition, frame) & 1
-                    next_block = inst.true_block if taken else inst.false_block
-                    break
-                self._execute(inst, frame)
-            if next_block is None:
-                raise RuntimeError(
-                    f"block %{block.name} in @{function.name} fell through"
-                )
-            previous, block = block, next_block
-
-    def _run_phis(
-        self, block: BasicBlock, previous: BasicBlock, frame: Dict[Value, int]
-    ) -> None:
-        phis = block.phis
-        if not phis:
-            return
-        # Parallel evaluation: read all incoming values before writing any.
-        staged: List[Tuple[Phi, int]] = []
-        for phi in phis:
-            self.timing.charge("phi")
-            staged.append((phi, self._value(phi.incoming_for_block(previous), frame)))
-        for phi, value in staged:
-            frame[phi] = value
+        return interpret_exact(self, block, frame, previous, start)
 
     def _cache_access(self, address: int, size: int) -> None:
         if self.cache is None:
@@ -1115,192 +926,3 @@ class CPU:
         misses = self.cache.access(address, size)
         if misses:
             self.timing.charge_cycles(misses * self.cache.miss_penalty, "llc.miss")
-
-    # -- operand evaluation ------------------------------------------------------------
-
-    def _value(self, value: Value, frame: Dict[Value, int]) -> int:
-        if isinstance(value, Constant):
-            return value.value & _MASK64
-        if isinstance(value, GlobalVariable):
-            return self.global_addresses[value.name]
-        if isinstance(value, UndefValue):
-            return 0
-        try:
-            return frame[value]
-        except KeyError:
-            raise RuntimeError(f"use of unevaluated value %{value.name}") from None
-
-    # -- instruction semantics ------------------------------------------------------------
-
-    def _execute(self, inst: Instruction, frame: Dict[Value, int]) -> None:
-        if isinstance(inst, Alloca):
-            # Address already assigned by _layout_frame.
-            return
-        if isinstance(inst, Load):
-            address = self._value(inst.pointer, frame)
-            if address == 0:
-                raise NullPointerTrap(f"load through null in {inst}")
-            size = max(1, inst.type.size)
-            self._cache_access(address, size)
-            frame[inst] = self.memory.read_int(address, size)
-            return
-        if isinstance(inst, Store):
-            address = self._value(inst.pointer, frame)
-            if address == 0:
-                raise NullPointerTrap(f"store through null in {inst}")
-            size = max(1, inst.value.type.size)
-            self._cache_access(address, size)
-            self.memory.write_int(address, self._value(inst.value, frame), size)
-            return
-        if isinstance(inst, GetElementPtr):
-            frame[inst] = self._gep_address(inst, frame)
-            return
-        if isinstance(inst, BinOp):
-            frame[inst] = self._binop(inst, frame)
-            return
-        if isinstance(inst, ICmp):
-            frame[inst] = self._icmp(inst, frame)
-            return
-        if isinstance(inst, Cast):
-            frame[inst] = self._cast(inst, frame)
-            return
-        if isinstance(inst, Select):
-            cond = self._value(inst.condition, frame) & 1
-            chosen = inst.true_value if cond else inst.false_value
-            frame[inst] = self._value(chosen, frame)
-            return
-        if isinstance(inst, Call):
-            result = self._call(
-                inst.callee, [self._value(a, frame) for a in inst.args]
-            )
-            if not inst.type.is_void:
-                frame[inst] = 0 if result is None else result
-            return
-        if isinstance(inst, PacSign):
-            value = self._value(inst.value, frame)
-            modifier = self._value(inst.modifier, frame)
-            frame[inst] = self.pac.sign(value, modifier, inst.key_id)
-            return
-        if isinstance(inst, PacAuth):
-            value = self._value(inst.value, frame)
-            modifier = self._value(inst.modifier, frame)
-            frame[inst] = self.pac.auth(value, modifier, inst.key_id)
-            return
-        if isinstance(inst, SecAssert):
-            if not (self._value(inst.condition, frame) & 1):
-                raise CanaryTrap(f"{inst.kind} check failed")
-            return
-        if isinstance(inst, DfiSetDef):
-            address = self._value(inst.pointer, frame)
-            self.dfi_shadow.set_range(address, inst.size, inst.def_id)
-            return
-        if isinstance(inst, DfiChkDef):
-            address = self._value(inst.pointer, frame)
-            violation = self.dfi_shadow.check_range(address, inst.size, inst.allowed)
-            if violation is not None:
-                raise DfiTrap(violation[0], violation[1], inst.allowed)
-            return
-        raise RuntimeError(f"cannot execute instruction: {inst}")
-
-    def _gep_address(self, inst: GetElementPtr, frame: Dict[Value, int]) -> int:
-        address = self._value(inst.pointer, frame)
-        pointee = inst.pointer.type.pointee  # type: ignore[union-attr]
-        first = I64.to_signed(self._value(inst.indices[0], frame))
-        address = (address + first * max(1, pointee.size)) & _MASK64
-        current = pointee
-        for index in inst.indices[1:]:
-            if isinstance(current, ArrayType):
-                step = I64.to_signed(self._value(index, frame))
-                address = (address + step * max(1, current.element.size)) & _MASK64
-                current = current.element
-            elif isinstance(current, StructType):
-                field_index = self._value(index, frame)
-                address = (address + current.field_offset(field_index)) & _MASK64
-                current = current.field_type(field_index)
-            else:
-                raise RuntimeError(f"malformed gep: {inst}")
-        return address
-
-    def _binop(self, inst: BinOp, frame: Dict[Value, int]) -> int:
-        vtype = inst.type
-        lhs = self._value(inst.lhs, frame)
-        rhs = self._value(inst.rhs, frame)
-        op = inst.op
-        if isinstance(vtype, IntType):
-            wrap = vtype.wrap
-            signed = vtype.to_signed
-            bits = vtype.bits
-        else:  # pointer arithmetic through int ops on addresses
-            wrap = lambda v: v & _MASK64  # noqa: E731
-            signed = I64.to_signed
-            bits = 64
-        if op == "add":
-            return wrap(lhs + rhs)
-        if op == "sub":
-            return wrap(lhs - rhs)
-        if op == "mul":
-            return wrap(lhs * rhs)
-        if op == "sdiv":
-            a, b = signed(lhs), signed(rhs)
-            if b == 0:
-                raise MemoryFault(0, 0, "integer divide by zero")
-            return wrap(int(a / b))
-        if op == "srem":
-            a, b = signed(lhs), signed(rhs)
-            if b == 0:
-                raise MemoryFault(0, 0, "integer remainder by zero")
-            return wrap(a - int(a / b) * b)
-        if op == "and":
-            return wrap(lhs & rhs)
-        if op == "or":
-            return wrap(lhs | rhs)
-        if op == "xor":
-            return wrap(lhs ^ rhs)
-        if op == "shl":
-            return wrap(lhs << (rhs % bits))
-        if op == "ashr":
-            return wrap(signed(lhs) >> (rhs % bits))
-        if op == "lshr":
-            return wrap(lhs >> (rhs % bits))
-        raise RuntimeError(f"unknown binop {op}")
-
-    def _icmp(self, inst: ICmp, frame: Dict[Value, int]) -> int:
-        lhs = self._value(inst.lhs, frame)
-        rhs = self._value(inst.rhs, frame)
-        vtype = inst.lhs.type
-        if isinstance(vtype, IntType):
-            slhs, srhs = vtype.to_signed(lhs), vtype.to_signed(rhs)
-        else:
-            slhs, srhs = lhs, rhs
-        predicate = inst.predicate
-        table: Dict[str, bool] = {
-            "eq": lhs == rhs,
-            "ne": lhs != rhs,
-            "slt": slhs < srhs,
-            "sle": slhs <= srhs,
-            "sgt": slhs > srhs,
-            "sge": slhs >= srhs,
-            "ult": lhs < rhs,
-            "ule": lhs <= rhs,
-            "ugt": lhs > rhs,
-            "uge": lhs >= rhs,
-        }
-        return 1 if table[predicate] else 0
-
-    def _cast(self, inst: Cast, frame: Dict[Value, int]) -> int:
-        value = self._value(inst.value, frame)
-        op = inst.op
-        if op in ("trunc", "zext", "ptrtoint", "inttoptr", "bitcast"):
-            if isinstance(inst.type, IntType):
-                return inst.type.wrap(value)
-            return value & _MASK64
-        if op == "sext":
-            src = inst.value.type
-            if isinstance(src, IntType):
-                signed = src.to_signed(value)
-            else:
-                signed = value
-            if isinstance(inst.type, IntType):
-                return inst.type.wrap(signed)
-            return signed & _MASK64
-        raise RuntimeError(f"unknown cast {op}")

@@ -54,7 +54,8 @@ charge in the model is a dyadic rational (integer costs, 0.25-per-byte
 library calls), so float accumulation is exact and order-insensitive.
 Chunk tables bake in ``DEFAULT_COSTS`` and the default issue width; a
 CPU with another cost table or width, and a chunk that would cross the
-step limit, run the per-op loop (``CPU._interpret_exact``) instead.
+step limit, run the per-op loop (:func:`repro.hardware.oracle.interpret_exact`)
+instead.
 (The one deliberate difference: using a value that was never computed
 -- malformed, unverified IR -- surfaces as a ``KeyError`` rather than
 the reference interpreter's ``RuntimeError``, possibly with a different
@@ -642,9 +643,10 @@ _DecodeFallback = _DecodeFallbackError()
 
 def _make_fallback(inst: Instruction) -> Handler:
     """Interpretive execution via the reference semantics."""
+    from .oracle import execute
 
-    def handler(cpu, frame, inst=inst):
-        cpu._execute(inst, frame)
+    def handler(cpu, frame, inst=inst, execute=execute):
+        execute(cpu, inst, frame)
 
     return handler
 

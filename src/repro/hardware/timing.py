@@ -22,8 +22,7 @@ ARM-PA directly leverages hardware support".
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 
 #: Cycles charged per executed IR opcode.
@@ -75,25 +74,41 @@ LIBCALL_BASE_CYCLES = 10
 LIBCALL_BYTE_CYCLES = 0.25
 
 
-@dataclass(slots=True)
 class TimingModel:
     """Accumulates cycles and instruction counts for one execution.
 
-    ``slots=True`` matters: the interpreter updates these counters once
-    per dynamic instruction, and slot access is measurably cheaper than
-    a ``__dict__`` probe on that path.
+    ``__slots__`` matters: the interpreter and generated code update
+    these counters once per chunk, and slot access is measurably cheaper
+    than a ``__dict__`` probe on that path.
     """
 
-    costs: Dict[str, int] = field(default_factory=lambda: dict(DEFAULT_COSTS))
-    issue_width: int = 4
+    __slots__ = (
+        "costs",
+        "issue_width",
+        "cycles",
+        "instructions",
+        "opcode_counts",
+        "_cheap_run",
+    )
 
-    cycles: float = 0.0
-    instructions: int = 0
-    #: a defaultdict so hot paths can use ``counts[op] += n`` without a
-    #: ``.get`` probe; ExecutionResult copies it into a plain dict
-    opcode_counts: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    #: single-cycle ops eligible for multi-issue this "window"
-    _cheap_run: int = 0
+    def __init__(
+        self,
+        costs: Optional[Dict[str, int]] = None,
+        issue_width: int = 4,
+        cycles: float = 0.0,
+        instructions: int = 0,
+        opcode_counts: Optional[Dict[str, int]] = None,
+        _cheap_run: int = 0,
+    ):
+        self.costs = dict(DEFAULT_COSTS) if costs is None else costs
+        self.issue_width = issue_width
+        self.cycles = cycles
+        self.instructions = instructions
+        #: a defaultdict so hot paths can use ``counts[op] += n`` without a
+        #: ``.get`` probe; ExecutionResult copies it into a plain dict
+        self.opcode_counts = defaultdict(int) if opcode_counts is None else opcode_counts
+        #: single-cycle ops eligible for multi-issue this "window"
+        self._cheap_run = _cheap_run
 
     def charge(self, opcode: str) -> None:
         """Charge one dynamic instruction of ``opcode``."""

@@ -269,3 +269,19 @@ def test_non_default_timing_matches_per_op(tiny_program, timing):
             module = trap_module(position, "fault", residue, "call")
             context = f"op {position}, residue {residue}"
             assert_same(module, context=context, timing=timing)
+
+
+def test_non_default_timing_keeps_its_simulated_call_depth():
+    # Each simulated call nests the per-op loop's Python frames; an
+    # extra frame per call would turn this 200-deep recursion into a
+    # RecursionError instead of a result.
+    from repro.frontend import compile_source
+
+    module = compile_source(
+        "int f(int n) { if (n == 0) { return 0; } return f(n - 1) + 1; }"
+        " int main() { return f(200); }"
+    )
+    cpu = CPU(module, interpreter="decoded")
+    narrow_issue(cpu.timing)
+    result = cpu.run()
+    assert result.ok and result.return_value == 200

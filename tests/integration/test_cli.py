@@ -157,6 +157,24 @@ class TestExitCodes:
         assert code == 4
         assert err == "repro: error: unterminated char literal at 1:23\n"
 
+    @pytest.mark.parametrize("source", ["int f() { return 1; }", ""])
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_program_without_main_exits_4(self, tmp_path, capsys, command, source):
+        path = tmp_path / "nomain.c"
+        path.write_text(source)
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert code == 4
+        assert out == ""
+        assert err == "repro: error: program defines no function 'main'\n"
+
+    @pytest.mark.parametrize("source", ["int f() { return 1; }", ""])
+    def test_program_without_main_still_compiles(self, tmp_path, capsys, source):
+        path = tmp_path / "nomain.c"
+        path.write_text(source)
+        code, out, err = run_cli(["compile", str(path)], capsys)
+        assert code == 0
+        assert err == ""
+
     def test_sema_error_exits_4(self, tmp_path, capsys):
         path = tmp_path / "sema.c"
         path.write_text("int main() { return bogus; }")

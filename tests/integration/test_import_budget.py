@@ -27,6 +27,7 @@ CLI_FORBIDDEN = (
     "repro.serve.",
     "repro.robustness.",
     "repro.metrics.",
+    "repro.workloads.profiles",
     "multiprocessing",
     "asyncio",
 )
@@ -294,3 +295,104 @@ def test_run_loads_only_its_own_scheme(tmp_path, scheme):
     if scheme == "vanilla":
         forbidden += ("repro.analysis.", "repro.core.vulnerability")
     assert loaded(modules, forbidden) == []
+
+
+#: ``repro`` source lines a cold ``repro run`` of ``TINY_SOURCE`` loads,
+#: per scheme, as measured when the cold-path dataclasses became plain
+#: classes and the per-op interpreters moved out of ``cpu.py``.  Import
+#: compiles every line it loads where no bytecode is written, so a cold
+#: run's import time tracks this count.
+COLD_RUN_LINES = {"vanilla": 10_343, "cpa": 12_472, "pythia": 12_580, "dfi": 12_447}
+
+#: Slack over ``COLD_RUN_LINES`` before the budget fails.
+COLD_RUN_LINE_SLACK = 0.02
+
+#: The only ``repro`` dataclasses a cold run defines: ``dataclasses``
+#: helpers are used on both (``replace`` on a result in perfbench's
+#: self-test, ``asdict`` on a config for the cache key).
+COLD_RUN_DATACLASSES = [
+    "repro.core.config.DefenseConfig",
+    "repro.hardware.cpu.ExecutionResult",
+]
+
+#: The per-op interpreters, loaded only when a run needs one of them.
+ORACLE = "repro.hardware.oracle"
+
+LOOP_SOURCE = "int main() { int i = 0; while (i < 100) { i = i + 1; } return i; }"
+
+
+@pytest.fixture(scope="module")
+def cold_runs(tmp_path_factory):
+    """One fresh-process ``repro run`` per scheme: the modules it loaded,
+    their source lines, and the ``repro`` dataclasses they define."""
+    path = tmp_path_factory.mktemp("cold") / "tiny.c"
+    path.write_text(TINY_SOURCE)
+    runs = {}
+    for scheme in sorted(SCHEME_PASS_MODULES):
+        runs[scheme] = run_fresh(
+            f"""
+            import contextlib, dataclasses, io, json, sys
+            from repro.cli import main
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["run", {str(path)!r}, "--scheme", {scheme!r}])
+            mods = {{n: m for n, m in sys.modules.items() if n == "repro" or n.startswith("repro.")}}
+            lines = 0
+            for module in mods.values():
+                with open(module.__file__, encoding="utf-8") as handle:
+                    lines += sum(1 for _ in handle)
+            classes = sorted(
+                f"{{name}}.{{attr}}"
+                for name, module in mods.items()
+                for attr, value in vars(module).items()
+                if isinstance(value, type)
+                and value.__module__ == name
+                and dataclasses.is_dataclass(value)
+            )
+            print(json.dumps({{"code": code, "modules": sorted(sys.modules),
+                              "lines": lines, "dataclasses": classes}}))
+            """
+        )
+    return runs
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_PASS_MODULES))
+def test_cold_run_defines_only_the_kept_dataclasses(cold_runs, scheme):
+    run = cold_runs[scheme]
+    assert run["code"] == 0
+    assert run["dataclasses"] == COLD_RUN_DATACLASSES
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_PASS_MODULES))
+def test_cold_run_loads_no_oracle_and_no_profile_table(cold_runs, scheme):
+    modules = cold_runs[scheme]["modules"]
+    assert loaded(modules, (ORACLE, "repro.workloads.profiles")) == []
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_PASS_MODULES))
+def test_cold_run_stays_within_its_line_budget(cold_runs, scheme):
+    budget = COLD_RUN_LINES[scheme] * (1 + COLD_RUN_LINE_SLACK)
+    assert cold_runs[scheme]["lines"] <= budget, cold_runs[scheme]["lines"]
+
+
+@pytest.mark.parametrize(
+    ("source", "kwargs", "status", "expected"),
+    [
+        (LOOP_SOURCE, {"interpreter": "decoded"}, "ok", []),
+        (TINY_SOURCE, {"interpreter": "reference"}, "ok", [ORACLE]),
+        (LOOP_SOURCE, {"interpreter": "decoded", "max_steps": 50}, "limit", [ORACLE]),
+        (LOOP_SOURCE, {"interpreter": "trace", "max_steps": 50}, "limit", [ORACLE]),
+    ],
+    ids=["decoded", "reference", "decoded-limit", "trace-limit"],
+)
+def test_oracle_loads_only_when_a_run_needs_it(source, kwargs, status, expected):
+    result = run_fresh(
+        f"""
+        import json, sys
+        from repro.frontend.driver import compile_source
+        from repro.hardware.cpu import CPU
+        result = CPU(compile_source({source!r}), **{kwargs!r}).run()
+        print(json.dumps({{"status": result.status, "modules": sorted(sys.modules)}}))
+        """
+    )
+    assert result["status"] == status
+    assert loaded(result["modules"], (ORACLE,)) == expected
