@@ -134,7 +134,8 @@ def _compile_program(source: str, name: str):
 
 
 def _parse_inputs(items: Optional[List[str]]) -> List[bytes]:
-    return [item.encode("utf-8") for item in (items or [])]
+    # The argv bytes: undecodable ones arrive as lone surrogates.
+    return [os.fsencode(item) for item in (items or [])]
 
 
 def _load_trace_profile(path: str) -> dict:

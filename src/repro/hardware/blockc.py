@@ -51,12 +51,14 @@ order-insensitive.
 
 Batched accounting bakes in ``DEFAULT_COSTS`` and the default issue
 width; :meth:`CPU._call` only dispatches to compiled code while the
-timing model still matches, and falls back to the decoded tier's
-per-op loop otherwise.  A block whose execution could cross the step
-limit is delegated, pending phi routing included, to the decoded loop,
-which raises ``StepLimitExceeded`` at exactly the right op; so is the
-rest of a block after a call, whose callee retired steps the entry
-guard could not count (``tracec._emit_resume_guard``).
+timing model still matches, and runs the call on the reference tier
+otherwise.  A block whose execution could cross the step limit is
+delegated, pending phi routing included, to the decoded loop, which
+hands the crossing chunk to the reference tier, and that raises
+``StepLimitExceeded`` at exactly the right op; the rest of a block
+after a call, whose callee retired steps the entry guard could not
+count, goes to the reference tier directly
+(``tracec._emit_resume_guard``).
 
 The deliberate divergence on *malformed, unverified* IR is shared with
 the decoded tier (``KeyError`` instead of the reference

@@ -17,9 +17,11 @@ Four interpreter tiers execute the same semantics:
 
 - ``reference``: the original ``isinstance``-dispatch interpreter,
   kept as the semantic oracle (see the golden-equivalence test suite).
-  It lives in :mod:`repro.hardware.oracle` with the decoded program's
-  exact per-op loop, and a run imports that module only when it needs
-  one of them.
+  It lives in :mod:`repro.hardware.oracle`, which a run imports only
+  when it needs it.  It charges every instruction on its own, so the
+  batched tiers below hand it whatever their tables cannot charge
+  exactly: every call under a non-default cost table or issue width,
+  and the rest of a call that crosses ``max_steps`` inside a chunk.
 - ``decoded`` (the default): walks blocks pre-compiled by
   :mod:`repro.hardware.decoder` into bound handler closures -- operand
   kinds resolved once, constants folded, GEP strides pre-multiplied --
@@ -412,7 +414,7 @@ class CPU:
         far too expensive for every ``_call``; tests that customise
         ``timing.costs``/``issue_width`` mutate them between
         construction and :meth:`run`, so recomputing at both points
-        keeps the documented fallback to the per-op decoded loop.
+        keeps the documented fallback to the reference tier.
         """
         self._chunked = (
             self.timing.issue_width == CHUNK_ISSUE_WIDTH
@@ -652,7 +654,7 @@ class CPU:
                             )
                         return self._interpret_block(bentry, frame)
                 decoded = self._decoded
-                if decoded is not None:
+                if decoded is not None and self._chunked:
                     entry = decoded.functions.get(function)
                     if entry is not None:
                         result = self._interpret_decoded(entry, frame)
@@ -664,7 +666,7 @@ class CPU:
                         return result
                 from .oracle import interpret_reference
 
-                return interpret_reference(self, function, frame)
+                return interpret_reference(self, function.entry_block, frame)
             finally:
                 self.frames.pop()
                 self.frame_slots.pop()
@@ -783,14 +785,6 @@ class CPU:
         # commute -- so the locals need syncing only around a chunk's
         # closing impure op (a call or fallback, which may re-enter an
         # interpreter loop or read the counters) and on the way out.
-        if not self._chunked:
-            # Straight to the per-op loop, not through the
-            # _interpret_exact stub: every simulated call nests the
-            # frames on this path, and one more each would bring deep
-            # simulated recursion to Python's recursion limit sooner.
-            from .oracle import interpret_exact
-
-            return interpret_exact(self, block, frame, previous)
         timing = self.timing
         hits = self._hits
         max_steps = self.max_steps
@@ -831,7 +825,7 @@ class CPU:
                 for n, pure, impure, cycles, residues, cid in block.chunks:
                     steps += n
                     if steps > max_steps:
-                        # The per-op loop stops at the exact op.
+                        # The reference tier stops at the exact op.
                         steps -= n
                         self.steps = steps
                         timing._cheap_run = cheap
@@ -841,7 +835,7 @@ class CPU:
                             if chunk[5] == cid:
                                 break
                             start += chunk[0]
-                        return self._interpret_exact(block, frame, None, start)
+                        return self._resume_on_reference(block, frame, start)
                     r0 = cheap
                     cycles_due += cycles[r0]
                     cheap = residues[r0]
@@ -907,18 +901,15 @@ class CPU:
                 self.steps = steps
                 timing._cheap_run = cheap
 
-    def _interpret_exact(
-        self,
-        block: DecodedBlock,
-        frame: Dict[Value, int],
-        previous: Optional[DecodedBlock] = None,
-        start: int = 0,
+    def _resume_on_reference(
+        self, block: DecodedBlock, frame: Dict[Value, int], start: int
     ) -> Optional[int]:
-        """The per-op decoded loop (:func:`repro.hardware.oracle.interpret_exact`),
-        imported on first use; generated code calls it here too."""
-        from .oracle import interpret_exact
+        """Run the rest of a call on the reference tier from op ``start``
+        of ``block``, whose phis are already routed; generated code
+        calls it here too."""
+        from .oracle import interpret_reference
 
-        return interpret_exact(self, block, frame, previous, start)
+        return interpret_reference(self, block.source, frame, start)
 
     def _cache_access(self, address: int, size: int) -> None:
         if self.cache is None:

@@ -1,6 +1,6 @@
 """Pre-decoded interpreter dispatch: compile IR once, execute many times.
 
-The reference interpreter in :mod:`repro.hardware.cpu` resolves every
+The reference interpreter in :mod:`repro.hardware.oracle` resolves every
 dynamic step through a long ``isinstance`` chain and re-resolves every
 operand (constant? global? frame slot?) on each execution.  For the
 evaluation pipeline -- 16 benchmarks x 4 schemes, plus brute-force
@@ -53,9 +53,11 @@ accumulation within a chunk differs from the reference, but every
 charge in the model is a dyadic rational (integer costs, 0.25-per-byte
 library calls), so float accumulation is exact and order-insensitive.
 Chunk tables bake in ``DEFAULT_COSTS`` and the default issue width; a
-CPU with another cost table or width, and a chunk that would cross the
-step limit, run the per-op loop (:func:`repro.hardware.oracle.interpret_exact`)
-instead.
+CPU with another cost table or width runs every call on the reference
+tier instead, and a chunk that would cross the step limit hands the
+rest of its call to the reference tier from the chunk's first op
+(:func:`repro.hardware.oracle.interpret_reference`, whose ``start``
+counts instructions past the phis, as decoded op indices do).
 (The one deliberate difference: using a value that was never computed
 -- malformed, unverified IR -- surfaces as a ``KeyError`` rather than
 the reference interpreter's ``RuntimeError``, possibly with a different

@@ -1,13 +1,16 @@
-"""The per-op interpreters, loaded on first use.
+"""The reference tier and the reference semantics of one instruction,
+loaded on first use.
 
 :class:`~repro.hardware.cpu.CPU` runs every chunk-batched tier without
 this module.  It holds what runs one IR instruction at a time:
 
 - :func:`interpret_reference`, the ``reference`` tier: the original
-  ``isinstance``-dispatch interpreter, kept as the semantic oracle;
-- :func:`interpret_exact`, the decoded program's per-op loop, exact for
-  any cost table and issue width.  It runs under a non-default timing
-  model, and for the one chunk that crosses ``max_steps``;
+  ``isinstance``-dispatch interpreter, kept as the semantic oracle.
+  It charges every instruction through ``TimingModel.charge``, so it
+  is exact for any cost table and issue width, and it can start
+  mid-block (``start``), so the batched tiers hand it the rest of a
+  call that crosses ``max_steps`` or runs under a non-default timing
+  model;
 - :func:`execute`, the reference semantics of one instruction, which
   the decoder's fallback handlers call for what it cannot specialise.
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..ir.function import BasicBlock, Function
+from ..ir.function import BasicBlock
 from ..ir.instructions import (
     Alloca,
     BinOp,
@@ -45,173 +48,27 @@ from ..ir.instructions import (
 )
 from ..ir.types import ArrayType, I64, IntType, StructType
 from ..ir.values import Constant, GlobalVariable, UndefValue, Value
-from .decoder import DecodedBlock
 from .errors import CanaryTrap, DfiTrap, NullPointerTrap, StepLimitExceeded
 from .memory import MemoryFault
-from .timing import DEFAULT_COSTS
 
 _MASK64 = (1 << 64) - 1
 
 
-def interpret_exact(
-    cpu,
-    block: DecodedBlock,
-    frame: Dict[Value, int],
-    previous: Optional[DecodedBlock] = None,
-    start: int = 0,
-) -> Optional[int]:
-    # The per-op loop: counts, limit-checks and charges every op on
-    # its own, in the reference interpreter's order, so it is exact
-    # for any cost table and issue width.  It runs when the chunk
-    # tables cannot be trusted (a non-default timing model) and for
-    # the chunk that crosses the step limit, entered at that chunk's
-    # first op (``start``) with its phis already routed.  Each charge
-    # is TimingModel.charge inlined against the same local mirrors
-    # as CPU._interpret_decoded, synced around every impure op.
-    timing = cpu.timing
-    costs_get = timing.costs.get
-    counts = timing.opcode_counts
-    counts_get = counts.get
-    issue_width = timing.issue_width
-    # decoded ops carry their DEFAULT_COSTS cost; only trust it
-    # while this timing model still uses the default table
-    default_costs = timing.costs == DEFAULT_COSTS
-    max_steps = cpu.max_steps
-    steps = cpu.steps
-    instructions = timing.instructions
-    cheap = timing._cheap_run
-    in_call = False
-    try:
-        while True:
-            if previous is not None and block.phi_routes:
-                # Routes exist for every decoded edge, and control
-                # only arrives here along decoded edges.
-                route = block.phi_routes[previous]
-                if route.__class__ is str:
-                    raise KeyError(route)
-                if route:
-                    # Parallel evaluation: read all incoming values
-                    # before writing any.
-                    staged = []
-                    stage = staged.append
-                    cost = costs_get("phi", 1)
-                    for _, is_const, payload in route:
-                        instructions += 1
-                        counts["phi"] = counts_get("phi", 0) + 1
-                        if cost <= 1:
-                            cheap += 1
-                            if cheap >= issue_width:
-                                timing.cycles += 1
-                                cheap = 0
-                        else:
-                            timing.cycles += cost
-                            cheap = 0
-                        stage(payload if is_const else frame[payload])
-                    for entry, value in zip(route, staged):
-                        frame[entry[0]] = value
-            ops = block.ops
-            if start:
-                ops = ops[start:]
-                start = 0
-            for opname, cost, impure, op in ops:
-                steps += 1
-                if steps > max_steps:
-                    raise StepLimitExceeded(f"exceeded {max_steps} steps")
-                instructions += 1
-                counts[opname] = counts_get(opname, 0) + 1
-                if not default_costs:
-                    cost = costs_get(opname, 1)
-                if cost <= 1:
-                    cheap += 1
-                    if cheap >= issue_width:
-                        timing.cycles += 1
-                        cheap = 0
-                else:
-                    timing.cycles += cost
-                    cheap = 0
-                if impure:
-                    # Sync the mirrors so the callee's interpreter
-                    # loop continues from the right counts; while
-                    # in_call is set the callee owns the counters,
-                    # and the finally below must not clobber them.
-                    cpu.steps = steps
-                    timing.instructions = instructions
-                    timing._cheap_run = cheap
-                    in_call = True
-                    op(cpu, frame)
-                    in_call = False
-                    steps = cpu.steps
-                    instructions = timing.instructions
-                    cheap = timing._cheap_run
-                else:
-                    op(cpu, frame)
-            term = block.term
-            kind = term[0]
-            if kind == "fall":
-                source = block.source
-                owner = source.parent.name if source.parent is not None else "?"
-                raise RuntimeError(
-                    f"block %{source.name} in @{owner} fell through"
-                )
-            steps += 1
-            if steps > max_steps:
-                raise StepLimitExceeded(f"exceeded {max_steps} steps")
-            instructions += 1
-            if kind == "jump" or kind == "br":
-                counts["br"] = counts_get("br", 0) + 1
-                cost = costs_get("br", 1)
-                if cost <= 1:
-                    cheap += 1
-                    if cheap >= issue_width:
-                        timing.cycles += 1
-                        cheap = 0
-                else:
-                    timing.cycles += cost
-                    cheap = 0
-                if kind == "jump":
-                    previous, block = block, term[1]
-                else:
-                    is_const, payload = term[1]
-                    taken = (payload if is_const else frame[payload]) & 1
-                    previous, block = block, (term[2] if taken else term[3])
-                continue
-            # kind == "ret"
-            counts["ret"] = counts_get("ret", 0) + 1
-            cost = costs_get("ret", 1)
-            if cost <= 1:
-                cheap += 1
-                if cheap >= issue_width:
-                    timing.cycles += 1
-                    cheap = 0
-            else:
-                timing.cycles += cost
-                cheap = 0
-            spec = term[1]
-            if spec is None:
-                return None
-            is_const, payload = spec
-            return payload if is_const else frame[payload]
-    finally:
-        if not in_call:
-            cpu.steps = steps
-            timing.instructions = instructions
-            timing._cheap_run = cheap
-
-
-# -- reference backend -------------------------------------------------------
-
-
 def interpret_reference(
-    cpu, function: Function, frame: Dict[Value, int]
+    cpu, block: BasicBlock, frame: Dict[Value, int], start: int = 0
 ) -> Optional[int]:
-    block = function.entry_block
+    """Run the rest of a call from ``block``, ``start`` instructions
+    past its phis (whose values, when ``start`` is given, are already
+    in ``frame``).  A decoded op index is a valid ``start``: decoded
+    blocks hold one op per non-phi, non-terminator instruction."""
     previous: Optional[BasicBlock] = None
     while True:
         if previous is not None:
             _run_phis(cpu, block, previous, frame)
-        start = block.first_non_phi_index()
+        first = block.first_non_phi_index() + start
+        start = 0
         next_block: Optional[BasicBlock] = None
-        for inst in block.instructions[start:]:
+        for inst in block.instructions[first:]:
             cpu.steps += 1
             if cpu.steps > cpu.max_steps:
                 raise StepLimitExceeded(f"exceeded {cpu.max_steps} steps")
@@ -229,9 +86,8 @@ def interpret_reference(
                 break
             execute(cpu, inst, frame)
         if next_block is None:
-            raise RuntimeError(
-                f"block %{block.name} in @{function.name} fell through"
-            )
+            owner = block.parent.name if block.parent is not None else "?"
+            raise RuntimeError(f"block %{block.name} in @{owner} fell through")
         previous, block = block, next_block
 
 

@@ -57,8 +57,8 @@ region locals back to the frame and delegates the rest of the call to
 the decoded loop, which raises ``StepLimitExceeded`` at precisely the
 right op.  A callee retires steps the entry and segment guards could
 not count, so after each call that more ops of its block follow, a
-guard hands the rest of the call to the per-op decoded loop, from the
-op after the call, when those ops would cross the limit
+guard hands the rest of the call to the reference tier, from the op
+after the call, when those ops would cross the limit
 (:func:`_emit_resume_guard`).  The chunk tables and the tail repair of
 batched accounting are the decoded loop's own (:mod:`repro.hardware.decoder`); the
 traceback-line trap fixup that finds the trapping op is
@@ -1091,7 +1091,7 @@ def _emit_direct_charges(gen: _FnGen, all_info, s: int, e: int) -> None:
 
 def _make_resumer(dblock: DecodedBlock, body, block_locals: Dict[int, str]):
     """Closure a block compiled alone returns through to hand the rest
-    of its call to the per-op loop (see :func:`_emit_resume_guard`);
+    of its call to the reference tier (see :func:`_emit_resume_guard`);
     it spills the block's locals first."""
     spill = _make_spiller(
         tuple((value, block_locals[id(value)]) for value in body if id(value) in block_locals)
@@ -1099,7 +1099,7 @@ def _make_resumer(dblock: DecodedBlock, body, block_locals: Dict[int, str]):
 
     def _resume(cpu, frame, loc, start):
         spill(frame, loc)
-        return (BLOCK_RET, cpu._interpret_exact(dblock, frame, None, start))
+        return (BLOCK_RET, cpu._resume_on_reference(dblock, frame, start))
 
     return _resume
 
@@ -1112,8 +1112,8 @@ def _emit_resume_guard(
     The driver's entry guard (or a segment guard) covered the block's
     own steps, but a callee retires steps of its own, so the block's
     remaining ``nsteps`` may cross ``max_steps`` after the call returns.
-    When they would, the rest of the call runs on the per-op decoded
-    loop from op ``i + 1`` (``CPU._interpret_exact``), which stops at
+    When they would, the rest of the call runs on the reference tier
+    from op ``i + 1`` (``CPU._resume_on_reference``), which stops at
     the exact op -- within this block, so the slow loop runs only a
     handful of ops.  Nothing after op ``i`` is charged yet, and every
     earlier charge has been applied, so the hand-off needs only the
@@ -1559,7 +1559,7 @@ def _gen_region(
             gen.emit(f"    {spill}(frame, locals())", indent=2)
         if resumes:
             gen.emit(
-                "    if _rs: return (_RET, cpu._interpret_exact(_dx, frame, None, _rs))",
+                "    if _rs: return (_RET, cpu._resume_on_reference(_dx, frame, _rs))",
                 indent=2,
             )
         gen.emit(

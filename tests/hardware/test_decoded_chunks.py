@@ -7,7 +7,9 @@ observable must still match the reference interpreter, which charges
 each op just before running it: at every step-limit stop, at a trap in
 every position of a chunk and from every entry issue residue, below a
 call that ends a chunk, at every call boundary (where a profiler
-reads them), and on the per-op path a non-default timing model takes.
+reads them), and under a non-default timing model, which runs every
+call on the reference tier.  A step-limit stop hands the rest of the
+call to the reference tier from the chunk that would cross the limit.
 """
 
 from __future__ import annotations
@@ -237,7 +239,7 @@ def test_counters_match_at_every_call_boundary(tiny_program):
             ), f"{kind} at callee op {position}"
 
 
-# -- the per-op path -----------------------------------------------------------
+# -- non-default timing: the reference tier ----------------------------------
 
 
 def custom_costs(timing):
@@ -251,7 +253,7 @@ def narrow_issue(timing):
 
 
 @pytest.mark.parametrize("timing", (custom_costs, narrow_issue))
-def test_non_default_timing_matches_per_op(tiny_program, timing):
+def test_non_default_timing_matches_reference(tiny_program, timing):
     for scheme in SCHEMES:
         module = protect(tiny_program.compile(), scheme=scheme).module
         result = assert_same(module, tiny_program.inputs, scheme, timing=timing)
@@ -271,17 +273,28 @@ def test_non_default_timing_matches_per_op(tiny_program, timing):
             assert_same(module, context=context, timing=timing)
 
 
-def test_non_default_timing_keeps_its_simulated_call_depth():
-    # Each simulated call nests the per-op loop's Python frames; an
-    # extra frame per call would turn this 200-deep recursion into a
-    # RecursionError instead of a result.
+@pytest.mark.parametrize("interpreter", ("decoded", "block", "trace"))
+@pytest.mark.parametrize("depth", (200, 254, 300))
+def test_non_default_timing_keeps_its_simulated_call_depth(depth, interpreter):
+    # Under a non-default timing model every call runs on the reference
+    # tier, and the simulated 256-frame stack limit must fire before
+    # Python's recursion limit does: f(254) returns, f(300) faults.
     from repro.frontend import compile_source
 
     module = compile_source(
         "int f(int n) { if (n == 0) { return 0; } return f(n - 1) + 1; }"
-        " int main() { return f(200); }"
+        f" int main() {{ return f({depth}); }}"
     )
-    cpu = CPU(module, interpreter="decoded")
-    narrow_issue(cpu.timing)
-    result = cpu.run()
-    assert result.ok and result.return_value == 200
+
+    def run_on(tier):
+        cpu = CPU(module, interpreter=tier)
+        narrow_issue(cpu.timing)
+        result = cpu.run()
+        return result.status, result.return_value, result.steps, result.cycles
+
+    reference = run_on("reference")
+    assert run_on(interpreter) == reference
+    if depth < 256:
+        assert reference[:2] == ("ok", depth)
+    else:
+        assert reference[0] == "fault"

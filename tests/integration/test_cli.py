@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import os
 import sys
 
 import pytest
@@ -166,6 +167,19 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err == "repro: error: program defines no function 'main'\n"
+
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_non_utf8_input_delivers_the_argv_bytes(self, tmp_path, capsys, command):
+        path = tmp_path / "echo.c"
+        path.write_text(
+            "int main() { char buf[16]; gets(buf);"
+            ' printf("%d %d\\n", buf[0] & 255, buf[1] & 255); return 0; }'
+        )
+        # The argv bytes 0xff 0xc3, as Python decodes them for sys.argv.
+        item = os.fsdecode(b"\xff\xc3")
+        code, out, _ = run_cli([command, str(path), "--input", item], capsys)
+        assert code == 0
+        assert out.startswith("255 195\n")
 
     @pytest.mark.parametrize("source", ["int f() { return 1; }", ""])
     def test_program_without_main_still_compiles(self, tmp_path, capsys, source):

@@ -315,7 +315,8 @@ COLD_RUN_DATACLASSES = [
     "repro.hardware.cpu.ExecutionResult",
 ]
 
-#: The per-op interpreters, loaded only when a run needs one of them.
+#: The reference tier and the reference semantics of one instruction,
+#: loaded only when a run needs them.
 ORACLE = "repro.hardware.oracle"
 
 LOOP_SOURCE = "int main() { int i = 0; while (i < 100) { i = i + 1; } return i; }"
