@@ -58,6 +58,7 @@ if _SRC not in sys.path:
 from repro.core.config import SCHEMES
 from repro.core.framework import protect
 from repro.hardware import CPU, decode_module, trace_compile
+from repro.hardware.oracle import observables
 from repro.observability import ExecutionProfiler
 from repro.perf import (
     append_entry,
@@ -69,32 +70,12 @@ from repro.perf import (
 )
 from repro.workloads import generate_program, get_profile, profile_names
 
-#: Architectural counters that must match between backends exactly.
-COMPARED_FIELDS = (
-    "status",
-    "return_value",
-    "cycles",
-    "instructions",
-    "ipc",
-    "steps",
-    "output",
-    "pac_sign_count",
-    "pac_auth_count",
-    "isolated_allocations",
-)
-
 
 def _check_identical(name, reference, other, tier):
-    for field in COMPARED_FIELDS:
-        ref_value = getattr(reference, field)
-        other_value = getattr(other, field)
-        if ref_value != other_value:
-            raise AssertionError(
-                f"{name}: {field} diverged: reference={ref_value!r} "
-                f"{tier}={other_value!r}"
-            )
-    if reference.opcode_counts != other.opcode_counts:
-        raise AssertionError(f"{name}: opcode_counts diverged ({tier})")
+    expected, got = observables(reference), observables(other)
+    diverged = [field for field in expected if got[field] != expected[field]]
+    if diverged:
+        raise AssertionError(f"{name}: {', '.join(diverged)} diverged ({tier})")
 
 
 TIERS = ("reference", "decoded", "block", "trace")

@@ -293,6 +293,28 @@ def _add_observability_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _at_least(minimum: int):
+    """An argparse ``type``: an integer no smaller than ``minimum``, so a
+    bad count exits 2 with a one-line usage error before anything runs."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
+
+
+def _add_endpoint_args(
+    p: argparse.ArgumentParser, socket_help: str, port_help: str
+) -> None:
+    endpoint = p.add_mutually_exclusive_group()
+    endpoint.add_argument("--socket", default=None, metavar="PATH", help=socket_help)
+    endpoint.add_argument("--port", type=int, default=None, help=port_help)
+
+
 def _add_cache_args(
     p: argparse.ArgumentParser, help: str, cache: str = "compilation cache"
 ) -> None:
@@ -387,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_at_least(1),
         default=1,
         help="worker processes for the fan-out (default: 1, serial)",
     )
@@ -401,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--retries",
-        type=int,
+        type=_at_least(0),
         default=0,
         help="retry a failing benchmark this many times before quarantine",
     )
@@ -455,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument(
         "--budget",
-        type=int,
+        type=_at_least(1),
         default=200,
         help="total mutants, spread over the families (default: 200)",
     )
@@ -519,21 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="persistent compile-and-execute daemon over a local socket",
     )
-    p.add_argument(
-        "--socket",
-        default=None,
-        metavar="PATH",
-        help="Unix-domain socket path (default: .repro-serve.sock)",
-    )
-    p.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="listen on loopback TCP instead of a Unix socket",
+    _add_endpoint_args(
+        p,
+        "Unix-domain socket path (default: .repro-serve.sock)",
+        "listen on loopback TCP instead of a Unix socket",
     )
     p.add_argument(
         "--workers",
-        type=int,
+        type=_at_least(1),
         default=max(2, min(4, os.cpu_count() or 2)),
         help="persistent worker processes; requests shard across them "
         "by content digest (default: min(4, CPUs), at least 2)",
@@ -554,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-modules",
-        type=int,
+        type=_at_least(1),
         default=32,
         help="warm-registry capacity per worker, in distinct modules "
         "(default: 32)",
@@ -583,27 +598,20 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen",
         help="fire a seeded nginx-style request mix at a serve daemon",
     )
-    p.add_argument(
-        "--socket",
-        default=None,
-        metavar="PATH",
-        help="daemon socket path (default: .repro-serve.sock)",
-    )
-    p.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="connect over loopback TCP instead of a Unix socket",
+    _add_endpoint_args(
+        p,
+        "daemon socket path (default: .repro-serve.sock)",
+        "connect over loopback TCP instead of a Unix socket",
     )
     p.add_argument(
         "--requests",
-        type=int,
+        type=_at_least(1),
         default=200,
         help="requests in the mix (default: 200)",
     )
     p.add_argument(
         "--concurrency",
-        type=int,
+        type=_at_least(1),
         default=8,
         help="concurrent client connections (default: 8)",
     )
@@ -668,17 +676,10 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live terminal dashboard over a running serve daemon",
     )
-    p.add_argument(
-        "--socket",
-        default=None,
-        metavar="PATH",
-        help="daemon socket path (default: .repro-serve.sock)",
-    )
-    p.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="connect over loopback TCP instead of a Unix socket",
+    _add_endpoint_args(
+        p,
+        "daemon socket path (default: .repro-serve.sock)",
+        "connect over loopback TCP instead of a Unix socket",
     )
     p.add_argument(
         "--interval",

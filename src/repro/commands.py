@@ -103,9 +103,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_suite(args: argparse.Namespace) -> int:
     from .perf import run_suite
 
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}")
-        return 1
     known = profile_names()
     for name in args.benchmark:
         if name not in known:
@@ -317,12 +314,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .serve.pool import WorkerPool
     from .serve.server import ReproServer
 
-    if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}")
-        return 1
-    if args.socket and args.port is not None:
-        print("pass --socket or --port, not both")
-        return 1
     cache_dir = None if args.no_cache else args.cache_dir
     timeout = args.timeout if args.timeout and args.timeout > 0 else None
     slo_policy = None

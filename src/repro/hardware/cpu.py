@@ -725,9 +725,9 @@ class CPU:
         # returns the successor's pre-built (BlockCode, None) pair; this
         # loop only guards the step limit and dispatches.  A block whose
         # execution could cross the limit is delegated to the decoded
-        # loop -- with no ``previous``, since any pending phi edge has
-        # already been applied inline -- which raises StepLimitExceeded
-        # at exactly the right op.  The guard covers the block's own
+        # loop -- which routes no phis on entry: any pending phi edge
+        # has already been applied inline -- and that loop stops at
+        # exactly the right op.  The guard covers the block's own
         # steps; after a call, the generated code re-checks the rest.
         # Generated code counts its chunks in the hit store ``hits``.
         timing = self.timing
@@ -768,10 +768,7 @@ class CPU:
     # -- decoded backend ---------------------------------------------------------
 
     def _interpret_decoded(
-        self,
-        block: DecodedBlock,
-        frame: Dict[Value, int],
-        previous: Optional[DecodedBlock] = None,
+        self, block: DecodedBlock, frame: Dict[Value, int]
     ) -> Optional[int]:
         # Batched accounting, one charge per chunk (see the decoder's
         # module docstring): the step limit is checked, and steps,
@@ -785,6 +782,8 @@ class CPU:
         # commute -- so the locals need syncing only around a chunk's
         # closing impure op (a call or fallback, which may re-enter an
         # interpreter loop or read the counters) and on the way out.
+        # Every caller enters at a block whose phis are routed already.
+        previous: Optional[DecodedBlock] = None
         timing = self.timing
         hits = self._hits
         max_steps = self.max_steps
@@ -830,9 +829,11 @@ class CPU:
                         self.steps = steps
                         timing._cheap_run = cheap
                         synced = True
+                        # Chunks of one composition can repeat in a
+                        # block; no two chunks share their handlers.
                         start = 0
                         for chunk in block.chunks:
-                            if chunk[5] == cid:
+                            if chunk[1] is pure and chunk[2] is impure:
                                 break
                             start += chunk[0]
                         return self._resume_on_reference(block, frame, start)

@@ -1,5 +1,5 @@
-"""The reference tier and the reference semantics of one instruction,
-loaded on first use.
+"""The reference tier, the reference semantics of one instruction, and
+what every other tier must agree with it on; loaded on first use.
 
 :class:`~repro.hardware.cpu.CPU` runs every chunk-batched tier without
 this module.  It holds what runs one IR instruction at a time:
@@ -16,8 +16,18 @@ this module.  It holds what runs one IR instruction at a time:
 
 So a run loads this module only under the reference tier, a
 non-default cost table or issue width, a step limit crossed inside a
-chunk, or a decode fallback.  Each function takes the CPU as its first
-argument.
+chunk, or a decode fallback.  Each of those functions takes the CPU as
+its first argument.
+
+It also holds the two things every tier comparison shares:
+
+- :func:`observables`, the one definition of what two runs of one
+  program must agree on, whatever tier ran them: campaign's tier
+  cross-check and every tier test compare it and nothing else;
+- :func:`tier_cpu`, a CPU whose compiled tier runs its generated code
+  from the first call (the trace tier otherwise compiles a function
+  only once it is hot, so a short run would compare decoded code with
+  itself).
 """
 
 from __future__ import annotations
@@ -301,3 +311,54 @@ def _cast(cpu, inst: Cast, frame: Dict[Value, int]) -> int:
             return inst.type.wrap(signed)
         return signed & _MASK64
     raise RuntimeError(f"unknown cast {op}")
+
+
+# -- what the tiers must agree on ---------------------------------------------------
+
+
+def observables(result) -> Dict[str, object]:
+    """Everything about one run that must not depend on its tier.
+
+    Status, the trap's type and message, return value, output, the
+    step, cycle and instruction counters (and their ipc), the opcode
+    histogram, PAC sign/auth counts, isolated allocations, input-channel
+    calls per function and LLC hits/misses (zero without a
+    :class:`~repro.hardware.cache.CacheModel`).  Wall-clock and
+    decode/compile seconds and the tier's own name are left out.
+    """
+    trap = result.trap
+    return {
+        "status": result.status,
+        "trap": None if trap is None else (type(trap).__name__, str(trap)),
+        "return_value": result.return_value,
+        "output": result.output,
+        "steps": result.steps,
+        "cycles": result.cycles,
+        "instructions": result.instructions,
+        "ipc": result.ipc,
+        "opcode_counts": result.opcode_counts,
+        "pac_sign_count": result.pac_sign_count,
+        "pac_auth_count": result.pac_auth_count,
+        "isolated_allocations": result.isolated_allocations,
+        "ic_calls": result.ic_calls,
+        "cache_hits": result.cache_hits,
+        "cache_misses": result.cache_misses,
+    }
+
+
+def tier_cpu(module, interpreter=None, trace_profile=None, **kwargs):
+    """A CPU for ``module`` whose tier runs generated code from its first call.
+
+    Under the trace tier every function is compiled before the run:
+    with regions selected statically, or from ``trace_profile`` when
+    given.  Other tiers get a plain CPU.  ``kwargs`` go to the CPU.
+    """
+    from .cpu import CPU
+
+    cpu = CPU(module, interpreter=interpreter, trace_profile=trace_profile, **kwargs)
+    if cpu.interpreter == "trace":
+        from .tracec import trace_compile
+
+        trace_compile(module, trace_profile)
+        assert not cpu.tier_program.pending, "trace run starts compiled"
+    return cpu

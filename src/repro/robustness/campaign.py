@@ -79,7 +79,7 @@ from ..core.config import BASELINE, SCHEMES
 from ..core.framework import protect, protect_all
 from ..frontend.driver import compile_source
 from ..hardware.cpu import CPU
-from ..hardware.tracec import trace_compile
+from ..hardware.oracle import observables, tier_cpu
 from ..observability import current_tracer, get_event_log, get_metrics
 from .faults import FaultInjector, FaultPlan, FaultSpec
 from .reduce import reduce_source
@@ -466,12 +466,7 @@ def _run_one(
 ):
     """One execution: fresh controller and injector per tier run."""
     controller = build_attack(scenario, mutant)
-    cpu = CPU(module, seed=seed, attack=controller, interpreter=interpreter)
-    if interpreter == "trace":
-        # Compile eagerly: a tier-up run of one mutant would mostly
-        # stay decoded and compare the decoded tier against itself.
-        trace_compile(module)
-        assert not cpu.tier_program.pending, "trace run starts compiled"
+    cpu = tier_cpu(module, interpreter, seed=seed, attack=controller)
     injector = None
     if plan is not None:
         injector = FaultInjector(plan)
@@ -513,7 +508,8 @@ def run_campaign(
 
     Each mutant executes under every scheme and every compiled tier.
     The block and trace tiers must agree with the decoded tier on
-    status, output, and fired sites; disagreement lands in
+    every :func:`~repro.hardware.oracle.observables` field and on the
+    fired sites; disagreement lands in
     :meth:`CampaignReport.contract_violations`.
     """
     scenarios = build_scenarios()
@@ -620,17 +616,19 @@ def _run_mutant_cell(
             crash,
         )
     canonical_result, events, fired = results["decoded"]
+    expected = observables(canonical_result)
     mismatch = ""
     for tier in TIERS[1:]:
         other_result, other_events, _ = results[tier]
-        if (
-            other_result.status != canonical_result.status
-            or other_result.output != canonical_result.output
-            or other_events != events
-        ):
+        got = observables(other_result)
+        diverged = [name for name in expected if got[name] != expected[name]]
+        if other_events != events:
+            diverged.append("events")
+        if diverged:
             mismatch = (
                 f"{tier}: {other_result.status} vs "
-                f"decoded: {canonical_result.status}"
+                f"decoded: {canonical_result.status} "
+                f"({', '.join(diverged)} diverged)"
             )
             break
     outcome, detail = _classify(scenario, canonical_result, fired)

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.config import DEFAULT_SCHEME, DefenseConfig
 from ..core.framework import protect_all
-from ..hardware.cpu import CPU
+from ..hardware.oracle import tier_cpu
 from ..ir.printer import print_module
 from ..observability import current_tracer, get_event_log, get_metrics
 from ..perf.cache import CompilationCache
@@ -195,21 +195,6 @@ def _classify_execution(
     return "faulted", f"{result.status} ({result.trap})"
 
 
-def _cpu(module, seed: int, interpreter: Optional[str]) -> CPU:
-    """A CPU for one chaos run; the trace tier starts fully compiled.
-
-    Compiled eagerly, so the trace column checks the generated code
-    rather than decoded calls that never reached the tier-up threshold.
-    """
-    cpu = CPU(module, seed=seed, interpreter=interpreter)
-    if cpu.interpreter == "trace":
-        from ..hardware.tracec import trace_compile
-
-        trace_compile(module)
-        assert not cpu.tier_program.pending, "trace run starts compiled"
-    return cpu
-
-
 def _run_execution_case(
     index: int,
     spec: FaultSpec,
@@ -224,7 +209,7 @@ def _run_execution_case(
     injector = FaultInjector(plan, only=index)
     task = f"chaos[{index}]:{spec.kind}"
     try:
-        cpu = _cpu(protected_module, seed, interpreter)
+        cpu = tier_cpu(protected_module, interpreter, seed=seed)
         injector.arm(cpu)
         result = cpu.run(inputs=list(inputs))
     except Exception as exc:  # an uncaught interpreter bug: triage it
@@ -364,7 +349,7 @@ def run_chaos(
         needed.add(DEFAULT_SCHEME)
     protections = protect_all(module, schemes=tuple(sorted(needed)), consume=True)
     baselines = {
-        scheme: _cpu(result.module, seed, interpreter).run(
+        scheme: tier_cpu(result.module, interpreter, seed=seed).run(
             inputs=list(program.inputs)
         )
         for scheme, result in protections.items()

@@ -9,7 +9,9 @@ in every position of a chunk (a block compiled alone and a fused loop
 region, from every entry issue residue), at a trap just past a phi
 edge, at every step-limit stop, for a CPU built before a compile that
 allocates new composition ids, for two CPUs whose runs interleave on
-one module, and for repeated runs of one CPU.
+one module, and for repeated runs of one CPU.  The trap cases run on
+every tier of ``tests/tier_oracle.py``, the step-limit sweep on its
+compiled tiers.
 """
 
 from __future__ import annotations
@@ -18,88 +20,19 @@ import pytest
 
 from repro.core import SCHEMES, protect
 from repro.frontend import compile_source
-from repro.hardware import CPU, trace_compile, tracec
+from repro.hardware import CPU, trace_compile
 from repro.hardware.decoder import CHUNK_OPS
+from repro.hardware.oracle import observables
 from repro.ir import I64, Function, FunctionType, IRBuilder, Module, pointer
 from repro.ir.values import Constant
-from repro.observability import ExecutionProfiler
 from repro.workloads import generate_program, get_profile, profile_names
-from repro.workloads.profiles import BenchmarkProfile
-
-#: block: every block compiled alone; trace-static: regions selected
-#: without a profile; trace-profile: regions from a profiled block run.
-TIERS = ("block", "trace-static", "trace-profile")
-
-#: A generated program small enough to stop at every one of its steps,
-#: with calls, loops, phis and IC handlers.
-TINY = BenchmarkProfile(
-    name="tiny",
-    language="c",
-    hot_functions=1,
-    tainted_functions=1,
-    pointer_functions=1,
-    field_functions=1,
-    ic_handlers=1,
-    opaque_functions=1,
-    heap_workers=1,
-    outer_iterations=1,
-    inner_iterations=2,
-    array_size=4,
-    ic_sites_per_handler=1,
-    seed=7,
+from tests.tier_oracle import (
+    COMPILED_TIERS,
+    assert_every_step_limit,
+    assert_lattice,
+    run,
+    tier_factory,
 )
-
-
-def observed(result):
-    """Everything the tiers must agree on, traps included."""
-    trap = result.trap
-    return (
-        result.status,
-        None if trap is None else (type(trap).__name__, str(trap)),
-        result.return_value,
-        result.output,
-        result.steps,
-        result.cycles,
-        result.instructions,
-        result.opcode_counts,
-    )
-
-
-def tier_factory(module, tier, inputs=()):
-    """Compile ``module`` for ``tier`` once; returns ``make(**kwargs)``,
-    which builds a CPU that runs the compiled code."""
-    if tier == "block":
-        options = {"interpreter": "block"}
-    elif tier == "trace-static":
-        trace_compile(module)
-        options = {"interpreter": "trace"}
-    else:
-        profiler = ExecutionProfiler()
-        CPU(module, seed=2024, interpreter="block", profiler=profiler).run(
-            inputs=list(inputs)
-        )
-        options = {"interpreter": "trace", "trace_profile": profiler.block_counts()}
-
-    def make(**kwargs):
-        cpu = CPU(module, seed=2024, **options, **kwargs)
-        assert cpu.tier_program.functions and not cpu.tier_program.pending
-        return cpu
-
-    return make
-
-
-def run(module, interpreter, inputs=(), **kwargs):
-    return CPU(module, seed=2024, interpreter=interpreter, **kwargs).run(
-        inputs=list(inputs)
-    )
-
-
-def assert_same(module, inputs=(), context=""):
-    reference = run(module, "reference", inputs)
-    for tier in TIERS:
-        result = tier_factory(module, tier, inputs)().run(inputs=list(inputs))
-        assert observed(result) == observed(reference), f"{tier}: {context}"
-    return reference
 
 
 # -- traps inside a chunk ------------------------------------------------------
@@ -230,7 +163,7 @@ def test_trap_at_each_op_of_a_compiled_chunk(kind, where):
         for position in range(len(BODY) + 1):
             module = chunk_trap_module(position, kind, residue, where)
             context = f"{kind} at op {position}, residue {residue}, {where}"
-            result = assert_same(module, context=context)
+            result = assert_lattice(module, context=context)
             assert not result.ok, context
 
 
@@ -280,7 +213,7 @@ def test_trap_past_a_phi_edge(kind, arm):
     for position in range(len(BODY) + 1):
         module = phi_edge_trap_module(position, kind, arm)
         context = f"{kind} at op {position} of the {arm} arm"
-        result = assert_same(module, context=context)
+        result = assert_lattice(module, context=context)
         assert not result.ok, context
 
 
@@ -289,23 +222,8 @@ def test_trap_past_a_phi_edge(kind, arm):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_every_step_limit_stops_at_the_same_op(scheme):
-    """Sweep ``max_steps`` over a whole run: each stop is the block
-    driver's or a region's hand-off to the decoded loop, at every
-    position a hand-off can take."""
-    program = generate_program(TINY)
-    module = protect(program.compile(), scheme=scheme).module
-    inputs = list(program.inputs)
-    full = run(module, "reference", inputs)
-    assert full.ok
-    expected = [
-        observed(run(module, "reference", inputs, max_steps=max_steps))
-        for max_steps in range(1, full.steps + 2)
-    ]
-    for tier in TIERS:
-        make = tier_factory(module, tier, inputs)
-        for max_steps, want in enumerate(expected, 1):
-            got = observed(make(max_steps=max_steps).run(inputs=inputs))
-            assert got == want, f"{tier} {scheme} max_steps={max_steps}"
+    # Each stop is the block driver's or a region's hand-off.
+    assert_every_step_limit(scheme, COMPILED_TIERS)
 
 
 # -- the hit store ----------------------------------------------------------------
@@ -356,22 +274,21 @@ def unique_chunk_module():
 
 def test_cpu_built_before_a_compile_that_allocates_ids():
     module = unique_chunk_module()
-    expected = observed(run(module, "reference"))
+    expected = observables(run(module, "reference"))
     cpu = CPU(module, seed=2024, interpreter="trace")  # nothing compiled yet
     before = len(CHUNK_OPS)
     trace_compile(module)
     assert len(CHUNK_OPS) > before
     assert cpu.tier_program.functions and not cpu.tier_program.pending
-    assert observed(cpu.run()) == expected
+    assert observables(cpu.run()) == expected
 
 
-def test_tier_up_mid_run_allocates_ids_the_run_folds(monkeypatch):
-    monkeypatch.setattr(tracec, "TIER_UP_STEPS_PER_INST", 2)
+def test_tier_up_mid_run_allocates_ids_the_run_folds():
     module = unique_chunk_module()
-    expected = observed(run(module, "reference"))
-    cpu = CPU(module, seed=2024, interpreter="trace")
+    expected = observables(run(module, "reference"))
+    cpu = tier_factory(module, "trace-lazy")()
     before = len(CHUNK_OPS)
-    assert observed(cpu.run()) == expected
+    assert observables(cpu.run()) == expected
     assert module.get_function("spin") in cpu.tier_program.functions
     assert len(CHUNK_OPS) > before
 
@@ -392,28 +309,30 @@ class Interleave:
         return function
 
 
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("tier", COMPILED_TIERS)
 def test_two_cpus_interleaved_on_one_module(tier):
     module = fresh_module(3)
-    expected = observed(run(module, "reference"))
+    expected = observables(run(module, "reference"))
     first = tier_factory(module, tier)()
-    # The second CPU shares the compiled program (block, trace-static)
-    # or starts a lazy one (trace-profile), and runs to completion while
-    # the first is inside main's loop with hits pending.
+    # The second CPU shares the compiled program (block, trace-static),
+    # shares the lazy one and tiers it up further (trace-lazy), or
+    # starts a lazy one at the default threshold (trace-profile), and
+    # runs to completion while the first is inside main's loop with
+    # hits pending.
     second = CPU(module, seed=2024, interpreter=first.interpreter)
     hook = first.call_fault_hook = Interleave(second)
-    assert observed(first.run()) == expected
-    assert observed(hook.result) == expected
+    assert observables(first.run()) == expected
+    assert observables(hook.result) == expected
 
 
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("tier", COMPILED_TIERS)
 def test_run_twice_on_one_cpu(tier):
     module = fresh_module(5)
     reference = CPU(module, seed=2024, interpreter="reference")
     cpu = tier_factory(module, tier)()
     for attempt in range(2):
         # Counters accumulate across runs; each run folds its own hits.
-        assert observed(cpu.run()) == observed(reference.run()), attempt
+        assert observables(cpu.run()) == observables(reference.run()), attempt
 
 
 # -- generated source -------------------------------------------------------------

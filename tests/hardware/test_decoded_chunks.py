@@ -6,10 +6,12 @@ takes back the charges of the ops after one that traps.  Every
 observable must still match the reference interpreter, which charges
 each op just before running it: at every step-limit stop, at a trap in
 every position of a chunk and from every entry issue residue, below a
-call that ends a chunk, at every call boundary (where a profiler
-reads them), and under a non-default timing model, which runs every
-call on the reference tier.  A step-limit stop hands the rest of the
-call to the reference tier from the chunk that would cross the limit.
+call that ends a chunk, at every call boundary (where a profiler reads
+them), and under a non-default timing model, which runs every call on
+the reference tier.  A step-limit stop hands the rest of the call to
+the reference tier from the chunk that would cross the limit.  The
+other cases run on every tier of ``tests/tier_oracle.py``; the compiled
+tiers sweep every step limit in ``test_compiled_chunks.py``.
 """
 
 from __future__ import annotations
@@ -17,60 +19,21 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SCHEMES, protect
-from repro.hardware import CPU
+from repro.frontend import compile_source
 from repro.ir import I1, I64, Function, FunctionType, IRBuilder, Module, pointer
 from repro.ir.values import Constant
 from repro.observability import ExecutionProfiler
 from repro.workloads import generate_program
-from repro.workloads.profiles import BenchmarkProfile
-
-#: A generated program small enough to stop at every one of its steps
-#: (~700-800 steps per scheme), with calls, loops, phis and IC handlers.
-TINY = BenchmarkProfile(
-    name="tiny",
-    language="c",
-    hot_functions=1,
-    tainted_functions=1,
-    pointer_functions=1,
-    field_functions=1,
-    ic_handlers=1,
-    opaque_functions=1,
-    heap_workers=1,
-    outer_iterations=1,
-    inner_iterations=2,
-    array_size=4,
-    ic_sites_per_handler=1,
-    seed=7,
+from tests.tier_oracle import (
+    FAST_TIERS,
+    TINY,
+    assert_every_step_limit,
+    assert_lattice,
+    assert_sweep,
+    custom_costs,
+    narrow_issue,
+    run,
 )
-
-
-def observed(result):
-    """Everything the two loops must agree on, traps included."""
-    trap = result.trap
-    return (
-        result.status,
-        None if trap is None else (type(trap).__name__, str(trap)),
-        result.return_value,
-        result.output,
-        result.steps,
-        result.cycles,
-        result.instructions,
-        result.opcode_counts,
-    )
-
-
-def run(module, interpreter, inputs=(), timing=None, **kwargs):
-    cpu = CPU(module, seed=2024, interpreter=interpreter, **kwargs)
-    if timing is not None:
-        timing(cpu.timing)
-    return cpu.run(inputs=list(inputs))
-
-
-def assert_same(module, inputs=(), context="", **kwargs):
-    reference = run(module, "reference", inputs, **kwargs)
-    decoded = run(module, "decoded", inputs, **kwargs)
-    assert observed(decoded) == observed(reference), context
-    return reference
 
 
 @pytest.fixture(scope="module")
@@ -79,16 +42,11 @@ def tiny_program():
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_every_step_limit_stops_at_the_same_op(tiny_program, scheme):
-    module = protect(tiny_program.compile(), scheme=scheme).module
-    inputs = tiny_program.inputs
-    full = assert_same(module, inputs, scheme)
-    assert full.ok
-    for max_steps in range(1, full.steps + 2):
-        result = assert_same(
-            module, inputs, f"{scheme} max_steps={max_steps}", max_steps=max_steps
-        )
-        assert result.status == ("ok" if max_steps >= full.steps else "limit")
+def test_every_step_limit_stops_at_the_same_op(scheme):
+    # A hand-off that resumed at an earlier chunk of the same composition
+    # would replay its ops: invisible in memory for a store, but an
+    # extra LLC access.
+    assert_every_step_limit(scheme, ("decoded",))
 
 
 # -- traps inside a chunk ------------------------------------------------------
@@ -177,7 +135,7 @@ def test_trap_at_each_op_of_a_chunk(kind, closing):
         for position in range(len(BODY) + 1):
             module = trap_module(position, kind, residue, closing)
             context = f"{kind} at op {position}, residue {residue}, {closing}"
-            result = assert_same(module, context=context)
+            result = assert_lattice(module, context=context)
             assert not result.ok, context
 
 
@@ -206,71 +164,65 @@ def callee_trap_module(position, kind):
 def test_trap_in_a_callee_below_a_chunk_ending_call(kind):
     for position in range(len(BODY) + 1):
         module = callee_trap_module(position, kind)
-        result = assert_same(module, context=f"{kind} at callee op {position}")
+        result = assert_lattice(module, context=f"{kind} at callee op {position}")
         assert not result.ok
 
 
 # -- what a callee sees ---------------------------------------------------------
 
 
-def profiled_functions(module, interpreter, inputs=()):
+def profiled_functions(module, tier, inputs=()):
     """Per-function (calls, self/inclusive steps and cycles) of one run.
 
     The profiler reads the CPU's counters as each call enters and
     leaves, so this compares the counters mid-run, not just at the end.
     """
     profiler = ExecutionProfiler()
-    run(module, interpreter, inputs, profiler=profiler)
+    run(module, tier, inputs, profiler=profiler)
     return profiler.functions
+
+
+def assert_profiles_match(module, inputs=(), context=""):
+    expected = profiled_functions(module, "reference", inputs)
+    for tier in FAST_TIERS:
+        assert profiled_functions(module, tier, inputs) == expected, (
+            f"{tier}: {context}"
+        )
 
 
 def test_counters_match_at_every_call_boundary(tiny_program):
     for scheme in SCHEMES:
         module = protect(tiny_program.compile(), scheme=scheme).module
-        inputs = tiny_program.inputs
-        assert profiled_functions(module, "decoded", inputs) == (
-            profiled_functions(module, "reference", inputs)
-        ), scheme
+        assert_profiles_match(module, tiny_program.inputs, scheme)
     for kind in sorted(TRAPS):
         for position in range(len(BODY) + 1):
             module = callee_trap_module(position, kind)
-            assert profiled_functions(module, "decoded") == (
-                profiled_functions(module, "reference")
-            ), f"{kind} at callee op {position}"
+            assert_profiles_match(module, context=f"{kind} at callee op {position}")
 
 
 # -- non-default timing: the reference tier ----------------------------------
 
 
-def custom_costs(timing):
-    timing.costs["load"] = 7
-    timing.costs["add"] = 2
-    timing.costs["br"] = 0
-
-
-def narrow_issue(timing):
-    timing.issue_width = 2
-
-
 @pytest.mark.parametrize("timing", (custom_costs, narrow_issue))
 def test_non_default_timing_matches_reference(tiny_program, timing):
+    def setup(cpu):
+        timing(cpu.timing)
+
     for scheme in SCHEMES:
         module = protect(tiny_program.compile(), scheme=scheme).module
-        result = assert_same(module, tiny_program.inputs, scheme, timing=timing)
+        inputs = tiny_program.inputs
+        result = assert_lattice(module, inputs, scheme, setup=setup)
         assert result.ok
-        for max_steps in (1, result.steps // 2, result.steps):
-            assert_same(
-                module,
-                tiny_program.inputs,
-                f"{scheme} max_steps={max_steps}",
-                timing=timing,
-                max_steps=max_steps,
-            )
+        limits = (1, result.steps // 2, result.steps)
+        assert_sweep(
+            module, inputs, scheme, [{"max_steps": limit} for limit in limits],
+            setup=setup,
+        )
     for residue in range(4):
         for position in range(len(BODY) + 1):
             module = trap_module(position, "fault", residue, "call")
             context = f"op {position}, residue {residue}"
-            assert_same(module, context=context, timing=timing)
+            assert_lattice(module, context=context, setup=setup)
 
 
 @pytest.mark.parametrize("interpreter", ("decoded", "block", "trace"))
@@ -279,22 +231,16 @@ def test_non_default_timing_keeps_its_simulated_call_depth(depth, interpreter):
     # Under a non-default timing model every call runs on the reference
     # tier, and the simulated 256-frame stack limit must fire before
     # Python's recursion limit does: f(254) returns, f(300) faults.
-    from repro.frontend import compile_source
-
     module = compile_source(
         "int f(int n) { if (n == 0) { return 0; } return f(n - 1) + 1; }"
         f" int main() {{ return f({depth}); }}"
     )
-
-    def run_on(tier):
-        cpu = CPU(module, interpreter=tier)
-        narrow_issue(cpu.timing)
-        result = cpu.run()
-        return result.status, result.return_value, result.steps, result.cycles
-
-    reference = run_on("reference")
-    assert run_on(interpreter) == reference
+    tiers = tuple(tier for tier in FAST_TIERS if tier.startswith(interpreter))
+    reference = assert_lattice(
+        module, context=f"f({depth})", tiers=tiers,
+        setup=lambda cpu: narrow_issue(cpu.timing),
+    )
     if depth < 256:
-        assert reference[:2] == ("ok", depth)
+        assert (reference.status, reference.return_value) == ("ok", depth)
     else:
-        assert reference[0] == "fault"
+        assert reference.status == "fault"

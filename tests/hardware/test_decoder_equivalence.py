@@ -1,10 +1,10 @@
-"""Golden equivalence: pre-decoded dispatch vs the reference interpreter.
+"""Golden equivalence: the decoded column of ``tests/tier_oracle.py``.
 
 The decoded backend is a pure performance transform -- every
-architectural observable (status, counters, output, traps) must be
-bit-identical to the reference loop.  This suite sweeps every workload
-profile under every scheme, plus every attack scenario (benign and
-under attack), comparing the two backends field by field.
+observable of a run (:func:`repro.hardware.oracle.observables`) must
+be bit-identical to the reference loop's, with and without an LLC
+model, for every workload profile and attack scenario under every
+scheme.
 """
 
 from __future__ import annotations
@@ -12,91 +12,21 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks import build_scenarios
-from repro.core import SCHEMES, protect
 from repro.hardware import CPU, INTERPRETERS
-from repro.workloads import generate_program, get_profile, profile_names
+from repro.workloads import profile_names
+from tests.tier_oracle import assert_program, assert_scenario, generated
 
-#: Every architectural observable of an execution.
-COMPARED_FIELDS = (
-    "status",
-    "return_value",
-    "cycles",
-    "instructions",
-    "ipc",
-    "steps",
-    "output",
-    "pac_sign_count",
-    "pac_auth_count",
-    "isolated_allocations",
-)
+TIERS = ("decoded",)
 
 
-def assert_equivalent(reference, decoded, context):
-    assert reference.interpreter == "reference", context
-    assert decoded.interpreter == "decoded", context
-    for field in COMPARED_FIELDS:
-        assert getattr(reference, field) == getattr(decoded, field), (
-            f"{context}: {field} diverged "
-            f"(reference={getattr(reference, field)!r}, "
-            f"decoded={getattr(decoded, field)!r})"
-        )
-    assert reference.opcode_counts == decoded.opcode_counts, context
-    # traps must agree in kind and message, not just in status
-    assert (reference.trap is None) == (decoded.trap is None), context
-    if reference.trap is not None:
-        assert type(reference.trap) is type(decoded.trap), context
-        assert str(reference.trap) == str(decoded.trap), context
-
-
-# -- benign benchmark sweep: every profile x every scheme ----------------------------
-
-
-@pytest.fixture(scope="module", params=profile_names())
-def profile_program(request):
-    return generate_program(get_profile(request.param))
-
-
-def test_profile_equivalence_all_schemes(profile_program):
-    module = profile_program.compile()
-    inputs = list(profile_program.inputs)
-    for scheme in SCHEMES:
-        protected = protect(module, scheme=scheme)
-        runs = {}
-        for interpreter in INTERPRETERS:
-            cpu = CPU(protected.module, seed=2024, interpreter=interpreter)
-            runs[interpreter] = cpu.run(inputs=list(inputs))
-        context = f"{profile_program.profile.name}/{scheme}"
-        assert_equivalent(runs["reference"], runs["decoded"], context)
-        assert runs["decoded"].ok, context
-
-
-# -- attack scenarios: traps and outcomes must match ---------------------------------
+@pytest.mark.parametrize("name", profile_names())
+def test_profile_equivalence_all_schemes(name):
+    assert_program(generated(name), TIERS)
 
 
 @pytest.mark.parametrize("scenario_name", sorted(build_scenarios()))
 def test_scenario_equivalence_all_schemes(scenario_name):
-    scenario = build_scenarios()[scenario_name]
-    module = scenario.compile()
-    for scheme in SCHEMES:
-        protected = protect(module, scheme=scheme)
-        for run in ("benign", "attack"):
-            runs = {}
-            for interpreter in INTERPRETERS:
-                if run == "benign":
-                    result = scenario.run_benign(
-                        protected.module, interpreter=interpreter
-                    )
-                else:
-                    result = scenario.run_attack(
-                        protected.module, interpreter=interpreter
-                    )
-                runs[interpreter] = result
-            context = f"{scenario_name}/{scheme}/{run}"
-            assert_equivalent(runs["reference"], runs["decoded"], context)
-            if run == "attack":
-                assert scenario.attack_outcome(
-                    runs["reference"]
-                ) == scenario.attack_outcome(runs["decoded"]), context
+    assert_scenario(scenario_name, TIERS)
 
 
 # -- backend selection API -----------------------------------------------------------

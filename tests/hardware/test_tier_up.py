@@ -6,7 +6,8 @@ the module's memoized program, and compiles a function for its next
 call once the count reaches ``TIER_UP_STEPS_PER_INST`` per IR
 instruction.  A low monkeypatched threshold makes decoded and compiled
 frames mix within one run; every observable must still match the
-reference interpreter.
+reference interpreter.  Every generated profile runs this way, as the
+``trace-lazy`` column of ``tests/tier_oracle.py``'s profile sweep.
 """
 
 from __future__ import annotations
@@ -15,15 +16,18 @@ import dataclasses
 
 import pytest
 
-from repro.core import SCHEMES, protect
 from repro.frontend import compile_source
 from repro.hardware import CPU, tracec
-from repro.hardware.errors import StepLimitExceeded
+from repro.hardware.oracle import observables
 from repro.metrics import measure_program
 from repro.workloads import generate_program, get_profile, profile_names
-
-#: Low enough that most functions compile during their first run.
-LOW_THRESHOLD = 2
+from tests.tier_oracle import (
+    LOW_THRESHOLD,
+    assert_program,
+    assert_step_limit,
+    generated,
+    run,
+)
 
 SOURCE = """
 int step(int x) {
@@ -46,54 +50,15 @@ def low_threshold(monkeypatch):
     monkeypatch.setattr(tracec, "TIER_UP_STEPS_PER_INST", LOW_THRESHOLD)
 
 
-def observed(result):
-    """What every tier must agree on, traps included."""
-    trap = result.trap
-    return (
-        result.status,
-        None if trap is None else (type(trap).__name__, str(trap)),
-        result.return_value,
-        result.output,
-        result.cycles,
-        result.instructions,
-        result.steps,
-        result.opcode_counts,
-        result.pac_sign_count,
-        result.pac_auth_count,
-    )
-
-
-def run(module, interpreter, inputs=(), **kwargs):
-    return CPU(module, seed=2024, interpreter=interpreter, **kwargs).run(
-        inputs=list(inputs)
-    )
-
-
 @pytest.mark.parametrize("name", profile_names())
-def test_mixed_tiers_match_reference(low_threshold, name):
-    program = generate_program(get_profile(name))
-    for scheme in SCHEMES:
-        module = protect(program.compile(), scheme=scheme).module
-        reference = run(module, "reference", program.inputs)
-        cpu = CPU(module, seed=2024, interpreter="trace")
-        trace = cpu.run(inputs=list(program.inputs))
-        assert observed(trace) == observed(reference), f"{name}/{scheme}"
-        assert cpu.tier_program.functions, f"{name}/{scheme}: nothing tiered up"
+def test_mixed_tiers_match_reference(name):
+    assert_program(generated(name), ("trace-lazy",), tier_up=True)
 
 
 @pytest.mark.parametrize("max_steps", (1500, 2500, 4000, 8000))
-def test_step_limit_straddling_tier_up_fires_at_the_same_op(
-    low_threshold, max_steps
-):
-    program = generate_program(get_profile("505.mcf_r"))
-    module = protect(program.compile(), scheme="pythia").module
-    reference = run(module, "reference", program.inputs, max_steps=max_steps)
-    cpu = CPU(module, seed=2024, interpreter="trace", max_steps=max_steps)
-    trace = cpu.run(inputs=list(program.inputs))
-    assert isinstance(reference.trap, StepLimitExceeded)
-    assert observed(trace) == observed(reference)
-    # The limit fell after some function had already tiered up.
-    assert cpu.tier_program.functions
+def test_step_limit_straddling_tier_up_fires_at_the_same_op(max_steps):
+    # The limit falls after some function has already tiered up.
+    assert_step_limit("pythia", max_steps, ("trace-lazy",), tier_up=True)
 
 
 def test_counters_persist_across_cpus_on_one_module(monkeypatch):
@@ -120,7 +85,7 @@ def test_compiled_functions_carry_over_to_the_next_cpu(low_threshold):
     assert step in program.functions
     counted = program.steps[step]
     again = CPU(module, interpreter="trace").run()
-    assert observed(again) == observed(expected)
+    assert observables(again) == observables(expected)
     # Compiled calls are not counted.
     assert program.steps[step] == counted
 
@@ -148,7 +113,7 @@ def test_tier_up_mid_run_is_charged_to_the_run():
     # step() tiers up under the default threshold; main's own steps
     # stay below its (larger) threshold.
     assert set(program.functions) == {module.get_function("step")}
-    assert observed(result) == observed(reference)
+    assert observables(result) == observables(reference)
     assert program.compile_seconds > 0.0
     assert program.python_compile_seconds > 0.0
     assert result.decode_seconds == pytest.approx(

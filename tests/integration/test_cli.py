@@ -224,6 +224,41 @@ class TestExitCodes:
         assert "repro: error:" in err
 
 
+class TestUsageErrors:
+    """A count below its floor, or both endpoints, is a usage error: exit
+    2 with argparse's one-line error, before anything forks or listens."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--budget", "0"],
+            ["campaign", "--budget", "-3"],
+            ["suite", "--jobs", "0"],
+            ["suite", "--retries", "-1"],
+            ["serve", "--workers", "0"],
+            ["serve", "--max-modules", "0"],
+            ["loadgen", "--requests", "0"],
+            ["loadgen", "--concurrency", "0"],
+            ["serve", "--port", "0"],
+            ["loadgen", "--port", "0"],
+            ["top", "--port", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2_before_any_work(self, argv, tmp_path, capsys):
+        socket = tmp_path / "serve.sock"
+        if argv[0] in ("serve", "loadgen", "top"):
+            argv = argv + ["--socket", str(socket)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith(f"repro {argv[0]}: error: argument "), err
+        assert "Traceback" not in err
+        assert not socket.exists()
+
+
 class TestChaos:
     def test_smoke_plan_passes_and_writes_manifest(self, tmp_path, capsys):
         import json
