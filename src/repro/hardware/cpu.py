@@ -52,7 +52,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import length_hint
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from collections import deque
@@ -69,6 +68,7 @@ from .decoder import (
     CHUNK_ISSUE_WIDTH,
     CHUNK_OPS,
     DecodedBlock,
+    _chunk_start,
     _undo_chunk_tail,
     compute_global_layout,
     decode_module,
@@ -771,136 +771,100 @@ class CPU:
         self, block: DecodedBlock, frame: Dict[Value, int]
     ) -> Optional[int]:
         # Batched accounting, one charge per chunk (see the decoder's
-        # module docstring): the step limit is checked, and steps,
-        # cycles and the issue residue move, once per chunk before its
-        # handlers run; the opcode histogram and the instructions are
+        # module docstring): the step limit is checked, and steps move,
+        # once per chunk before its handlers run, and the issue model
+        # once after them; the opcode histogram and the instructions are
         # one hit counter per chunk, folded when run() returns.  Steps,
-        # the residue, the phis routed and the cycles not yet added to
-        # ``timing`` live in locals.  Nothing outside the interpreter
-        # loops reads those counters mid-run -- library models and the
-        # cache only add to cycles and opcode_counts, and additions
-        # commute -- so the locals need syncing only around a chunk's
-        # closing impure op (a call or fallback, which may re-enter an
-        # interpreter loop or read the counters) and on the way out.
-        # Every caller enters at a block whose phis are routed already.
-        previous: Optional[DecodedBlock] = None
+        # the phis routed and the issue model's state live in locals:
+        # ``state`` is ``width * cycles + residue`` (cycles not yet added
+        # to ``timing``), so a chunk adds ``charges[state % width]`` and
+        # a cheap op, such as a phi, adds 1.  Nothing outside the
+        # interpreter loops reads those counters mid-run -- library
+        # models and the cache only add to cycles and opcode_counts, and
+        # additions commute -- so the locals need syncing only around a
+        # chunk's closing impure op (a call or fallback, which may
+        # re-enter an interpreter loop or read the counters) and on the
+        # way out.  Phis are routed on the edge taken; every caller
+        # enters at a block whose phis are routed already.
         timing = self.timing
         hits = self._hits
         max_steps = self.max_steps
+        width = CHUNK_ISSUE_WIDTH
         steps = self.steps
-        cheap = timing._cheap_run
-        cycles_due = 0
+        state = timing._cheap_run
         phis = 0
         synced = False
         try:
             while True:
-                if previous is not None and block.phi_routes:
-                    # Routes exist for every decoded edge, and control
-                    # only arrives here along decoded edges.
-                    route = block.phi_routes[previous]
-                    if route.__class__ is str:
-                        raise KeyError(route)
-                    if route:
-                        n = len(route)
-                        if n == 1:
-                            ((phi, is_const, payload),) = route
-                            frame[phi] = payload if is_const else frame[payload]
-                        else:
-                            # Parallel evaluation: read all incoming
-                            # values before writing any.
-                            staged = [
-                                payload if is_const else frame[payload]
-                                for _, is_const, payload in route
-                            ]
-                            for entry, value in zip(route, staged):
-                                frame[entry[0]] = value
-                        # Phis are zero-cost under DEFAULT_COSTS: n phis
-                        # are n cheap issue slots.
-                        phis += n
-                        cheap += n
-                        if cheap >= CHUNK_ISSUE_WIDTH:
-                            cycles_due += cheap // CHUNK_ISSUE_WIDTH
-                            cheap %= CHUNK_ISSUE_WIDTH
-                for n, pure, impure, cycles, residues, cid in block.chunks:
+                for n, pure, impure, charges, cid in block.chunks:
                     steps += n
                     if steps > max_steps:
                         # The reference tier stops at the exact op.
                         steps -= n
                         self.steps = steps
-                        timing._cheap_run = cheap
+                        timing.cycles += state // width
+                        timing._cheap_run = state % width
                         synced = True
-                        # Chunks of one composition can repeat in a
-                        # block; no two chunks share their handlers.
-                        start = 0
-                        for chunk in block.chunks:
-                            if chunk[1] is pure and chunk[2] is impure:
-                                break
-                            start += chunk[0]
-                        return self._resume_on_reference(block, frame, start)
-                    r0 = cheap
-                    cycles_due += cycles[r0]
-                    cheap = residues[r0]
-                    hits[cid] += 1
-                    ops = iter(pure)
+                        return self._resume_on_reference(
+                            block, frame, _chunk_start(block, pure, impure)
+                        )
                     try:
-                        for op in ops:
+                        for op in pure:
                             op(self, frame)
                     except BaseException:
                         # A pure op trapped: the ops after it never ran.
+                        r0 = state % width
+                        hits[cid] += 1
                         self.steps = steps
-                        timing.cycles += cycles_due
-                        cycles_due = 0
+                        timing.cycles += (state + charges[r0]) // width
                         synced = True
+                        handlers = [entry[3] for entry in block.ops]
                         _undo_chunk_tail(
                             self,
                             timing,
                             CHUNK_OPS[cid],
-                            len(pure) - 1 - length_hint(ops),
+                            handlers.index(op) - _chunk_start(block, pure, impure),
                             r0,
                         )
                         raise
-                    if impure is not None:
+                    state += charges[state % width]
+                    hits[cid] += 1
+                    if impure:
                         # While synced is set the callee owns the
                         # counters, and the finally below must not
                         # clobber them.
                         self.steps = steps
-                        timing._cheap_run = cheap
-                        timing.cycles += cycles_due
-                        cycles_due = 0
+                        timing.cycles += state // width
+                        timing._cheap_run = state % width
                         synced = True
                         impure(self, frame)
                         synced = False
                         steps = self.steps
-                        cheap = timing._cheap_run
-                term = block.term
-                kind = term[0]
-                if kind == "br":
-                    is_const, payload = term[1]
-                    taken = (payload if is_const else frame[payload]) & 1
-                    previous, block = block, (term[2] if taken else term[3])
-                elif kind == "jump":
-                    previous, block = block, term[1]
-                elif kind == "ret":
-                    spec = term[1]
-                    if spec is None:
-                        return None
-                    is_const, payload = spec
-                    return payload if is_const else frame[payload]
-                else:
-                    source = block.source
-                    owner = source.parent.name if source.parent is not None else "?"
-                    raise RuntimeError(
-                        f"block %{source.name} in @{owner} fell through"
-                    )
+                        state = timing._cheap_run
+                branch, block, route = block.exit
+                if branch:
+                    block, route = branch(frame)
+                elif not block:
+                    # A return: ``route`` computes the value returned.
+                    return route(frame)
+                if route:
+                    n, phi, is_const, payload = route
+                    if n == 1:
+                        frame[phi] = payload if is_const else frame[payload]
+                    else:
+                        frame.update(zip(phi, payload(frame)))
+                    # Phis are zero-cost under DEFAULT_COSTS: n phis are
+                    # n cheap issue slots.
+                    phis += n
+                    state += n
         finally:
-            if cycles_due:
-                timing.cycles += cycles_due
             if phis:
                 timing.opcode_counts["phi"] += phis
                 timing.instructions += phis
             if not synced:
                 self.steps = steps
-                timing._cheap_run = cheap
+                timing.cycles += state // width
+                timing._cheap_run = state % width
 
     def _resume_on_reference(
         self, block: DecodedBlock, frame: Dict[Value, int], start: int

@@ -10,7 +10,10 @@ dispatch is the dominant cost of the whole reproduction.
 This module performs that resolution *once per module*:
 
 - every instruction is compiled to a bound handler closure
-  ``handler(cpu, frame)`` specialised on its opcode and operand kinds;
+  ``handler(cpu, frame)`` specialised on its opcode and operand kinds,
+  which wraps and sign-converts with inline masks, compares through
+  ``operator`` functions and reads and writes memory through the sized
+  ``Memory`` fast paths;
 - constant and global operands are pre-folded to plain integers
   (the global segment layout is a pure function of the module);
 - ``getelementptr`` strides for constant indices are pre-resolved into
@@ -18,7 +21,16 @@ This module performs that resolution *once per module*:
   terms;
 - phi routing is precomputed per CFG edge, and the first-non-phi index
   disappears entirely (decoded blocks simply begin after the phis);
-- terminators are decoded into direct links between decoded blocks.
+- each block gets one *exit* tuple (:attr:`DecodedBlock.exit`) whose
+  edges carry the successor and that edge's phi route, so the loop
+  picks an edge and routes its phis with no lookup;
+- a conditional branch on a compare whose result nothing else reads --
+  ``icmp P a, b; br``, or the frontend's ``icmp P a, b; zext; icmp ne
+  0; br`` for every C condition -- becomes a *fused compare-and-branch
+  exit* that tests ``P`` on the operands and returns the taken edge
+  (:func:`_fused_compare`).  The compare's ops stay in their chunk's
+  composition, so they are charged and counted as before, and only
+  their handlers are dropped.
 
 The decoded program is cached in the module's derived-artifact memo
 (:meth:`~repro.ir.module.Module.derived`, slot ``"decoded"``), which a
@@ -34,8 +46,9 @@ precomputed for every entry residue (:func:`_chunk_tables`, interned by
 opcode sequence, which also gives each distinct sequence a
 process-wide composition id).  ``CPU._interpret_decoded`` charges a
 whole chunk at once -- one step-limit check, one add each to steps and
-cycles, one per-CPU hit counter keyed by the composition id -- and
-then calls its handlers with no per-op bookkeeping; the opcode
+to its issue state (cycles and residue in one int), one per-CPU hit
+counter keyed by the composition id -- and calls its handlers with no
+per-op bookkeeping; the opcode
 histogram and the retired instructions are rebuilt from the hit
 counters and each composition (:data:`CHUNK_OPS`) when the run's
 result is built.  The block and trace tiers (:mod:`repro.hardware.blockc`,
@@ -48,7 +61,9 @@ interpreter for well-formed modules: the same traps, the same counters
 at every call, trap and step-limit stop, the same ``ExecutionResult``.
 The reference interpreter charges each op *before* executing it, so
 when an op traps mid-chunk the charges of the chunk's later ops are
-taken back (:func:`_undo_chunk_tail`).  The order of cycle
+taken back (:func:`_undo_chunk_tail`); a fused compare cannot trap, and
+a step-limit stop inside its chunk hands the reference tier the
+compare's ops, which the decoded loop had not run.  The order of cycle
 accumulation within a chunk differs from the reference, but every
 charge in the model is a dyadic rational (integer costs, 0.25-per-byte
 library calls), so float accumulation is exact and order-insensitive.
@@ -60,14 +75,17 @@ rest of its call to the reference tier from the chunk's first op
 counts instructions past the phis, as decoded op indices do).
 (The one deliberate difference: using a value that was never computed
 -- malformed, unverified IR -- surfaces as a ``KeyError`` rather than
-the reference interpreter's ``RuntimeError``, possibly with a different
-count of phi charges applied.)
+the reference interpreter's ``RuntimeError``, possibly with different
+charges applied.)
 """
 
 from __future__ import annotations
 
 import time
 from functools import lru_cache
+from operator import (
+    add, and_, eq, ge, gt, itemgetter, le, lshift, lt, mul, ne, or_, rshift, sub, xor,
+)
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ir.function import BasicBlock, Function
@@ -96,19 +114,20 @@ from ..ir.module import Module
 from ..ir.types import ArrayType, I64, IntType, StructType
 from ..ir.values import Constant, GlobalVariable, UndefValue, Value
 from .errors import CanaryTrap, DfiTrap, NullPointerTrap
-from .memory import GLOBAL_BASE, MemoryFault
+from .memory import GLOBAL_BASE, Memory, MemoryFault
 from .timing import DEFAULT_COSTS
 
 _MASK64 = (1 << 64) - 1
+_SIGN64 = 1 << 63
 _to_signed64 = I64.to_signed
 
 #: An operand spec: ``(True, folded_int)`` or ``(False, frame_key)``.
 OperandSpec = Tuple[bool, Union[int, Value]]
 #: A decoded non-terminator step: ``(opcode, default_cost, impure, handler)``.
 Handler = Callable[["object", Dict[Value, int]], None]
-#: ``(n, pure_handlers, impure_handler, cycles, residues, cid)``; see
+#: ``(n, pure_handlers, impure_handler, charges, cid)``; see
 #: :attr:`DecodedBlock.chunks`.
-Chunk = Tuple[int, Tuple[Handler, ...], Optional[Handler], tuple, tuple, int]
+Chunk = Tuple[int, Tuple[Handler, ...], Optional[Handler], tuple, int]
 
 #: The issue width every chunk table is computed for (the TimingModel
 #: default).  The CPU runs batched accounting -- decoded chunks and the
@@ -230,17 +249,20 @@ def _undo_chunk_tail(cpu, timing, opcodes: Sequence[str], k: int, r0: int) -> No
 class DecodedBlock:
     """One basic block compiled to handler closures plus a terminator."""
 
-    __slots__ = ("source", "ops", "term", "phi_routes", "chunks")
+    __slots__ = ("source", "ops", "term", "phi_routes", "chunks", "exit")
 
     def __init__(self, source: BasicBlock):
         self.source = source
         #: tuple of (opcode, default_cost, impure, handler) entries for
         #: the straight-line body; the cost is pre-resolved from
         #: DEFAULT_COSTS and only trusted when the CPU's timing model
-        #: still uses the default cost table, and ``impure`` flags
-        #: handlers that may re-enter an interpreter loop (calls and
-        #: fallbacks)
-        self.ops: Tuple[Tuple[str, int, bool, Handler], ...] = ()
+        #: still uses the default cost table, ``impure`` flags handlers
+        #: that may re-enter an interpreter loop (calls and fallbacks),
+        #: and two kinds of op have no handler (None): an alloca, whose
+        #: frame slot the call's frame layout assigns, and an op of a
+        #: fused compare (see :func:`_fused_compare`), which the exit
+        #: evaluates
+        self.ops: Tuple[Tuple[str, int, bool, Optional[Handler]], ...] = ()
         #: ("ret", spec|None) | ("jump", block) | ("br", spec, t, f) | ("fall",)
         self.term: tuple = ("fall",)
         #: predecessor DecodedBlock -> phi routing for that edge; a route
@@ -248,13 +270,21 @@ class DecodedBlock:
         #: message string when a phi has no incoming for the edge.
         self.phi_routes: Dict["DecodedBlock", object] = {}
         #: the body and terminator as chunks, one tuple each:
-        #: ``(n, pure, impure, cycles, residues, cid)`` -- ``n`` ops
-        #: charged at once (the terminator counts in the last chunk),
-        #: the pure handlers that run first, then the chunk's closing
-        #: impure handler or None; ``cycles[r]``/``residues[r]`` are the
-        #: cycles charged and issue residue left from entry residue
-        #: ``r``; ``cid`` is the composition id (:data:`CHUNK_OPS`).
+        #: ``(n, pure, impure, charges, cid)`` -- ``n`` ops charged at
+        #: once (the terminator counts in the last chunk), the pure
+        #: handlers that run first, then the chunk's closing impure
+        #: handler or None; ``charges[r]`` is what the chunk adds to the
+        #: decoded loop's issue state (see :func:`_make_chunk`) from entry
+        #: residue ``r``; ``cid`` is the composition id (:data:`CHUNK_OPS`).
         self.chunks: Tuple[Chunk, ...] = ()
+        #: how the decoded loop leaves the block: ``(branch, successor,
+        #: route)``.  A conditional exit's ``branch(frame)`` returns the
+        #: edge ``(successor, route)`` taken; a jump's exit is its one
+        #: edge with no ``branch``; a return's is ``(None, None,
+        #: result)``, where ``result(frame)`` is the value returned (or
+        #: raises, for a block that falls through).  ``route`` is the
+        #: successor's phi routing for the edge (:func:`_edge_route`).
+        self.exit: tuple = ()
 
 
 class DecodedProgram:
@@ -279,42 +309,58 @@ class DecodedProgram:
 # ---------------------------------------------------------------------------
 #
 # Each factory returns a closure ``handler(cpu, frame)``.  The factories
-# pre-bind everything resolvable at decode time; operand fetches use a
-# pre-bound ``v if c else frame[v]`` ternary, which costs two trivial
-# bytecodes when the operand is constant and nothing when it is not.
+# pre-bind everything resolvable at decode time and specialise the hot
+# ops on their operand kinds; elsewhere an operand fetch is a pre-bound
+# ``v if c else frame[v]`` ternary.  Handlers wrap with ``& mask`` and
+# read a ``bits``-wide value as signed with ``((x & mask) ^ sign) - sign``
+# (``sign`` is the type's sign bit), inline rather than through the IR
+# types.  Frame values and folded constants are always in
+# ``[0, 2**64)``, so a 64-bit value needs no mask to be read as signed
+# (``(x ^ sign) - sign``) or compared in signed order.
 # Handlers do no accounting: the interpreter loop (see
 # ``CPU._interpret_decoded``) counts, limit-checks and charges once per
-# chunk, before the chunk's handlers run, and takes back the charges
-# of the ops after one that traps.
+# chunk, and takes back the charges of the ops after one that traps.
 
 
-def _make_alloca(inst: Alloca, layout: Dict[str, int]) -> Handler:
-    # Frame addresses are assigned by CPU._layout_frame; executing an
-    # alloca only charges its (zero-cost) opcode, done by the loop.
-    def handler(cpu, frame):
-        return None
+#: bits -> ``(mask, sign)``: the wrap mask and the sign bit of every
+#: integer width, one pair of ints that every handler shares.
+_MASK_SIGN = {bits: ((1 << bits) - 1, 1 << (bits - 1)) for bits in (1, 8, 16, 32, 64)}
 
-    return handler
+
+def _mask_sign(vtype) -> Tuple[int, int]:
+    """``(mask, sign)`` of a value type (a pointer is 64 bits wide)."""
+    return _MASK_SIGN[vtype.bits if isinstance(vtype, IntType) else 64]
+
+
+#: Access widths with a sized ``Memory`` fast path.
+_READS = {1: Memory.read_u8, 2: Memory.read_u16, 4: Memory.read_u32, 8: Memory.read_u64}
+_WRITES = {
+    1: Memory.write_u8, 2: Memory.write_u16, 4: Memory.write_u32, 8: Memory.write_u64
+}
 
 
 def _make_load(inst: Load, layout: Dict[str, int]) -> Handler:
     pc, pv = _spec(inst.pointer, layout)
     size = max(1, inst.type.size)
+    read = _READS.get(size)
+    if read is None:
+        def read(memory, address, size=size):
+            return memory.read_int(address, size)
     if pc:
-        def handler(cpu, frame, inst=inst, address=pv, size=size):
+        def handler(cpu, frame, inst=inst, address=pv, size=size, read=read):
             if address == 0:
                 raise NullPointerTrap(f"load through null in {inst}")
             if cpu.cache is not None:
                 cpu._cache_access(address, size)
-            frame[inst] = cpu.memory.read_int(address, size)
+            frame[inst] = read(cpu.memory, address)
     else:
-        def handler(cpu, frame, inst=inst, ptr=pv, size=size):
+        def handler(cpu, frame, inst=inst, ptr=pv, size=size, read=read):
             address = frame[ptr]
             if address == 0:
                 raise NullPointerTrap(f"load through null in {inst}")
             if cpu.cache is not None:
                 cpu._cache_access(address, size)
-            frame[inst] = cpu.memory.read_int(address, size)
+            frame[inst] = read(cpu.memory, address)
     return handler
 
 
@@ -322,14 +368,19 @@ def _make_store(inst: Store, layout: Dict[str, int]) -> Handler:
     vc, vv = _spec(inst.value, layout)
     pc, pv = _spec(inst.pointer, layout)
     size = max(1, inst.value.type.size)
+    write = _WRITES.get(size)
+    if write is None:
+        def write(memory, address, value, size=size):
+            memory.write_int(address, value, size)
 
-    def handler(cpu, frame, inst=inst, vc=vc, vv=vv, pc=pc, pv=pv, size=size):
+    def handler(cpu, frame, inst=inst, vc=vc, vv=vv, pc=pc, pv=pv, size=size,
+                write=write):
         address = pv if pc else frame[pv]
         if address == 0:
             raise NullPointerTrap(f"store through null in {inst}")
         if cpu.cache is not None:
             cpu._cache_access(address, size)
-        cpu.memory.write_int(address, vv if vc else frame[vv], size)
+        write(cpu.memory, address, vv if vc else frame[vv])
 
     return handler
 
@@ -386,99 +437,91 @@ def _make_gep(inst: GetElementPtr, layout: Dict[str, int]) -> Handler:
 
         return handler
     base_c, base_v, const_off, dyn = plan
+    # A dynamic index is signed: (x ^ S) - S with S the 64-bit sign bit,
+    # whose ``- S * stride`` folds into the constant offset.
+    off = const_off
+    for _, stride in dyn:
+        off -= _SIGN64 * stride
 
     if not dyn:
         if base_c:
-            result = (base_v + const_off) & _MASK64
+            result = (base_v + off) & _MASK64
 
             def handler(cpu, frame, inst=inst, result=result):
                 frame[inst] = result
         else:
-            def handler(cpu, frame, inst=inst, base=base_v, off=const_off):
-                frame[inst] = (frame[base] + off) & _MASK64
+            def handler(cpu, frame, inst=inst, base=base_v, off=off, mask=_MASK64):
+                frame[inst] = (frame[base] + off) & mask
     elif len(dyn) == 1:
         key, stride = dyn[0]
         if base_c:
-            folded = base_v + const_off
-
-            def handler(cpu, frame, inst=inst, base=folded, key=key,
-                        stride=stride, ts=_to_signed64):
-                frame[inst] = (base + ts(frame[key]) * stride) & _MASK64
+            def handler(cpu, frame, inst=inst, base=base_v + off, key=key,
+                        stride=stride, sign=_SIGN64, mask=_MASK64):
+                frame[inst] = (base + (frame[key] ^ sign) * stride) & mask
         else:
-            def handler(cpu, frame, inst=inst, base=base_v, off=const_off,
-                        key=key, stride=stride, ts=_to_signed64):
-                frame[inst] = (frame[base] + off + ts(frame[key]) * stride) & _MASK64
+            def handler(cpu, frame, inst=inst, base=base_v, off=off, key=key,
+                        stride=stride, sign=_SIGN64, mask=_MASK64):
+                frame[inst] = (frame[base] + off + (frame[key] ^ sign) * stride) & mask
     else:
-        def handler(cpu, frame, inst=inst, base_c=base_c, base=base_v,
-                    off=const_off, dyn=tuple(dyn), ts=_to_signed64):
+        def handler(cpu, frame, inst=inst, base_c=base_c, base=base_v, off=off,
+                    dyn=dyn, sign=_SIGN64, mask=_MASK64):
             address = (base if base_c else frame[base]) + off
             for key, stride in dyn:
-                address += ts(frame[key]) * stride
-            frame[inst] = address & _MASK64
+                address += (frame[key] ^ sign) * stride
+            frame[inst] = address & mask
 
     return handler
 
 
+_ARITHMETIC = {"add": add, "sub": sub, "mul": mul, "and": and_, "or": or_, "xor": xor}
+_SHIFTS = {"shl": lshift, "lshr": rshift}
+
+
 def _make_binop(inst: BinOp, layout: Dict[str, int]) -> Handler:
     op = inst.op
-    vtype = inst.type
+    mask, sign = _mask_sign(inst.type)
+    bits = mask.bit_length()
     lc, lv = _spec(inst.lhs, layout)
     rc, rv = _spec(inst.rhs, layout)
-    if isinstance(vtype, IntType):
-        wrap = vtype.wrap
-        signed = vtype.to_signed
-        bits = vtype.bits
-    else:  # pointer arithmetic through int ops on addresses
-        wrap = lambda v: v & _MASK64  # noqa: E731
-        signed = _to_signed64
-        bits = 64
+    if op == "sub" and rc and not lc:
+        op, rv = "add", -rv  # (x - c) & mask == (x + -c) & mask
+    if op == "add" and lc and not rc:
+        lc, lv, rc, rv = rc, rv, lc, lv
 
-    if op == "add":
-        def handler(cpu, frame, inst=inst, lc=lc, lv=lv, rc=rc, rv=rv, wrap=wrap):
-            frame[inst] = wrap((lv if lc else frame[lv]) + (rv if rc else frame[rv]))
-    elif op == "sub":
-        def handler(cpu, frame, inst=inst, lc=lc, lv=lv, rc=rc, rv=rv, wrap=wrap):
-            frame[inst] = wrap((lv if lc else frame[lv]) - (rv if rc else frame[rv]))
-    elif op == "mul":
-        def handler(cpu, frame, inst=inst, lc=lc, lv=lv, rc=rc, rv=rv, wrap=wrap):
-            frame[inst] = wrap((lv if lc else frame[lv]) * (rv if rc else frame[rv]))
-    elif op == "sdiv":
+    if op == "add" and not lc:
+        if rc:
+            def handler(cpu, frame, inst=inst, key=lv, rv=rv, mask=mask):
+                frame[inst] = (frame[key] + rv) & mask
+        else:
+            def handler(cpu, frame, inst=inst, lv=lv, rv=rv, mask=mask):
+                frame[inst] = (frame[lv] + frame[rv]) & mask
+    elif op == "sub" and not (lc or rc):
+        def handler(cpu, frame, inst=inst, lv=lv, rv=rv, mask=mask):
+            frame[inst] = (frame[lv] - frame[rv]) & mask
+    elif op in _ARITHMETIC:
         def handler(cpu, frame, inst=inst, lc=lc, lv=lv, rc=rc, rv=rv,
-                    wrap=wrap, signed=signed):
-            a = signed(lv if lc else frame[lv])
-            b = signed(rv if rc else frame[rv])
-            if b == 0:
-                raise MemoryFault(0, 0, "integer divide by zero")
-            frame[inst] = wrap(int(a / b))
-    elif op == "srem":
+                    fn=_ARITHMETIC[op], mask=mask):
+            frame[inst] = fn(lv if lc else frame[lv], rv if rc else frame[rv]) & mask
+    elif op in _SHIFTS:
         def handler(cpu, frame, inst=inst, lc=lc, lv=lv, rc=rc, rv=rv,
-                    wrap=wrap, signed=signed):
-            a = signed(lv if lc else frame[lv])
-            b = signed(rv if rc else frame[rv])
-            if b == 0:
-                raise MemoryFault(0, 0, "integer remainder by zero")
-            frame[inst] = wrap(a - int(a / b) * b)
-    elif op == "and":
-        def handler(cpu, frame, inst=inst, lc=lc, lv=lv, rc=rc, rv=rv, wrap=wrap):
-            frame[inst] = wrap((lv if lc else frame[lv]) & (rv if rc else frame[rv]))
-    elif op == "or":
-        def handler(cpu, frame, inst=inst, lc=lc, lv=lv, rc=rc, rv=rv, wrap=wrap):
-            frame[inst] = wrap((lv if lc else frame[lv]) | (rv if rc else frame[rv]))
-    elif op == "xor":
-        def handler(cpu, frame, inst=inst, lc=lc, lv=lv, rc=rc, rv=rv, wrap=wrap):
-            frame[inst] = wrap((lv if lc else frame[lv]) ^ (rv if rc else frame[rv]))
-    elif op == "shl":
-        def handler(cpu, frame, inst=inst, lc=lc, lv=lv, rc=rc, rv=rv,
-                    wrap=wrap, bits=bits):
-            frame[inst] = wrap((lv if lc else frame[lv]) << ((rv if rc else frame[rv]) % bits))
+                    fn=_SHIFTS[op], bits=bits, mask=mask):
+            frame[inst] = fn(lv if lc else frame[lv], (rv if rc else frame[rv]) % bits) & mask
     elif op == "ashr":
         def handler(cpu, frame, inst=inst, lc=lc, lv=lv, rc=rc, rv=rv,
-                    wrap=wrap, signed=signed, bits=bits):
-            frame[inst] = wrap(signed(lv if lc else frame[lv]) >> ((rv if rc else frame[rv]) % bits))
-    elif op == "lshr":
+                    bits=bits, mask=mask, sign=sign):
+            a = (((lv if lc else frame[lv]) & mask) ^ sign) - sign
+            frame[inst] = (a >> ((rv if rc else frame[rv]) % bits)) & mask
+    elif op in ("sdiv", "srem"):
+        srem = op == "srem"
+        message = f"integer {'remainder' if srem else 'divide'} by zero"
+
         def handler(cpu, frame, inst=inst, lc=lc, lv=lv, rc=rc, rv=rv,
-                    wrap=wrap, bits=bits):
-            frame[inst] = wrap((lv if lc else frame[lv]) >> ((rv if rc else frame[rv]) % bits))
+                    mask=mask, sign=sign, srem=srem, message=message):
+            a = (((lv if lc else frame[lv]) & mask) ^ sign) - sign
+            b = (((rv if rc else frame[rv]) & mask) ^ sign) - sign
+            if b == 0:
+                raise MemoryFault(0, 0, message)
+            frame[inst] = (a - int(a / b) * b if srem else int(a / b)) & mask
     else:
         def handler(cpu, frame, op=op):
             raise RuntimeError(f"unknown binop {op}")
@@ -486,76 +529,103 @@ def _make_binop(inst: BinOp, layout: Dict[str, int]) -> Handler:
     return handler
 
 
-_UNSIGNED_PREDICATES = ("eq", "ne", "ult", "ule", "ugt", "uge")
-_CMP_TESTS = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "slt": lambda a, b: a < b,
-    "sle": lambda a, b: a <= b,
-    "sgt": lambda a, b: a > b,
-    "sge": lambda a, b: a >= b,
-    "ult": lambda a, b: a < b,
-    "ule": lambda a, b: a <= b,
-    "ugt": lambda a, b: a > b,
-    "uge": lambda a, b: a >= b,
+#: icmp predicate -> (comparison, whether it orders the operands as signed)
+_PREDICATES = {
+    "eq": (eq, False),
+    "ne": (ne, False),
+    "slt": (lt, True),
+    "sle": (le, True),
+    "sgt": (gt, True),
+    "sge": (ge, True),
+    "ult": (lt, False),
+    "ule": (le, False),
+    "ugt": (gt, False),
+    "uge": (ge, False),
 }
+#: a comparison with its operands swapped
+_SWAPPED = {eq: eq, ne: ne, lt: gt, le: ge, gt: lt, ge: le}
+
+
+def _make_compare(inst: ICmp, layout: Dict[str, int], if_true, if_false):
+    """``compare(frame)``: ``if_true`` when ``inst`` holds, else ``if_false``.
+
+    The icmp handler stores its result (1 or 0) through one; a fused
+    compare-and-branch exit returns its taken edge from another.  A
+    signed predicate compares ``(x & mask) ^ sign``: flipping the sign
+    bit maps the signed order of ``bits``-wide values onto the unsigned
+    one.  Unsigned predicates, and every predicate on pointers, compare
+    the raw frame values, as the reference does.
+    """
+    test, signed = _PREDICATES[inst.predicate]
+    mask, sign = _MASK64, 0
+    if signed and isinstance(inst.lhs.type, IntType):
+        mask, sign = _mask_sign(inst.lhs.type)
+    lc, lv = _spec(inst.lhs, layout)
+    rc, rv = _spec(inst.rhs, layout)
+    if lc and not rc:
+        lc, lv, rc, rv, test = rc, rv, lc, lv, _SWAPPED[test]
+    if lc:
+        result = if_true if test((lv & mask) ^ sign, (rv & mask) ^ sign) else if_false
+
+        def compare(frame, result=result):
+            return result
+    elif mask != _MASK64:
+        if rc:
+            def compare(frame, key=lv, rv=(rv & mask) ^ sign, test=test, mask=mask,
+                        sign=sign, t=if_true, f=if_false):
+                return t if test((frame[key] & mask) ^ sign, rv) else f
+        else:
+            def compare(frame, lv=lv, rv=rv, test=test, mask=mask, sign=sign,
+                        t=if_true, f=if_false):
+                return t if test((frame[lv] & mask) ^ sign, (frame[rv] & mask) ^ sign) else f
+    elif rc:
+        def compare(frame, key=lv, rv=rv ^ sign, test=test, sign=sign,
+                    t=if_true, f=if_false):
+            return t if test(frame[key] ^ sign, rv) else f
+    else:
+        def compare(frame, lv=lv, rv=rv, test=test, sign=sign, t=if_true, f=if_false):
+            return t if test(frame[lv] ^ sign, frame[rv] ^ sign) else f
+    return compare
 
 
 def _make_icmp(inst: ICmp, layout: Dict[str, int]) -> Handler:
-    predicate = inst.predicate
-    test = _CMP_TESTS[predicate]
-    vtype = inst.lhs.type
-    lc, lv = _spec(inst.lhs, layout)
-    rc, rv = _spec(inst.rhs, layout)
-    if predicate in _UNSIGNED_PREDICATES or not isinstance(vtype, IntType):
-        def handler(cpu, frame, inst=inst, lc=lc, lv=lv, rc=rc, rv=rv, test=test):
-            frame[inst] = 1 if test(lv if lc else frame[lv], rv if rc else frame[rv]) else 0
-    else:
-        ts = vtype.to_signed
-        slv = ts(lv) if lc else lv
-        srv = ts(rv) if rc else rv
+    def handler(cpu, frame, inst=inst, compare=_make_compare(inst, layout, 1, 0)):
+        frame[inst] = compare(frame)
 
-        def handler(cpu, frame, inst=inst, lc=lc, lv=slv, rc=rc, rv=srv,
-                    ts=ts, test=test):
-            frame[inst] = 1 if test(lv if lc else ts(frame[lv]), rv if rc else ts(frame[rv])) else 0
     return handler
-
-
-def _identity(value: int) -> int:
-    return value
-
-
-def _mask64(value: int) -> int:
-    return value & _MASK64
 
 
 def _make_cast(inst: Cast, layout: Dict[str, int]) -> Handler:
     op = inst.op
     vc, vv = _spec(inst.value, layout)
-    target = inst.type
-    post = target.wrap if isinstance(target, IntType) else _mask64
-    if op in ("trunc", "zext", "ptrtoint", "inttoptr", "bitcast"):
-        conv = post
-    elif op == "sext":
-        source = inst.value.type
-        pre = source.to_signed if isinstance(source, IntType) else _identity
+    mask, _ = _mask_sign(inst.type)
+    source = inst.value.type
+    if op == "sext" and isinstance(source, IntType):
+        smask, sign = _mask_sign(source)
+        if vc:
+            result = (((vv & smask) ^ sign) - sign) & mask
+        else:
+            def handler(cpu, frame, inst=inst, key=vv, smask=smask, sign=sign, mask=mask):
+                frame[inst] = (((frame[key] & smask) ^ sign) - sign) & mask
 
-        def conv(value, pre=pre, post=post):
-            return post(pre(value))
+            return handler
+    elif op in ("trunc", "zext", "sext", "ptrtoint", "inttoptr", "bitcast"):
+        if vc:
+            result = vv & mask
+        else:
+            def handler(cpu, frame, inst=inst, key=vv, mask=mask):
+                frame[inst] = frame[key] & mask
+
+            return handler
     else:
         def handler(cpu, frame, op=op):
             raise RuntimeError(f"unknown cast {op}")
 
         return handler
 
-    if vc:
-        result = conv(vv)
+    def handler(cpu, frame, inst=inst, result=result):
+        frame[inst] = result
 
-        def handler(cpu, frame, inst=inst, result=result):
-            frame[inst] = result
-    else:
-        def handler(cpu, frame, inst=inst, key=vv, conv=conv):
-            frame[inst] = conv(frame[key])
     return handler
 
 
@@ -654,7 +724,7 @@ def _make_fallback(inst: Instruction) -> Handler:
 
 
 _DECODERS = {
-    Alloca: _make_alloca,
+    Alloca: lambda inst, layout: None,
     Load: _make_load,
     Store: _make_store,
     GetElementPtr: _make_gep,
@@ -673,7 +743,7 @@ _DECODERS = {
 
 def _decode_instruction(
     inst: Instruction, layout: Dict[str, int]
-) -> Tuple[str, int, bool, Handler]:
+) -> Tuple[str, int, bool, Optional[Handler]]:
     opcode = inst.opcode
     cost = DEFAULT_COSTS.get(opcode, 1)
     maker = _DECODERS.get(type(inst))
@@ -722,24 +792,153 @@ def _chunk_block(ops, term: tuple) -> Tuple[Chunk, ...]:
 
 def _make_chunk(pure_ops, closing, impure) -> Chunk:
     """One chunk: ``pure_ops``, then the ``closing`` opcode if any (an
-    impure op's, whose handler is ``impure``, or the terminator's)."""
+    impure op's, whose handler is ``impure``, or the terminator's).
+
+    The decoded loop keeps the issue model's state in one int, ``4 *
+    cycles + residue`` at the default issue width: a cheap op adds 1
+    (carrying into the cycles at the width), and a chunk entered at
+    residue ``r`` adds ``charges[r]``.  An op without a handler (an
+    alloca, or an op of the compare the block's exit evaluates) is
+    charged and runs nothing.
+    """
     opcodes = [op[0] for op in pure_ops]
     if closing is not None:
         opcodes.append(closing)
-    opcodes, cycles, residues, cid = _chunk_tables(tuple(opcodes))
+    opcodes = tuple(opcodes)
     return (
         len(opcodes),
-        tuple([op[3] for op in pure_ops]),
+        tuple([op[3] for op in pure_ops if op[3] is not None]),
         impure,
-        cycles,
-        residues,
-        cid,
+    ) + _chunk_charges(opcodes)
+
+
+@lru_cache(maxsize=None)
+def _chunk_charges(opcodes: Tuple[str, ...]) -> Tuple[tuple, int]:
+    """``(charges, cid)`` of a chunk's opcode sequence, interned."""
+    _, cycles, residues, cid = _chunk_tables(opcodes)
+    charges = tuple(
+        CHUNK_ISSUE_WIDTH * cycles[r] + residues[r] - r
+        for r in range(CHUNK_ISSUE_WIDTH)
     )
+    return charges, cid
+
+
+def _chunk_start(block: DecodedBlock, pure: tuple, impure) -> int:
+    """The op index where ``block``'s chunk with these handlers starts:
+    chunks of one composition can repeat in a block, but no two chunks
+    share their handlers."""
+    start = 0
+    for chunk in block.chunks:
+        if chunk[1] is pure and chunk[2] is impure:
+            break
+        start += chunk[0]
+    return start
+
+
+#: The decoded ops of a fused compare's last one or three body ops
+#: (:func:`_fused_compare`): charged, with no handler to run.
+_FUSED_OPS = tuple(
+    (opcode, DEFAULT_COSTS.get(opcode, 1), False, None)
+    for opcode in ("icmp", "zext", "icmp")
+)
+
+
+def _fused_compare(body: List[Instruction], branch: CondBranch):
+    """``(icmp, n)``: the compare a conditional branch tests directly and
+    the number of trailing body ops that covers, or ``(None, 0)``.
+
+    ``icmp P a, b; br`` fuses when the branch is the compare's only use,
+    and the frontend's lowering of every C condition, ``icmp P a, b;
+    zext; icmp ne %z, 0; br``, when none of the three values has another
+    use: the branch is taken exactly when ``icmp P a, b`` holds.  The
+    covered ops keep their charges but get no handler.
+    """
+    cond = branch.condition
+    if not (body and body[-1] is cond and isinstance(cond, ICmp)
+            and len(cond.uses) == 1):
+        return None, 0
+    rhs = cond.rhs
+    if (len(body) >= 3 and cond.predicate == "ne"
+            and isinstance(rhs, Constant) and rhs.value == 0):
+        zext, inner = body[-2], body[-3]
+        if (cond.lhs is zext and isinstance(zext, Cast) and zext.op == "zext"
+                and len(zext.uses) == 1 and zext.value is inner
+                and isinstance(inner, ICmp) and len(inner.uses) == 1):
+            return inner, 3
+    return cond, 1
+
+
+def _edge_route(route) -> Optional[tuple]:
+    """A phi route (:attr:`DecodedBlock.phi_routes`) as the decoded loop
+    applies it on its edge: None without phis, else ``(n, phi, is_const,
+    payload)`` -- one phi and its incoming spec; or, for ``n > 1``, the
+    phis and a reader returning every incoming value at once (parallel
+    evaluation: all are read before any is written).  A route whose phi
+    has no incoming reads its error message as a frame key, raising
+    ``KeyError(message)`` before any phi is written.
+    """
+    if route is None:
+        return None
+    if route.__class__ is str:
+        return 1, None, False, route
+    if len(route) == 1:
+        return (1,) + route[0]
+    phis = tuple(phi for phi, _, _ in route)
+    if not any(constant for _, constant, _ in route):
+        return len(route), phis, False, itemgetter(*(key for _, _, key in route))
+    specs = tuple((constant, payload) for _, constant, payload in route)
+
+    def reader(frame, specs=specs):
+        return [payload if constant else frame[payload] for constant, payload in specs]
+
+    return len(route), phis, False, reader
+
+
+def _return_none(frame):
+    return None
+
+
+def _make_exit(dblock: DecodedBlock, edges: list, fused: Optional[ICmp], layout) -> tuple:
+    """``dblock``'s :attr:`~DecodedBlock.exit`, given the ``(successor,
+    route)`` edges of its terminator."""
+    term = dblock.term
+    kind = term[0]
+    if kind == "jump":
+        return (None,) + edges[0]
+    if kind == "br":
+        taken, other = edges
+        if fused is not None:
+            return _make_compare(fused, layout, taken, other), None, None
+        constant, payload = term[1]
+        if constant:
+            return (None,) + (taken if payload & 1 else other)
+
+        def branch(frame, key=payload, t=taken, f=other):
+            return t if frame[key] & 1 else f
+
+        return branch, None, None
+    if kind == "ret":
+        spec = term[1]
+        if spec is None:
+            return None, None, _return_none
+        constant, payload = spec
+        if constant:
+            return None, None, lambda frame, value=payload: value
+        return None, None, itemgetter(payload)
+    source = dblock.source
+    owner = source.parent.name if source.parent is not None else "?"
+    message = f"block %{source.name} in @{owner} fell through"
+
+    def fall_through(frame):
+        raise RuntimeError(message)
+
+    return None, None, fall_through
 
 
 def _decode_function(function: Function, layout: Dict[str, int]) -> DecodedBlock:
     dmap: Dict[BasicBlock, DecodedBlock] = {}
     pending: List[BasicBlock] = []
+    fused: Dict[DecodedBlock, ICmp] = {}
 
     def get(block: BasicBlock) -> DecodedBlock:
         dblock = dmap.get(block)
@@ -753,30 +952,35 @@ def _decode_function(function: Function, layout: Dict[str, int]) -> DecodedBlock
     while pending:
         block = pending.pop()
         dblock = dmap[block]
-        ops: List[Tuple[str, int, bool, Handler]] = []
-        term: Optional[tuple] = None
+        body: List[Instruction] = []
+        inst = None
         for inst in block.instructions[block.first_non_phi_index():]:
-            if isinstance(inst, Ret):
-                spec = None if inst.value is None else _spec(inst.value, layout)
-                term = ("ret", spec)
+            if isinstance(inst, (Ret, Jump, CondBranch)):
                 break
-            if isinstance(inst, Jump):
-                term = ("jump", get(inst.target))
-                break
-            if isinstance(inst, CondBranch):
-                term = (
-                    "br",
-                    _spec(inst.condition, layout),
-                    get(inst.true_block),
-                    get(inst.false_block),
-                )
-                break
-            ops.append(_decode_instruction(inst, layout))
-        dblock.ops = tuple(ops)
-        dblock.term = term if term is not None else ("fall",)
-        dblock.chunks = _chunk_block(dblock.ops, dblock.term)
+            body.append(inst)
+        covered = 0
+        if isinstance(inst, Ret):
+            term: tuple = ("ret", None if inst.value is None else _spec(inst.value, layout))
+        elif isinstance(inst, Jump):
+            term = ("jump", get(inst.target))
+        elif isinstance(inst, CondBranch):
+            term = (
+                "br",
+                _spec(inst.condition, layout),
+                get(inst.true_block),
+                get(inst.false_block),
+            )
+            compare, covered = _fused_compare(body, inst)
+            if compare is not None:
+                fused[dblock] = compare
+        else:
+            term = ("fall",)
+        ops = [_decode_instruction(inst, layout) for inst in body[:len(body) - covered]]
+        dblock.ops = tuple(ops) + _FUSED_OPS[len(_FUSED_OPS) - covered:]
+        dblock.term = term
+        dblock.chunks = _chunk_block(dblock.ops, term)
 
-    # Phi routing, per decoded CFG edge.
+    # Phi routing, per decoded CFG edge, and each block's exit.
     for block, dblock in dmap.items():
         term = dblock.term
         if term[0] == "jump":
@@ -784,23 +988,26 @@ def _decode_function(function: Function, layout: Dict[str, int]) -> DecodedBlock
         elif term[0] == "br":
             successors = (term[2], term[3])
         else:
-            continue
+            successors = ()
+        edges = []
         for sdblock in successors:
             phis = sdblock.source.phis
-            if not phis:
-                continue
-            route: List[Tuple[Phi, bool, object]] = []
-            edge: object = None
-            for phi in phis:
-                try:
-                    incoming = phi.incoming_for_block(block)
-                except KeyError:
-                    edge = f"phi has no incoming for block {block.name}"
-                    break
-                c, v = _spec(incoming, layout)
-                route.append((phi, c, v))
-            sdblock.phi_routes[dblock] = edge if edge is not None else tuple(route)
-
+            route: object = None
+            if phis:
+                specs: List[Tuple[Phi, bool, object]] = []
+                for phi in phis:
+                    try:
+                        incoming = phi.incoming_for_block(block)
+                    except KeyError:
+                        route = f"phi has no incoming for block {block.name}"
+                        break
+                    c, v = _spec(incoming, layout)
+                    specs.append((phi, c, v))
+                else:
+                    route = tuple(specs)
+                sdblock.phi_routes[dblock] = route
+            edges.append((sdblock, _edge_route(route)))
+        dblock.exit = _make_exit(dblock, edges, fused.get(dblock), layout)
     return entry
 
 

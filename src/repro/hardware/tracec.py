@@ -74,9 +74,10 @@ takes the ``"function:block" -> executions`` map exported by
 :func:`repro.observability.profile.hot_block_counts` and skips cold
 functions and cold loops; chains are laid out hottest-successor-first.
 Programs are cached in the module's derived-artifact memo
-(:meth:`repro.ir.module.Module.derived`), one slot per policy
-(``"block"``, ``"trace"``); a cached program hits only when its profile
-digest (:func:`repro.perf.regions.profile_digest`) matches too.
+(:meth:`repro.ir.module.Module.derived`), one slot per policy and one
+for profile-guided trace programs (``"block"``, ``"trace"``,
+``"trace-guided"``); a guided program hits only when its profile digest
+(:func:`repro.perf.regions.profile_digest`) matches too.
 
 **Tier-up.**  A :class:`TraceProgram` compiles one function at a time
 (:meth:`TraceProgram.compile`).  :func:`trace_compile` compiles every
@@ -93,9 +94,9 @@ repeated CPUs on one module converge on compiled code, and
 ``invalidate_derived()`` resets them.
 
 The constant is the measured break-even: one function's compile costs
-163-198 us per IR instruction, and a compiled step saves 0.57-0.78 us
+~100-110 us per IR instruction, and a compiled step saves 0.16-0.22 us
 over a decoded one (pythia variants, static selection, 2-vCPU host,
-Python 3.11), so a function pays back after 255-314 of its own steps
+Python 3.11), so a function pays back after ~500-640 of its own steps
 per instruction.  A program that runs once -- compile-cold and most of
 the suite -- then compiles nothing it cannot amortize.  The known
 limit: work inside one long call (a hot loop in ``main``) stays decoded
@@ -166,12 +167,13 @@ WHOLE_FUNCTION_BLOCKS = 24
 #: Tier-up threshold: a function compiles once the steps its decoded
 #: calls executed themselves (callees excluded) reach this many per IR
 #: instruction of its body.  Break-even measured on the pythia variants
-#: with static selection, against the per-chunk decoded loop (2-vCPU
-#: host, Python 3.11.7, median of 21 back-to-back compile/decoded/trace
-#: triples, two sessions): compile cost / (decoded - trace) cost per
-#: step is 314 (505.mcf_r), 255 (502.gcc_r) and 286 (519.lbm_r) steps
-#: per instruction; 280 is their geometric mean, rounded.
-TIER_UP_STEPS_PER_INST = 280
+#: with static selection, against the decoded loop with inline handler
+#: arithmetic and fused compare-and-branch exits (2-vCPU host, Python
+#: 3.11.7, mean of two sessions' medians of 21 back-to-back
+#: compile/decoded/trace triples): compile cost / (decoded - trace) cost
+#: per step is 643 (505.mcf_r), 607 (502.gcc_r) and 501 (519.lbm_r)
+#: steps per instruction; 580 is their geometric mean, rounded.
+TIER_UP_STEPS_PER_INST = 580
 
 
 class TraceProgram:
@@ -1688,20 +1690,23 @@ def trace_program(
     (:func:`repro.observability.profile.hot_block_counts`), and ``None``
     selects regions statically (every loop plus every small function).
     False (the block tier) selects no region, so every block compiles
-    to its own function and ``profile`` is ignored.  Each policy caches
-    in its own slot of the module's derived memo, so both programs
-    coexist.  A cached program hits only when its profile digest
-    matches, so a different profile starts a new program (and new
-    tier-up counters) that reselects regions.
+    to its own function and ``profile`` is ignored.  Block, static trace
+    and profile-guided trace programs each cache in their own slot of
+    the module's derived memo (``"block"``, ``"trace"`` and
+    ``"trace-guided"``), so alternating them compiles nothing twice.  A
+    guided program hits only when its profile digest matches, so a
+    different profile starts a new program (and new tier-up counters)
+    that reselects regions.
     """
     digest = None
+    slot = "trace" if regions else "block"
     if regions and profile is not None:
         # Deliberately lazy: repro.perf owns the digest format, but the
         # perf package imports the hardware layer at module load.
         from ..perf.regions import profile_digest
 
         digest = profile_digest(profile)
-    slot = "trace" if regions else "block"
+        slot = "trace-guided"
     memo = module.derived()
     program = memo.get(slot)
     if program is None or program.profile_digest != digest:

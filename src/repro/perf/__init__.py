@@ -16,7 +16,7 @@ __getattr__, __dir__ = lazy_exports(
             "run_tasks",
             "summarize_measurement",
         ),
-        "opcount": ("count_python_ops",),
+        "opcount": ("count_python_calls", "count_python_ops"),
         "regions": ("profile_digest",),
         "trajectory": (
             "append_entry",
@@ -46,6 +46,7 @@ __all__ = [
     "check_ops_regression",
     "check_serve_regression",
     "check_serve_regression_file",
+    "count_python_calls",
     "count_python_ops",
     "serve_p99",
     "plan_jobs",

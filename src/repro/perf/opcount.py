@@ -15,6 +15,13 @@ internals).  Tracing slows the call by one to two orders of magnitude,
 so count a run that takes well under a second untraced.  Caches that
 the call fills on first use (decoded programs, frame plans) change the
 count, so warm them with an uncounted run first when comparing runs.
+
+Bytecode counts also change with the CPython version, whose compiler
+lays out the same code differently.  :func:`count_python_calls` counts
+the Python function calls a call makes instead (``sys.setprofile``
+``call`` events), which only the code decides; list, dict and set
+comprehensions are left out, since Python 3.12 inlines them into their
+function.
 """
 
 from __future__ import annotations
@@ -46,4 +53,29 @@ def count_python_ops(
         result = fn(*args, **kwargs)
     finally:
         sys.settrace(previous)
+    return result, count
+
+
+#: Code names of the comprehensions Python 3.12 runs inline (PEP 709).
+_INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
+
+
+def count_python_calls(
+    fn: Callable[..., Any], *args: Any, **kwargs: Any
+) -> Tuple[Any, int]:
+    """Call ``fn(*args, **kwargs)``; return its result and the Python
+    function calls it made (a generator counts each time it resumes)."""
+    count = 0
+
+    def on_event(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_name not in _INLINED:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(on_event)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
     return result, count

@@ -9,11 +9,13 @@ repairs), step-limit crossings and attack scenarios.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.attacks import build_scenarios
 from repro.core import SCHEMES
-from repro.hardware import CPU, trace_compile
+from repro.hardware import CPU, trace_compile, tracec
 from repro.ir import parse_module, verify_module
 from repro.observability import ExecutionProfiler
 from repro.workloads import profile_names
@@ -129,6 +131,32 @@ def test_block_and_trace_programs_coexist_on_the_module(listing1_module):
     program, _ = trace_compile(module)
     assert program is first["trace"]
     assert program.region_count >= 1
+
+
+def test_static_and_guided_trace_programs_coexist(listing1_module):
+    # Static and profile-guided trace programs cache in separate slots,
+    # so alternating them compiles each function once per policy.
+    module = listing1_module.clone()
+    profiler = ExecutionProfiler()
+    CPU(module, seed=2024, interpreter="block", profiler=profiler).run()
+    profile = profiler.block_counts()
+    compiled = []
+    compile_function = tracec._compile_function
+
+    def counting(function, dblock, layout, guide, regions):
+        compiled.append((function.name, guide is not None))
+        return compile_function(function, dblock, layout, guide, regions)
+
+    with mock.patch.object(tracec, "_compile_function", counting):
+        programs = [
+            trace_compile(module, guide)[0] for guide in (None, profile, None, profile)
+        ]
+    assert programs[0] is programs[2] and programs[1] is programs[3]
+    assert programs[0] is not programs[1]
+    names = [function.name for function in module.defined_functions()]
+    assert sorted(compiled) == sorted(
+        (name, guided) for name in names for guided in (False, True)
+    )
 
 
 def test_block_interpreter_recorded_in_result(listing1_module):

@@ -6,7 +6,7 @@ import sys
 
 from repro.core import protect
 from repro.hardware import CPU
-from repro.perf import count_python_ops
+from repro.perf import count_python_calls, count_python_ops
 from repro.workloads import generate_program, get_profile
 
 
@@ -50,3 +50,37 @@ def test_restores_the_previous_trace_function():
         assert sys.gettrace() is tracer
     finally:
         sys.settrace(previous)
+
+
+#: Python calls per simulated step of a decoded run of 505.mcf_r under
+#: pythia: 0.656 when the decoded tier's handlers did their own integer
+#: arithmetic and its blocks left through fused compare-and-branch exits
+#: (1.696 before), plus 2%.  Unlike bytecodes per step, which
+#: ``benchmarks/bench_interp_throughput.py`` gates only against entries
+#: of the same Python, a call count holds on every supported version.
+DECODED_CALLS_PER_STEP = 0.669
+
+
+def test_decoded_calls_per_step_stay_under_their_ceiling():
+    program = generate_program(get_profile("505.mcf_r"))
+    module = protect(program.compile(), scheme="pythia").module
+    CPU(module, interpreter="decoded").run(inputs=list(program.inputs))
+    cpu = CPU(module, interpreter="decoded")
+    result, calls = count_python_calls(cpu.run, inputs=list(program.inputs))
+    assert result.ok
+    assert calls / result.steps <= DECODED_CALLS_PER_STEP, calls / result.steps
+
+
+def test_call_count_counts_each_call_and_restores_the_profiler():
+    def profiler(frame, event, arg):
+        return None
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        result, calls = count_python_calls(lambda: [spin(3) for _ in range(4)])
+        assert result == [3] * 4
+        assert calls == 5  # the lambda and four spins; not the listcomp
+        assert sys.getprofile() is profiler
+    finally:
+        sys.setprofile(previous)
