@@ -3,13 +3,12 @@
 
 Runs one generated benchmark under every scheme with all four CPU
 backends (reference isinstance loop, pre-decoded dispatch, the
-block-compiled tier, and the profile-guided trace tier), verifies
-their architectural counters are bit-identical, and reports the
-decoded/reference, block/decoded, and trace/decoded speedups.  The
-trace tier is measured end-to-end through its profile-guided path: a
-profiled block-tier warmup run supplies the per-block counts that
-drive region selection.  Also times a small suite serially vs with two
-worker processes to exercise the ``repro.perf`` fan-out.
+block-compiled tier, and the trace tier), verifies their architectural
+counters are bit-identical, and reports the decoded/reference,
+block/decoded, and trace/decoded speedups.  The trace tier runs its
+static program, every function compiled before the timed runs.  Also
+times a small suite serially vs with two worker processes to exercise
+the ``repro.perf`` fan-out.
 
 Wall-clock in shared containers is noisy (same code can swing tens of
 percent between batches), so each scheme is measured as *interleaved*
@@ -19,8 +18,8 @@ keeps slow phases from landing on one side only.
 
 Each scheme also records ``decoded_ops_per_step``, ``block_ops_per_step``
 and ``trace_ops_per_step``: the Python bytecodes one run of that tier
-executes per simulated step (:func:`repro.perf.count_python_ops`; the
-trace tier on its profile-guided program).  They do not jitter with
+executes per simulated step (:func:`repro.perf.count_python_ops`).
+They do not jitter with
 the host, so they show a change to a tier's per-step cost that the
 wall-clock columns cannot.
 
@@ -59,7 +58,6 @@ from repro.core.config import SCHEMES
 from repro.core.framework import protect
 from repro.hardware import CPU, decode_module, trace_compile
 from repro.hardware.oracle import observables
-from repro.observability import ExecutionProfiler
 from repro.perf import (
     append_entry,
     check_block_regression_file,
@@ -85,26 +83,17 @@ def measure_scheme(module, inputs, seed, repeat):
     """Interleaved min-of-``repeat`` timing of all four backends.
 
     Also returns each batched tier's Python ops per simulated step.
-    The trace tier is exercised through its profile-guided path: a
-    profiled warmup run under the block tier collects per-block
-    execution counts, and those counts seed region selection.  The
-    warmup and ``trace_compile`` happen before the timed loop, so the
-    reported ``trace_seconds`` is pure execution (compile time is
-    reported separately, like ``decode_seconds``).  The block tier is
-    the same compiler with no regions selected.  Each compiled tier's
+    ``trace_compile`` compiles the trace tier's static program before
+    the timed loop, so the reported ``trace_seconds`` is pure execution
+    (compile time is reported separately, like ``decode_seconds``).
+    The block tier is the same compiler with no regions selected.  Each compiled tier's
     emitted Python is also measured, in bytes per IR instruction and in
     the seconds CPython's ``compile()`` took of its compile time.
     """
     module.invalidate_derived()
     _, decode_seconds = decode_module(module)
     block_program, block_seconds = trace_compile(module, regions=False)
-
-    profiler = ExecutionProfiler()
-    CPU(module, seed=seed, interpreter="block", profiler=profiler).run(
-        inputs=list(inputs)
-    )
-    trace_profile = profiler.block_counts()
-    trace_program, trace_seconds = trace_compile(module, trace_profile)
+    trace_program, trace_seconds = trace_compile(module)
     instructions = module.instruction_count()
     codegen = {}
     for tier, program in (("block", block_program), ("trace", trace_program)):
@@ -121,12 +110,7 @@ def measure_scheme(module, inputs, seed, repeat):
     results = {}
     for _ in range(repeat):
         for interpreter in TIERS:
-            cpu = CPU(
-                module,
-                seed=seed,
-                interpreter=interpreter,
-                trace_profile=trace_profile if interpreter == "trace" else None,
-            )
+            cpu = CPU(module, seed=seed, interpreter=interpreter)
             start = time.perf_counter()
             result = cpu.run(inputs=list(inputs))
             elapsed = time.perf_counter() - start
@@ -135,12 +119,7 @@ def measure_scheme(module, inputs, seed, repeat):
     # After the timed runs, so every program and frame plan is built and
     # each count is the same on every call.
     for interpreter in ("decoded", "block", "trace"):
-        cpu = CPU(
-            module,
-            seed=seed,
-            interpreter=interpreter,
-            trace_profile=trace_profile if interpreter == "trace" else None,
-        )
+        cpu = CPU(module, seed=seed, interpreter=interpreter)
         result, count = count_python_ops(cpu.run, inputs=list(inputs))
         ops[f"{interpreter}_ops_per_step"] = round(count / result.steps, 2)
     return best, results, decode_seconds, block_seconds, trace_seconds, codegen, ops

@@ -26,8 +26,8 @@ JSON-lines log); ``serve`` accepts all three plus ``--slo FILE``, and
 op.  See :mod:`repro.observability`.
 
 ``run --profile-out`` / ``profile --profile-out`` save an execution
-profile whose per-block counts ``run``/``bench`` ``--profile-in`` feed
-back into trace-tier region selection (``--interpreter trace``).
+profile report (hot functions and, under the block tier, per-block
+counts).
 
 Failures exit with a one-line ``repro: error:`` diagnostic and a
 distinct code per failure layer (see :data:`EXIT_CODES`) -- never a
@@ -138,31 +138,6 @@ def _parse_inputs(items: Optional[List[str]]) -> List[bytes]:
     return [os.fsencode(item) for item in (items or [])]
 
 
-def _load_trace_profile(path: str) -> dict:
-    """Read a ``--profile-out`` report back as trace-tier block counts."""
-    import json
-
-    from .observability.profile import PROFILE_SCHEMA, hot_block_counts
-
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            report = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ReproError(f"invalid profile JSON in {path}: {exc}") from exc
-    counts = hot_block_counts(report) if isinstance(report, dict) else None
-    totals = report.get("totals") if counts is not None else None
-    # A trace-tier report counts each fused region under its header.
-    if counts is None or (
-        isinstance(totals, dict) and totals.get("interpreter") == "trace"
-    ):
-        raise ReproError(
-            f"{path} carries no per-block execution counts (expected a "
-            f"{PROFILE_SCHEMA} report from --profile-out under the block "
-            f"tier)"
-        )
-    return counts
-
-
 def _write_profile_report(path: str, report: dict) -> None:
     import json
 
@@ -211,9 +186,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         for phase, seconds in sorted(phases.items(), key=lambda item: -item[1]):
             print(f"[timing] {phase:24s} {seconds * 1e3:8.2f}ms", file=sys.stderr)
         print(f"[timing] {'total':24s} {total * 1e3:8.2f}ms", file=sys.stderr)
-    trace_profile = (
-        _load_trace_profile(args.profile_in) if args.profile_in else None
-    )
     profiler = None
     if args.profile_out:
         from .observability.profile import ExecutionProfiler
@@ -224,7 +196,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         interpreter=args.interpreter,
         profiler=profiler,
-        trace_profile=trace_profile,
     )
     with current_tracer().span(f"execute:{args.scheme}", "exec"):
         result = cpu.run(inputs=_parse_inputs(args.input))
@@ -367,13 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run under the execution profiler and write its report "
         "(per-block counts need --interpreter block or trace)",
     )
-    p.add_argument(
-        "--profile-in",
-        default=None,
-        metavar="FILE",
-        help="feed a block-tier --profile-out report to trace-tier region "
-        "selection (only the trace interpreter consumes it)",
-    )
     _add_observability_args(p)
 
     p = sub.add_parser("analyze", help="print the vulnerability analysis")
@@ -388,13 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("benchmark", choices=_ProfileNames(), metavar="BENCHMARK")
     p.add_argument("--seed", type=int, default=2024)
     _add_interpreter_arg(p)
-    p.add_argument(
-        "--profile-in",
-        default=None,
-        metavar="FILE",
-        help="feed a block-tier --profile-out report to trace-tier region "
-        "selection (only the trace interpreter consumes it)",
-    )
     _add_observability_args(p)
 
     p = sub.add_parser(
@@ -532,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-out",
         default=None,
         metavar="FILE",
-        help="also write the report as JSON (feeds run/bench --profile-in)",
+        help="also write the report as JSON",
     )
 
     p = sub.add_parser("scenarios", help="list the built-in attack scenarios")

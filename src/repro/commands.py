@@ -15,7 +15,6 @@ from .cli import (
     EXIT_CODES,
     _compile_program,
     _fail,
-    _load_trace_profile,
     _parse_inputs,
     _read_source,
     _write_profile_report,
@@ -80,7 +79,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     program = generate_program(get_profile(args.benchmark))
     module = program.compile()
-    trace_profile = _load_trace_profile(args.profile_in) if args.profile_in else None
     print(f"{args.benchmark}: {module.instruction_count()} IR instructions")
     measurement = measure_module(
         module,
@@ -88,7 +86,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         inputs=program.inputs,
         seed=args.seed,
         interpreter=args.interpreter,
-        trace_profile=trace_profile,
     )
     for scheme, run in measurement.runs.items():
         result = run.execution

@@ -31,9 +31,9 @@ Four interpreter tiers execute the same semantics:
   Python with batched accounting.  ``block`` selects no region, so
   every basic block is one generated function; ``trace`` fuses hot
   loops and small functions into one function per region.  Without a
-  profiler or ``trace_profile``, ``trace`` compiles lazily: a function
-  runs decoded until its own steps pay back its compile cost, then
-  compiles for its next call (see :mod:`repro.hardware.tracec`).
+  profiler, ``trace`` compiles lazily: a function runs decoded until
+  its own steps pay back its compile cost, then compiles for its next
+  call (see :mod:`repro.hardware.tracec`).
 
 Select with ``CPU(..., interpreter="reference")`` or the
 ``REPRO_INTERPRETER`` environment variable.
@@ -328,7 +328,6 @@ class CPU:
         cache: Optional[CacheModel] = None,
         interpreter: Optional[str] = None,
         profiler: Optional[object] = None,
-        trace_profile: Optional[Dict[str, float]] = None,
     ):
         self.module = module
         #: optional :class:`repro.observability.ExecutionProfiler`
@@ -378,20 +377,17 @@ class CPU:
             # is its no-region policy.  They compile from the decoded
             # program and fall back to it whenever batched accounting
             # cannot be trusted (non-default costs or issue width,
-            # step-limit crossings).  ``trace_profile`` is the warmup
-            # run's per-block execution counts; without it, the trace
-            # tier selects regions statically.  The block tier, a trace
-            # run with a profiler and one given ``trace_profile`` compile
-            # every function up front; any other trace run tiers
-            # functions up as they get hot.
+            # step-limit crossings).  The block tier and a trace run
+            # with a profiler compile every function up front; any other
+            # trace run tiers functions up as they get hot.
             from .tracec import trace_compile, trace_program
 
             self._decoded, self.decode_seconds = decode_module(module)
-            if interpreter == "trace" and profiler is None and trace_profile is None:
+            if interpreter == "trace" and profiler is None:
                 self._block = trace_program(module)
             else:
                 self._block, compile_seconds = trace_compile(
-                    module, trace_profile, regions=interpreter == "trace"
+                    module, regions=interpreter == "trace"
                 )
                 self.decode_seconds += compile_seconds
         #: composition id -> times a chunk of that composition was

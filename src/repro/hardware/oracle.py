@@ -346,19 +346,18 @@ def observables(result) -> Dict[str, object]:
     }
 
 
-def tier_cpu(module, interpreter=None, trace_profile=None, **kwargs):
+def tier_cpu(module, interpreter=None, **kwargs):
     """A CPU for ``module`` whose tier runs generated code from its first call.
 
-    Under the trace tier every function is compiled before the run:
-    with regions selected statically, or from ``trace_profile`` when
-    given.  Other tiers get a plain CPU.  ``kwargs`` go to the CPU.
+    Under the trace tier every function is compiled before the run.
+    Other tiers get a plain CPU.  ``kwargs`` go to the CPU.
     """
     from .cpu import CPU
 
-    cpu = CPU(module, interpreter=interpreter, trace_profile=trace_profile, **kwargs)
+    cpu = CPU(module, interpreter=interpreter, **kwargs)
     if cpu.interpreter == "trace":
         from .tracec import trace_compile
 
-        trace_compile(module, trace_profile)
+        trace_compile(module)
         assert not cpu.tier_program.pending, "trace run starts compiled"
     return cpu

@@ -31,11 +31,8 @@ store directly; a region with internal edges counts in one local per
 composition and adds them to the store on its way out.
 
 A region is a natural loop (plus the superblock chains hanging off its
-header) or, for small functions, the entire function body, selected
-with the per-block hot-spot counts an
-:class:`~repro.observability.ExecutionProfiler` collected under the
-block tier (or statically, when no profile is given).  One generated
-function per region
+header) or, for small functions, the entire function body.  One
+generated function per region
 
 - inlines every member block's handler statements, so a loop iteration
   runs without leaving the generated code;
@@ -69,22 +66,23 @@ fused block it came from.  A region's entry point is a
 :class:`blockc.BlockCode` whose ``blocks`` counts the fused blocks, so
 the block drivers dispatch it unchanged.
 
-Region selection is profile-guided: ``trace_compile(module, profile)``
-takes the ``"function:block" -> executions`` map exported by
-:func:`repro.observability.profile.hot_block_counts` and skips cold
-functions and cold loops; chains are laid out hottest-successor-first.
-Programs are cached in the module's derived-artifact memo
-(:meth:`repro.ir.module.Module.derived`), one slot per policy and one
-for profile-guided trace programs (``"block"``, ``"trace"``,
-``"trace-guided"``); a guided program hits only when its profile digest
-(:func:`repro.perf.regions.profile_digest`) matches too.
+Region selection is static, a fixed function of the CFG: every
+function of at most :data:`WHOLE_FUNCTION_BLOCKS` blocks is one region;
+a larger one gets a region per natural loop of at most
+:data:`MAX_REGION_BLOCKS` blocks, largest first, dropping loops that
+overlap one already chosen.  Inside a region, chains are laid out false
+arm first: at a conditional branch the false successor is the
+fall-through, then the true one, and chains are seeded in block order,
+header first (:func:`_build_chains`).  Programs are cached in the
+module's derived-artifact memo (:meth:`repro.ir.module.Module.derived`),
+one slot per policy (``"block"``, ``"trace"``).
 
 **Tier-up.**  A :class:`TraceProgram` compiles one function at a time
 (:meth:`TraceProgram.compile`).  :func:`trace_compile` compiles every
-function still pending; the block tier, a CPU with a ``profiler`` or
-a ``trace_profile`` and the tier-differential harnesses use it.  Any
-other trace-tier CPU instead takes the program from
-:func:`trace_program` with nothing compiled and tiers functions up:
+function still pending; the block tier, a CPU with a ``profiler`` and
+the tier-differential harnesses use it.  Any other trace-tier CPU
+instead takes the program from :func:`trace_program` with nothing
+compiled and tiers functions up:
 :meth:`CPU._call` counts the steps each decoded call executes itself
 (its callees' steps excluded) on the program's ``steps``, and once a
 function's count reaches :data:`TIER_UP_STEPS_PER_INST` times its IR
@@ -93,10 +91,10 @@ running stays decoded.  The counters live on the memoized program, so
 repeated CPUs on one module converge on compiled code, and
 ``invalidate_derived()`` resets them.
 
-The constant is the measured break-even: one function's compile costs
-~100-110 us per IR instruction, and a compiled step saves 0.16-0.22 us
-over a decoded one (pythia variants, static selection, 2-vCPU host,
-Python 3.11), so a function pays back after ~500-640 of its own steps
+The constant is near the measured break-even: one function's compile
+costs ~105-125 us per IR instruction, and a compiled step saves
+0.26-0.30 us over a decoded one (pythia variants, 2-vCPU host,
+Python 3.11), so a function pays back after ~400-430 of its own steps
 per instruction.  A program that runs once -- compile-cold and most of
 the suite -- then compiles nothing it cannot amortize.  The known
 limit: work inside one long call (a hot loop in ``main``) stays decoded
@@ -166,13 +164,15 @@ WHOLE_FUNCTION_BLOCKS = 24
 
 #: Tier-up threshold: a function compiles once the steps its decoded
 #: calls executed themselves (callees excluded) reach this many per IR
-#: instruction of its body.  Break-even measured on the pythia variants
-#: with static selection, against the decoded loop with inline handler
-#: arithmetic and fused compare-and-branch exits (2-vCPU host, Python
-#: 3.11.7, mean of two sessions' medians of 21 back-to-back
+#: instruction of its body.  580 is the geometric mean of the break-evens
+#: measured when the decoded loop gained inline handler arithmetic and
+#: fused compare-and-branch exits (643, 607, 501).  Re-measured with the
+#: false-arm-first chain layout on the pythia variants (2-vCPU host,
+#: Python 3.11.7, mean of two sessions' medians of 21 back-to-back
 #: compile/decoded/trace triples): compile cost / (decoded - trace) cost
-#: per step is 643 (505.mcf_r), 607 (502.gcc_r) and 501 (519.lbm_r)
-#: steps per instruction; 580 is their geometric mean, rounded.
+#: per step is 426 (505.mcf_r), 428 (502.gcc_r) and 400 (519.lbm_r)
+#: steps per instruction, geometric mean ~418.  The constant stays: no
+#: function of a compile-cold program gets near either value.
 TIER_UP_STEPS_PER_INST = 580
 
 
@@ -192,7 +192,6 @@ class TraceProgram:
 
     __slots__ = (
         "functions",
-        "profile_digest",
         "compile_seconds",
         "python_compile_seconds",
         "sources",
@@ -201,20 +200,12 @@ class TraceProgram:
         "steps",
         "pending",
         "_decoded",
-        "_profile",
         "_regions",
     )
 
-    def __init__(
-        self,
-        decoded: DecodedProgram,
-        profile: Optional[Dict[str, float]],
-        profile_digest: Optional[str],
-        regions: bool,
-    ):
+    def __init__(self, decoded: DecodedProgram, regions: bool):
         #: Function -> entry BlockCode (a fused region's when it heads one)
         self.functions: Dict[Function, BlockCode] = {}
-        self.profile_digest = profile_digest
         self.compile_seconds = 0.0
         #: the part of compile_seconds spent in CPython's compile()
         self.python_compile_seconds = 0.0
@@ -231,7 +222,6 @@ class TraceProgram:
             for function in decoded.functions
         }
         self._decoded = decoded
-        self._profile = profile
         self._regions = regions
 
     def tick(self, function: Function, steps: int) -> bool:
@@ -248,7 +238,6 @@ class TraceProgram:
             function,
             decoded.functions[function],
             decoded.global_layout,
-            self._profile,
             self._regions,
         )
         del self.pending[function]
@@ -288,7 +277,7 @@ class _Region:
 
         Every edge out of it, a self-edge included, returns to the
         driver, so the block tier's per-block profile counts -- which
-        region selection keys on -- stay exact.
+        the execution profile reports -- stay exact.
         """
         region = cls(dblock, [dblock])
         region.internal = False
@@ -383,29 +372,17 @@ def _natural_loops(
 
 
 def _select_regions(
-    function: Function,
-    order: List[DecodedBlock],
-    dom: DominatorTree,
-    counts: Optional[Dict[str, float]],
+    order: List[DecodedBlock], dom: DominatorTree
 ) -> List[_Region]:
-    def execs(dblock: DecodedBlock) -> float:
-        if counts is None:
-            return 0.0
-        return counts.get(f"{function.name}:{dblock.source.name}", 0.0)
-
     if len(order) <= WHOLE_FUNCTION_BLOCKS:
         # Small function: one region covering everything, rooted at the
-        # entry block.  With a profile, skip functions that never ran.
-        if counts is not None and execs(order[0]) <= 0:
-            return []
+        # entry block.
         return [_Region(order[0], list(order))]
 
     pos = {id(d): i for i, d in enumerate(order)}
     candidates: List[_Region] = []
     for header, body in _natural_loops(order, dom):
         if len(body) > MAX_REGION_BLOCKS:
-            continue
-        if counts is not None and execs(header) <= 0:
             continue
         blocks = sorted(body.values(), key=lambda d: pos[id(d)])
         candidates.append(_Region(header, blocks))
@@ -429,8 +406,12 @@ DUPLICATE_OPS = 12
 DUPLICATE_GROWTH = 2
 
 
-def _build_chains(region: _Region, hotness, pos: Dict[int, int]) -> None:
-    """Greedy superblock layout: fall-through chains, hot successor first.
+def _build_chains(region: _Region) -> None:
+    """Greedy superblock layout: fall-through chains, false arm first.
+
+    At a conditional branch the fall-through is the false arm, then the
+    true arm; chains are seeded in ``region.blocks`` order, header
+    first, so the layout is a fixed function of the CFG.
 
     A block extends a chain when it is internal, not the header, and
     either unplaced with exactly one internal in-edge, or small enough
@@ -482,10 +463,7 @@ def _build_chains(region: _Region, hotness, pos: Dict[int, int]) -> None:
             if constant:
                 targets = [term[2] if payload & 1 else term[3]]
             else:
-                # hotter arm becomes the fall-through; false arm on ties
-                targets = sorted(
-                    (term[3], term[2]), key=lambda s: (-hotness(s), pos[id(s)])
-                )
+                targets = [term[3], term[2]]
         else:
             return None
         for target in targets:
@@ -533,11 +511,9 @@ def _build_chains(region: _Region, hotness, pos: Dict[int, int]) -> None:
             current = nxt
         chains.append(chain)
 
-    seeds = [region.header] + sorted(
-        (b for b in region.blocks if b is not region.header),
-        key=lambda b: (-hotness(b), pos[id(b)]),
-    )
-    for seed in seeds:
+    # region.blocks is in BFS order, so the header -- which dominates
+    # every member -- comes first and seeds chain 0.
+    for seed in region.blocks:
         if id(seed) not in placed:
             build_chain(seed)
 
@@ -1582,7 +1558,6 @@ def _compile_function(
     function: Function,
     entry: DecodedBlock,
     layout,
-    counts: Optional[Dict[str, float]],
     select_regions: bool,
 ) -> Tuple[BlockCode, str, int, int, float]:
     """Compile one function: its regions fused, every other block alone.
@@ -1591,23 +1566,17 @@ def _compile_function(
     block counts, and the seconds CPython's ``compile()`` took.
 
     With ``select_regions`` false no region is selected (the block
-    tier), so neither the dominator tree nor the profile is consulted.
+    tier), so the dominator tree is not built.
     """
     order = _function_order(entry)
     regions: List[_Region] = []
     if select_regions:
         dom = DominatorTree(function)
-        regions = _select_regions(function, order, dom, counts)
-    pos = {id(d): i for i, d in enumerate(order)}
-
-    def hotness(dblock: DecodedBlock) -> float:
-        if counts is None:
-            return 0.0
-        return counts.get(f"{function.name}:{dblock.source.name}", 0.0)
+        regions = _select_regions(order, dom)
 
     fused_ids: Set[int] = set()
     for region in regions:
-        _build_chains(region, hotness, pos)
+        _build_chains(region)
         fused_ids |= region.ids
 
     # Every block outside the selected regions -- under the block tier,
@@ -1675,64 +1644,36 @@ def _compile_function(
     return codes[id(entry)], source, len(regions), fused, python_seconds
 
 
-def trace_program(
-    module: Module,
-    profile: Optional[Dict[str, float]] = None,
-    *,
-    regions: bool = True,
-) -> TraceProgram:
-    """The program cached for ``module`` under one policy and profile.
+def trace_program(module: Module, *, regions: bool = True) -> TraceProgram:
+    """The program cached for ``module`` under one policy.
 
     Nothing is compiled here: a new program has every function pending.
-    ``regions`` selects the policy.  True (the trace tier) fuses
-    selected regions: ``profile`` is the ``"function:block" ->
-    executions`` map from a warmup run
-    (:func:`repro.observability.profile.hot_block_counts`), and ``None``
-    selects regions statically (every loop plus every small function).
-    False (the block tier) selects no region, so every block compiles
-    to its own function and ``profile`` is ignored.  Block, static trace
-    and profile-guided trace programs each cache in their own slot of
-    the module's derived memo (``"block"``, ``"trace"`` and
-    ``"trace-guided"``), so alternating them compiles nothing twice.  A
-    guided program hits only when its profile digest matches, so a
-    different profile starts a new program (and new tier-up counters)
-    that reselects regions.
+    ``regions`` selects the policy: true (the trace tier) fuses the
+    statically selected regions, false (the block tier) selects none, so
+    every block compiles to its own function.  Block
+    and trace programs each cache in their own slot of the module's
+    derived memo (``"block"`` and ``"trace"``), so alternating them
+    compiles nothing twice.
     """
-    digest = None
     slot = "trace" if regions else "block"
-    if regions and profile is not None:
-        # Deliberately lazy: repro.perf owns the digest format, but the
-        # perf package imports the hardware layer at module load.
-        from ..perf.regions import profile_digest
-
-        digest = profile_digest(profile)
-        slot = "trace-guided"
     memo = module.derived()
     program = memo.get(slot)
-    if program is None or program.profile_digest != digest:
+    if program is None:
         decoded, _ = decode_module(module)
-        # A copy: functions compile later, and must see the counts the
-        # digest was taken of.
-        if profile is not None:
-            profile = dict(profile)
-        program = TraceProgram(decoded, profile, digest, regions)
-        memo[slot] = program
+        program = memo[slot] = TraceProgram(decoded, regions)
     return program
 
 
 def trace_compile(
-    module: Module,
-    profile: Optional[Dict[str, float]] = None,
-    *,
-    regions: bool = True,
+    module: Module, *, regions: bool = True
 ) -> Tuple[TraceProgram, float]:
     """Compile every function of ``module`` still pending (see
-    :func:`trace_program` for the arguments and the cache).
+    :func:`trace_program` for ``regions`` and the cache).
 
     Returns ``(program, seconds)`` where ``seconds`` is the compile time
     spent by *this* call -- ``0.0`` when nothing was left to compile.
     """
-    program = trace_program(module, profile, regions=regions)
+    program = trace_program(module, regions=regions)
     seconds = 0.0
     for function in list(program.pending):
         seconds += program.compile(function)

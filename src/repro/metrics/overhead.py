@@ -131,7 +131,6 @@ def measure_module(
     seed: int = 2024,
     interpreter: Optional[str] = None,
     cache_dir: Optional[str] = None,
-    trace_profile: Optional[Dict[str, float]] = None,
 ) -> BenchmarkMeasurement:
     """Protect and execute one module under each scheme.
 
@@ -140,10 +139,8 @@ def measure_module(
     ``interpreter`` selects the CPU backend (``"decoded"`` /
     ``"reference"``); ``None`` uses the CPU default.  ``cache_dir``
     enables the content-addressed compilation cache: cached schemes
-    skip recompilation and are marked ``cache_hit`` on their runs.
-    ``trace_profile`` (per-block counts from a saved execution profile)
-    guides trace-tier region selection.  A run that does not exit
-    cleanly raises :class:`BenignRunError`.
+    skip recompilation and are marked ``cache_hit`` on their runs.  A
+    run that does not exit cleanly raises :class:`BenignRunError`.
     """
     cache = None
     if cache_dir is not None:
@@ -159,12 +156,7 @@ def measure_module(
     measurement = BenchmarkMeasurement(name=name)
     for scheme in schemes:
         protection = protections[scheme]
-        cpu = CPU(
-            protection.module,
-            seed=seed,
-            interpreter=interpreter,
-            trace_profile=trace_profile,
-        )
+        cpu = CPU(protection.module, seed=seed, interpreter=interpreter)
         with tracer.span(f"execute:{scheme}", "exec", benchmark=name):
             execution = cpu.run(inputs=list(inputs or []))
         publish_execution(metrics, execution, scheme=scheme)

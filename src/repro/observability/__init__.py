@@ -84,7 +84,6 @@ __getattr__, __dir__ = lazy_exports(
             "PROFILE_SCHEMA",
             "ExecutionProfiler",
             "format_report",
-            "hot_block_counts",
         ),
     },
 )
@@ -120,7 +119,6 @@ __all__ = [
     "get_event_log",
     "get_metrics",
     "histogram_percentiles",
-    "hot_block_counts",
     "install_event_log",
     "install_metrics",
     "install_tracer",

@@ -87,11 +87,8 @@ class ExecutionProfiler:
     def block_counts(self) -> Dict[str, float]:
         """Full ``"function:block" -> executions`` map, untruncated.
 
-        This is what the trace tier's region selection consumes
-        (``CPU(..., trace_profile=...)`` /
-        :func:`repro.hardware.tracec.trace_compile`): the ``blocks``
-        list in :meth:`report` keeps only the top-N and so must not be
-        used for compilation decisions.
+        The ``blocks`` list in :meth:`report` keeps only the top-N; this
+        map is the report's ``block_counts`` key.
         """
         return {label: record[0] for label, record in self.blocks.items()}
 
@@ -126,8 +123,7 @@ class ExecutionProfiler:
                 for label, record in blocks
             ],
             "traps": list(self.traps),
-            # Untruncated execution counts, so a saved report can feed
-            # trace-tier region selection (--profile-out / --profile-in).
+            # Untruncated execution counts (the blocks list is top-N).
             "block_counts": self.block_counts(),
         }
         if result is not None:
@@ -151,37 +147,6 @@ class ExecutionProfiler:
                 "interpreter": result.interpreter,
             }
         return out
-
-
-def hot_block_counts(report: Dict[str, Any]) -> Optional[Dict[str, float]]:
-    """Recover the execution-count map from a serialized profile report.
-
-    Prefers the untruncated ``block_counts`` key; reports written before
-    it existed fall back to the truncated ``blocks`` list (still usable
-    for region selection -- the dropped tail is cold by construction).
-    Returns ``None`` when the report carries no block attribution at
-    all, e.g. one taken under the decoded or reference tier.
-    """
-    counts = report.get("block_counts")
-    if isinstance(counts, dict) and counts:
-        return {
-            str(label): float(count)
-            for label, count in counts.items()
-            if isinstance(count, (int, float))
-        }
-    blocks = report.get("blocks")
-    if isinstance(blocks, list) and blocks:
-        out: Dict[str, float] = {}
-        for entry in blocks:
-            if not isinstance(entry, dict):
-                continue
-            label = entry.get("label")
-            executions = entry.get("executions")
-            if isinstance(label, str) and isinstance(executions, (int, float)):
-                out[label] = float(executions)
-        if out:
-            return out
-    return None
 
 
 def _fraction(part: float, whole: float) -> str:

@@ -17,7 +17,6 @@ __getattr__, __dir__ = lazy_exports(
             "summarize_measurement",
         ),
         "opcount": ("count_python_calls", "count_python_ops"),
-        "regions": ("profile_digest",),
         "trajectory": (
             "append_entry",
             "block_throughput",
@@ -50,7 +49,6 @@ __all__ = [
     "count_python_ops",
     "serve_p99",
     "plan_jobs",
-    "profile_digest",
     "safe_load_entries",
     "run_suite",
     "run_tasks",

@@ -133,29 +133,27 @@ def test_block_and_trace_programs_coexist_on_the_module(listing1_module):
     assert program.region_count >= 1
 
 
-def test_static_and_guided_trace_programs_coexist(listing1_module):
-    # Static and profile-guided trace programs cache in separate slots,
-    # so alternating them compiles each function once per policy.
+def test_block_and_static_trace_programs_coexist(listing1_module):
+    # Block and trace programs cache in separate slots, so alternating
+    # eager compiles compiles each function once per policy.
     module = listing1_module.clone()
-    profiler = ExecutionProfiler()
-    CPU(module, seed=2024, interpreter="block", profiler=profiler).run()
-    profile = profiler.block_counts()
     compiled = []
     compile_function = tracec._compile_function
 
-    def counting(function, dblock, layout, guide, regions):
-        compiled.append((function.name, guide is not None))
-        return compile_function(function, dblock, layout, guide, regions)
+    def counting(function, dblock, layout, regions):
+        compiled.append((function.name, regions))
+        return compile_function(function, dblock, layout, regions)
 
     with mock.patch.object(tracec, "_compile_function", counting):
         programs = [
-            trace_compile(module, guide)[0] for guide in (None, profile, None, profile)
+            trace_compile(module, regions=regions)[0]
+            for regions in (False, True, False, True)
         ]
     assert programs[0] is programs[2] and programs[1] is programs[3]
     assert programs[0] is not programs[1]
     names = [function.name for function in module.defined_functions()]
     assert sorted(compiled) == sorted(
-        (name, guided) for name in names for guided in (False, True)
+        (name, regions) for name in names for regions in (False, True)
     )
 
 

@@ -316,9 +316,8 @@ def test_two_cpus_interleaved_on_one_module(tier):
     module = fresh_module(3)
     expected = observables(run(module, "reference"))
     first = tier_factory(module, tier)()
-    # The second CPU shares the compiled program (block, trace-static),
-    # shares the lazy one and tiers it up further (trace-lazy), or
-    # starts a lazy one at the default threshold (trace-profile), and
+    # The second CPU shares the compiled program (block, trace-static)
+    # or shares the lazy one and tiers it up further (trace-lazy), and
     # runs to completion while the first is inside main's loop with
     # hits pending.
     second = CPU(module, seed=2024, interpreter=first.interpreter)

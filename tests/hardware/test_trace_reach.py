@@ -42,8 +42,8 @@ def test_each_region_transformation_fires(monkeypatch):
         fired["loop-invariant preloads"] += len(plan.invariants)
         return plan
 
-    def counted_chains(region, *args):
-        build_chains(region, *args)
+    def counted_chains(region):
+        build_chains(region)
         emitted = sum(len(chain) for chain in region.chains)
         distinct = len({id(b) for chain in region.chains for b in chain})
         fired["tail-duplicated blocks"] += emitted - distinct

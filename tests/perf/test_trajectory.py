@@ -15,7 +15,6 @@ from repro.perf import (
     check_serve_regression,
     check_serve_regression_file,
     load_entries,
-    profile_digest,
     safe_load_entries,
     serve_p99,
     trace_throughput,
@@ -347,29 +346,3 @@ class TestServeLatencyGate:
         path.write_text("{not json")
         failure, note = check_serve_regression_file(str(path), serve_entry())
         assert failure is None and "unreadable or corrupt" in note
-
-
-class TestProfileDigest:
-    def test_none_profile_digests_to_none(self):
-        assert profile_digest(None) is None
-
-    def test_equal_counts_equal_digest(self):
-        counts = {"main:entry": 100, "main:loop": 5000}
-        assert profile_digest(counts) == profile_digest(dict(counts))
-
-    def test_int_float_json_round_trip_stable(self):
-        # counts re-read from a --profile-out JSON file may come back
-        # as floats; that must not split the compiled-region cache
-        assert profile_digest({"main:loop": 5000}) == profile_digest(
-            {"main:loop": 5000.0}
-        )
-
-    def test_zero_and_junk_counts_ignored(self):
-        base = {"main:loop": 5000}
-        noisy = {"main:loop": 5000, "main:cold": 0, "main:bad": "n/a"}
-        assert profile_digest(base) == profile_digest(noisy)
-
-    def test_different_counts_different_digest(self):
-        assert profile_digest({"main:loop": 5000}) != profile_digest(
-            {"main:loop": 6000}
-        )

@@ -11,10 +11,9 @@ A lattice cell is a tier and an LLC column.  The tiers:
   mid-run and decoded and compiled calls mix.  The lazy program
   persists across the CPUs one :func:`tier_factory` makes, so a sweep
   tiers functions up part-way through and later runs start mixed;
-- ``trace-static``: fused regions selected without a profile, every
-  function compiled before the run (after ``trace-lazy``, only the
-  functions that never tiered up are left to compile);
-- ``trace-profile``: regions selected from a profiled block-tier run.
+- ``trace-static``: every function compiled before the run (after
+  ``trace-lazy``, only the functions that never tiered up are left to
+  compile).
 
 Each tier runs without an LLC model and with a fresh
 :class:`~repro.hardware.cache.CacheModel` (:data:`CACHES`).
@@ -36,11 +35,10 @@ from repro.core import SCHEMES, protect
 from repro.hardware import CPU, CacheModel, tracec
 from repro.hardware.errors import StepLimitExceeded
 from repro.hardware.oracle import observables, tier_cpu
-from repro.observability import ExecutionProfiler
 from repro.workloads import generate_program, get_profile, profile_names
 from repro.workloads.profiles import BenchmarkProfile
 
-TIERS = ("reference", "decoded", "block", "trace-lazy", "trace-static", "trace-profile")
+TIERS = ("reference", "decoded", "block", "trace-lazy", "trace-static")
 
 #: The tiers held to the reference.
 FAST_TIERS = TIERS[1:]
@@ -109,23 +107,18 @@ def variants(count=8, seed=SEED):
     return profiles
 
 
-def tier_factory(module, tier, inputs=()):
+def tier_factory(module, tier):
     """Prepare ``module`` for ``tier`` once; returns ``make(cache=False,
     **kwargs)``, which builds a CPU that runs it.
 
-    ``inputs`` feed the warmup run of ``trace-profile``.  Make the CPUs
-    of one tier before preparing the next: the trace tiers share the
-    module's trace program slot.
+    Make the CPUs of one tier before preparing the next: the trace
+    tiers share the module's trace program slot.
     """
     options = {"interpreter": tier.split("-")[0]}
     if tier == "trace-lazy":
         module.derived().pop("trace", None)
         with mock.patch.object(tracec, "TIER_UP_STEPS_PER_INST", LOW_THRESHOLD):
             tracec.trace_program(module)
-    elif tier == "trace-profile":
-        profiler = ExecutionProfiler()
-        run(module, "block", inputs, profiler=profiler)
-        options["trace_profile"] = profiler.block_counts()
 
     def make(cache=False, **kwargs):
         if cache:
@@ -142,7 +135,7 @@ def tier_factory(module, tier, inputs=()):
 
 def run(module, tier, inputs=(), **kwargs):
     """One run of ``module`` on ``tier``, without an LLC model."""
-    return tier_factory(module, tier, inputs)(**kwargs).run(inputs=list(inputs))
+    return tier_factory(module, tier)(**kwargs).run(inputs=list(inputs))
 
 
 def assert_sweep(
@@ -166,7 +159,7 @@ def assert_sweep(
     """
 
     def results(tier):
-        make = tier_factory(module, tier, inputs)
+        make = tier_factory(module, tier)
         for index, entry in enumerate(sweep):
             for cache in CACHES:
                 kwargs = dict(entry)
