@@ -599,8 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_interpreter_arg(
         p,
-        default="block",
-        help="interpreter requested for run/profile ops (default: block)",
+        default="trace",
+        help="interpreter requested for run/profile ops (default: trace)",
     )
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument(

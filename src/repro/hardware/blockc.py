@@ -119,7 +119,7 @@ class BlockCode:
         self.meta: Optional["_BlockMeta"] = None
         self.self_pair = (self, None)
         #: ``function:block`` tag the profiled block driver attributes
-        #: to; for a region, the header's, which region selection keys on
+        #: to; for a region, the header's
         self.label = label
         #: number of basic blocks fused into this code
         self.blocks = blocks

@@ -32,6 +32,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..attacks import build_scenarios
 from ..core.config import DEFAULT_SCHEME
 from ..hardware.cpu import CPU
+from ..hardware.oracle import tier_cpu
 from ..observability import (
     ExecutionProfiler,
     capture,
@@ -110,10 +111,12 @@ class RequestHandler:
             scheme,
             bool(request.get("fields", False)),
         )
-        cpu = CPU(
+        # A trace request compiles the module's whole trace program
+        # before its first run, so no tier-up compile lands on a request.
+        cpu = tier_cpu(
             protection.module,
+            request.get("interpreter"),
             seed=int(request.get("seed", 2024)),
-            interpreter=request.get("interpreter"),
         )
         execution = cpu.run(inputs=_parse_inputs(request))
         publish_execution(get_metrics(), execution, scheme=protection.scheme)
@@ -159,7 +162,7 @@ class RequestHandler:
         cpu = CPU(
             protection.module,
             seed=int(request.get("seed", 2024)),
-            interpreter=request.get("interpreter") or "block",
+            interpreter=request.get("interpreter") or "trace",
             profiler=profiler,
         )
         execution = cpu.run(inputs=_parse_inputs(request))
@@ -168,6 +171,7 @@ class RequestHandler:
             "digest": source_digest(request["source"]),
             "scheme": protection.scheme,
             "status": execution.status,
+            "interpreter": execution.interpreter,
             "report": report,
             "registry": "warm" if warm else "cold",
         }

@@ -136,7 +136,7 @@ def build_request_mix(
     duration: str = "3s",
     variants: int = 3,
     schemes: Sequence[str] = SCHEMES,
-    interpreter: Optional[str] = "block",
+    interpreter: Optional[str] = "trace",
 ) -> List[Dict[str, Any]]:
     """A deterministic list of ``count`` serve-protocol request bodies.
 
@@ -147,7 +147,10 @@ def build_request_mix(
     (``id`` is assigned later, by whoever sends them).  The working set
     is deliberately small and hot: most requests repeat a
     (program, scheme) pair the daemon has already warmed, matching the
-    few-modules/many-requests shape of real serving traffic.
+    few-modules/many-requests shape of real serving traffic.  Run and
+    profile bodies name ``interpreter`` (none when it is None); on the
+    default trace tier a worker compiles each module once, on its first
+    executing request.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
