@@ -258,15 +258,45 @@ class _FnGen:
         return f"frame[{self.bind(inst, 'V')}]"
 
 
-def _signed_lines(gen: _FnGen, temp: str, expr: str, bits: int, op: int) -> None:
-    """Emit ``temp = to_signed_bits(expr)`` matching IntType.to_signed."""
-    if bits >= 64:
-        # Frame values and folded constants are always < 2**64, so the
-        # to_signed mask is a no-op at 64 bits.
-        gen.emit(f"{temp} = {expr}", op=op)
-    else:
-        gen.emit(f"{temp} = ({expr}) & {(1 << bits) - 1}", op=op)
-    gen.emit(f"if {temp} > {(1 << (bits - 1)) - 1}: {temp} -= {1 << bits}", op=op)
+def _signed_expr(expr: str, bits: int) -> str:
+    """``expr`` read as a signed ``bits``-wide value, as one expression:
+    ``((x & mask) ^ sign) - sign``, the decoded handlers' idiom.  Frame
+    values and folded constants are always below 2**64, so a 64-bit
+    value needs no mask."""
+    sign = 1 << (bits - 1)
+    if bits < 64:
+        expr = f"({expr}) & {(1 << bits) - 1}"
+    return f"((({expr}) ^ {sign}) - {sign})"
+
+
+def _flipped(gen: _FnGen, spec, bits: int) -> str:
+    """An operand with its sign bit flipped, ``(x & mask) ^ sign``: the
+    signed order of ``bits``-wide values as the unsigned order of the
+    flipped ones.  A constant is flipped at compile time."""
+    mask, sign = (1 << bits) - 1, 1 << (bits - 1)
+    constant, value = spec
+    if constant:
+        return repr((value & mask) ^ sign)
+    expr = gen.operand(spec)
+    if bits < 64:
+        expr = f"({expr} & {mask})"
+    return f"({expr} ^ {sign})"
+
+
+def _compare_expr(gen: _FnGen, inst: ICmp, layout) -> str:
+    """A Python expression that is true exactly when ``inst`` holds.
+
+    A signed predicate on integers compares sign-flipped operands
+    (:func:`_flipped`); unsigned predicates, and every predicate on
+    pointers, compare the raw values, as the reference does.
+    """
+    pyop = _CMP_PYOPS[inst.predicate]
+    lspec = _spec(inst.lhs, layout)
+    rspec = _spec(inst.rhs, layout)
+    vtype = inst.lhs.type
+    if inst.predicate in _SIGNED_PREDICATES and isinstance(vtype, IntType):
+        return f"{_flipped(gen, lspec, vtype.bits)} {pyop} {_flipped(gen, rspec, vtype.bits)}"
+    return f"{gen.operand(lspec)} {pyop} {gen.operand(rspec)}"
 
 
 def _signed_const(value: int, bits: int) -> int:
@@ -349,17 +379,17 @@ def _gen_gep(gen: _FnGen, inst: GetElementPtr, layout, k: int) -> bool:
             off = f" + {const_off}" if const_off else ""
             gen.emit(f"{target} = ({base}{off}) & {_MASK64}", op=k)
         return True
+    # A dynamic index is signed: (x ^ S) - S with S the 64-bit sign bit,
+    # whose ``- S * stride`` folds into the constant offset.
+    sign = 1 << 63
     terms = []
-    for i, (key, stride) in enumerate(dyn):
-        temp = f"_x{i}"
-        _signed_lines(gen, temp, gen.operand((False, key)), 64, k)
-        terms.append(f"{temp} * {stride}")
+    for key, stride in dyn:
+        const_off -= sign * stride
+        terms.append(f"({gen.operand((False, key))} ^ {sign}) * {stride}")
     if base_c:
-        base = repr((base_v + const_off) & _MASK64)
+        base = repr(base_v + const_off)
     else:
-        base = gen.operand((False, base_v))
-        if const_off:
-            base = f"{base} + {const_off}"
+        base = f"{gen.operand((False, base_v))} + {const_off}"
     gen.emit(f"{target} = ({base} + {' + '.join(terms)}) & {_MASK64}", op=k)
     return True
 
@@ -385,21 +415,20 @@ def _gen_binop(gen: _FnGen, inst: BinOp, layout, k: int) -> bool:
         if lspec[0]:
             lhs = repr(_signed_const(lspec[1], bits))
         else:
-            _signed_lines(gen, "_a", gen.operand(lspec), bits, k)
-            lhs = "_a"
+            lhs = _signed_expr(gen.operand(lspec), bits)
         shift = repr(rspec[1] % bits) if rspec[0] else f"({gen.operand(rspec)}) % {bits}"
-        gen.emit(f"{target} = (({lhs}) >> ({shift})) & {mask}", op=k)
+        gen.emit(f"{target} = ({lhs} >> ({shift})) & {mask}", op=k)
         return True
     if op in ("sdiv", "srem"):
         if lspec[0]:
             lhs = repr(_signed_const(lspec[1], bits))
         else:
-            _signed_lines(gen, "_a", gen.operand(lspec), bits, k)
+            gen.emit(f"_a = {_signed_expr(gen.operand(lspec), bits)}", op=k)
             lhs = "_a"
         if rspec[0]:
             rhs = repr(_signed_const(rspec[1], bits))
         else:
-            _signed_lines(gen, "_b", gen.operand(rspec), bits, k)
+            gen.emit(f"_b = {_signed_expr(gen.operand(rspec), bits)}", op=k)
             rhs = "_b"
         kind = "divide" if op == "sdiv" else "remainder"
         gen.emit(f"if ({rhs}) == 0: raise _MF(0, 0, 'integer {kind} by zero')", op=k)
@@ -415,31 +444,8 @@ def _gen_binop(gen: _FnGen, inst: BinOp, layout, k: int) -> bool:
     return True
 
 
-def _gen_icmp(gen: _FnGen, inst: ICmp, layout, k: int) -> bool:
-    predicate = inst.predicate
-    pyop = _CMP_PYOPS.get(predicate)
-    if pyop is None:
-        return False
-    vtype = inst.lhs.type
-    lspec = _spec(inst.lhs, layout)
-    rspec = _spec(inst.rhs, layout)
-    target = gen.target(inst)
-    if predicate in _SIGNED_PREDICATES and isinstance(vtype, IntType):
-        bits = vtype.bits
-        if lspec[0]:
-            lhs = repr(_signed_const(lspec[1], bits))
-        else:
-            _signed_lines(gen, "_a", gen.operand(lspec), bits, k)
-            lhs = "_a"
-        if rspec[0]:
-            rhs = repr(_signed_const(rspec[1], bits))
-        else:
-            _signed_lines(gen, "_b", gen.operand(rspec), bits, k)
-            rhs = "_b"
-    else:
-        lhs, rhs = gen.operand(lspec), gen.operand(rspec)
-    gen.emit(f"{target} = 1 if ({lhs}) {pyop} ({rhs}) else 0", op=k)
-    return True
+def _gen_icmp(gen: _FnGen, inst: ICmp, layout, k: int) -> None:
+    gen.emit(f"{gen.target(inst)} = 1 if {_compare_expr(gen, inst, layout)} else 0", op=k)
 
 
 def _gen_cast(gen: _FnGen, inst: Cast, layout, k: int) -> bool:
@@ -456,8 +462,7 @@ def _gen_cast(gen: _FnGen, inst: Cast, layout, k: int) -> bool:
             if spec[0]:
                 value = repr(_signed_const(spec[1], source.bits))
             else:
-                _signed_lines(gen, "_a", gen.operand(spec), source.bits, k)
-                value = "_a"
+                value = _signed_expr(gen.operand(spec), source.bits)
         else:
             value = gen.operand(spec)
         gen.emit(f"{target} = ({value}) & {mask}", op=k)
@@ -559,7 +564,8 @@ def _emit_op(gen: _FnGen, inst, decoded_op, layout, k: int) -> None:
         return
     if isinstance(inst, BinOp) and _gen_binop(gen, inst, layout, k):
         return
-    if isinstance(inst, ICmp) and _gen_icmp(gen, inst, layout, k):
+    if isinstance(inst, ICmp):
+        _gen_icmp(gen, inst, layout, k)
         return
     if isinstance(inst, Cast) and _gen_cast(gen, inst, layout, k):
         return
@@ -623,9 +629,7 @@ def _classify(inst, impure: bool) -> Tuple[bool, tuple, bool]:
     if isinstance(inst, BinOp):
         return True, (inst.lhs, inst.rhs), False
     if isinstance(inst, ICmp):
-        if inst.predicate in _CMP_PYOPS:
-            return True, (inst.lhs, inst.rhs), False
-        return False, tuple(inst.operands), True
+        return True, (inst.lhs, inst.rhs), False
     if isinstance(inst, Cast):
         return True, (inst.value,), False
     if isinstance(inst, Select):

@@ -101,8 +101,9 @@ INTERPRETERS = ("decoded", "reference", "block", "trace")
 _EXTERNAL = repeat(DFI_EXTERNAL_WRITER)
 
 
-def _module_meta(module: Module) -> tuple:
-    """Per-module interpreter metadata, in the ``"cpu_meta"`` memo slot.
+def _module_meta(module: Module, memo: Dict[object, object]) -> tuple:
+    """Per-module interpreter metadata, in the ``"cpu_meta"`` slot of
+    ``memo`` (``module.derived()``).
 
     ``(dfi_active, frame_plans)`` -- whether any function carries DFI
     instrumentation (a whole-module instruction scan), and the shared
@@ -111,7 +112,6 @@ def _module_meta(module: Module) -> tuple:
     instance running the module.  Kept fresh and dropped with every
     other derived artifact (:meth:`repro.ir.module.Module.derived`).
     """
-    memo = module.derived()
     meta = memo.get("cpu_meta")
     if meta is None:
         dfi_active = any(
@@ -353,8 +353,10 @@ class CPU:
         #: per-frame alloca name -> address index, parallel to ``frames``
         self.frame_slots: List[Dict[str, int]] = []
         #: per-function frame layout plans (relative offsets), built
-        #: lazily and shared across CPU instances via the module memo
-        self.dfi_active, self._frame_plans = _module_meta(module)
+        #: lazily and shared across CPU instances via the module memo,
+        #: whose shape guard runs once per CPU
+        memo = module.derived()
+        self.dfi_active, self._frame_plans = _module_meta(module, memo)
         self.dfi_shadow = DfiShadow()
         #: ``call_fault_hook.on_call(cpu, function, args)`` -- the chaos
         #: injector's indirect-call corruption point; may return a
@@ -371,7 +373,7 @@ class CPU:
         self._decoded = None
         self._block = None
         if interpreter == "decoded":
-            self._decoded, self.decode_seconds = decode_module(module)
+            self._decoded, self.decode_seconds = decode_module(module, memo)
         elif interpreter in ("block", "trace"):
             # Both compiled tiers come from one compiler: the block tier
             # is its no-region policy.  They compile from the decoded
@@ -382,12 +384,12 @@ class CPU:
             # trace run tiers functions up as they get hot.
             from .tracec import trace_compile, trace_program
 
-            self._decoded, self.decode_seconds = decode_module(module)
+            self._decoded, self.decode_seconds = decode_module(module, memo)
             if interpreter == "trace" and profiler is None:
-                self._block = trace_program(module)
+                self._block = trace_program(module, memo=memo)
             else:
                 self._block, compile_seconds = trace_compile(
-                    module, regions=interpreter == "trace"
+                    module, regions=interpreter == "trace", memo=memo
                 )
                 self.decode_seconds += compile_seconds
         #: composition id -> times a chunk of that composition was

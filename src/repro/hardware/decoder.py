@@ -30,7 +30,9 @@ This module performs that resolution *once per module*:
   exit* that tests ``P`` on the operands and returns the taken edge
   (:func:`_fused_compare`).  The compare's ops stay in their chunk's
   composition, so they are charged and counted as before, and only
-  their handlers are dropped.
+  their handlers are dropped.  The block records what it fused
+  (:attr:`DecodedBlock.fused`), and the block and trace tiers emit the
+  same fused test from that record instead of the compare's ops.
 
 The decoded program is cached in the module's derived-artifact memo
 (:meth:`~repro.ir.module.Module.derived`, slot ``"decoded"``), which a
@@ -249,7 +251,7 @@ def _undo_chunk_tail(cpu, timing, opcodes: Sequence[str], k: int, r0: int) -> No
 class DecodedBlock:
     """One basic block compiled to handler closures plus a terminator."""
 
-    __slots__ = ("source", "ops", "term", "phi_routes", "chunks", "exit")
+    __slots__ = ("source", "ops", "term", "phi_routes", "chunks", "exit", "fused")
 
     def __init__(self, source: BasicBlock):
         self.source = source
@@ -285,6 +287,11 @@ class DecodedBlock:
         #: raises, for a block that falls through).  ``route`` is the
         #: successor's phi routing for the edge (:func:`_edge_route`).
         self.exit: tuple = ()
+        #: ``(icmp, n)`` when the conditional branch tests ``icmp``
+        #: directly and the last ``n`` body ops are its compare chain
+        #: (:func:`_fused_compare`), else None; the block and trace
+        #: tiers emit the same fused test from it
+        self.fused: Optional[Tuple[ICmp, int]] = None
 
 
 class DecodedProgram:
@@ -898,7 +905,7 @@ def _return_none(frame):
     return None
 
 
-def _make_exit(dblock: DecodedBlock, edges: list, fused: Optional[ICmp], layout) -> tuple:
+def _make_exit(dblock: DecodedBlock, edges: list, layout) -> tuple:
     """``dblock``'s :attr:`~DecodedBlock.exit`, given the ``(successor,
     route)`` edges of its terminator."""
     term = dblock.term
@@ -907,8 +914,8 @@ def _make_exit(dblock: DecodedBlock, edges: list, fused: Optional[ICmp], layout)
         return (None,) + edges[0]
     if kind == "br":
         taken, other = edges
-        if fused is not None:
-            return _make_compare(fused, layout, taken, other), None, None
+        if dblock.fused is not None:
+            return _make_compare(dblock.fused[0], layout, taken, other), None, None
         constant, payload = term[1]
         if constant:
             return (None,) + (taken if payload & 1 else other)
@@ -938,7 +945,6 @@ def _make_exit(dblock: DecodedBlock, edges: list, fused: Optional[ICmp], layout)
 def _decode_function(function: Function, layout: Dict[str, int]) -> DecodedBlock:
     dmap: Dict[BasicBlock, DecodedBlock] = {}
     pending: List[BasicBlock] = []
-    fused: Dict[DecodedBlock, ICmp] = {}
 
     def get(block: BasicBlock) -> DecodedBlock:
         dblock = dmap.get(block)
@@ -972,7 +978,7 @@ def _decode_function(function: Function, layout: Dict[str, int]) -> DecodedBlock
             )
             compare, covered = _fused_compare(body, inst)
             if compare is not None:
-                fused[dblock] = compare
+                dblock.fused = (compare, covered)
         else:
             term = ("fall",)
         ops = [_decode_instruction(inst, layout) for inst in body[:len(body) - covered]]
@@ -1007,7 +1013,7 @@ def _decode_function(function: Function, layout: Dict[str, int]) -> DecodedBlock
                     route = tuple(specs)
                 sdblock.phi_routes[dblock] = route
             edges.append((sdblock, _edge_route(route)))
-        dblock.exit = _make_exit(dblock, edges, fused.get(dblock), layout)
+        dblock.exit = _make_exit(dblock, edges, layout)
     return entry
 
 
@@ -1020,13 +1026,17 @@ def _decode_function(function: Function, layout: Dict[str, int]) -> DecodedBlock
 BLOCK_RET = object()
 
 
-def decode_module(module: Module) -> Tuple[DecodedProgram, float]:
+def decode_module(
+    module: Module, memo: Optional[Dict[object, object]] = None
+) -> Tuple[DecodedProgram, float]:
     """Decode ``module`` (or return the decode in its ``"decoded"`` memo slot).
 
+    ``memo`` is ``module.derived()`` when the caller already holds it.
     Returns ``(program, seconds)`` where ``seconds`` is the decode time
     actually spent by *this* call -- ``0.0`` on a cache hit.
     """
-    memo = module.derived()
+    if memo is None:
+        memo = module.derived()
     cached = memo.get("decoded")
     if cached is not None:
         return cached, 0.0

@@ -21,8 +21,8 @@ raised for addresses outside any mapped segment.
 
 from __future__ import annotations
 
-from struct import Struct
-from typing import Dict, List, Optional, Tuple
+from struct import Struct, error as _StructError
+from typing import List, Optional, Tuple
 
 from .errors import ReproError
 
@@ -38,6 +38,11 @@ _unpack_u64 = _U64.unpack_from
 _pack_u16 = _U16.pack_into
 _pack_u32 = _U32.pack_into
 _pack_u64 = _U64.pack_into
+#: What a sized fast path raises when it must take the generic path: an
+#: address past the last segment (IndexError, or an offset past the
+#: materialised data of a byte access), one below the first (no segment:
+#: AttributeError), or a word past the materialised data (struct.error).
+_FAST_MISS = (IndexError, AttributeError, _StructError)
 
 GLOBAL_BASE = 0x01_0000_0000
 STACK_BASE = 0x02_0000_0000
@@ -71,8 +76,15 @@ class Segment:
         return self.base <= address and address + size <= self.base + self.capacity
 
     def _ensure(self, offset: int) -> None:
-        if offset > len(self.data):
-            self.data.extend(b"\x00" * (offset - len(self.data)))
+        """Materialise the data up to ``offset``.  Within the capacity
+        it at least doubles (from 4 KiB), so a fresh machine's stack and
+        heap grow in a few steps; the extra bytes are zeros, as memory
+        that is not materialised reads."""
+        size = len(self.data)
+        if offset > size:
+            if offset <= self.capacity:
+                offset = min(max(offset, 2 * size, 4096), self.capacity)
+            self.data.extend(bytes(offset - size))
 
     def read(self, address: int, size: int) -> bytes:
         offset = address - self.base
@@ -95,21 +107,28 @@ class Memory:
             Segment("heap", HEAP_SHARED_BASE, segment_size),
             Segment("isolated", HEAP_ISOLATED_BASE, segment_size),
         ]
-        self.reads = 0
-        self.writes = 0
         #: optional fault injector (see :mod:`repro.robustness.faults`);
         #: when set, every write's payload passes through
         #: ``fault_hook.on_memory_write(address, payload)`` so chaos
         #: runs can flip bits in stored data deterministically
         self.fault_hook = None
         # segment bases sit on 4 GiB boundaries, so the high 32 address
-        # bits identify the segment without scanning
-        self._window: Dict[int, Segment] = {
-            segment.base >> 32: segment for segment in self.segments
-        }
+        # bits index the segment (None below the first) without scanning
+        window: List[Optional[Segment]] = [None] * (
+            max(segment.base >> 32 for segment in self.segments) + 1
+        )
+        for segment in self.segments:
+            window[segment.base >> 32] = segment
+        self._window = tuple(window)
+
+    def _segment_at(self, address: int) -> Optional[Segment]:
+        """The segment whose 4 GiB window holds ``address``, if any."""
+        index = address >> 32
+        window = self._window
+        return window[index] if 0 <= index < len(window) else None
 
     def segment_for(self, address: int, size: int = 1, kind: str = "access") -> Segment:
-        segment = self._window.get(address >> 32)
+        segment = self._segment_at(address)
         if segment is not None and segment.contains(address, size):
             return segment
         for segment in self.segments:
@@ -128,13 +147,11 @@ class Memory:
     def read_bytes(self, address: int, size: int) -> bytes:
         if size == 0:
             return b""
-        self.reads += 1
         return self.segment_for(address, size, "read").read(address, size)
 
     def write_bytes(self, address: int, payload: bytes) -> None:
         if not payload:
             return
-        self.writes += 1
         if self.fault_hook is not None:
             payload = self.fault_hook.on_memory_write(address, payload)
         self.segment_for(address, len(payload), "write").write(address, payload)
@@ -148,8 +165,7 @@ class Memory:
         and bounds handling are inlined rather than routed through
         :meth:`read_bytes` (which stays the general byte-string path).
         """
-        self.reads += 1
-        segment = self._window.get(address >> 32)
+        segment = self._segment_at(address)
         if segment is None:
             segment = self.segment_for(address, size, "read")
         # Segment bases sit exactly on 4 GiB boundaries, so a window hit
@@ -173,106 +189,87 @@ class Memory:
             return _unpack_u16(data, offset)[0]
         return int.from_bytes(data[offset:end], "little")
 
-    # Sized fast paths: the block/trace tiers emit these when the access
-    # width is a compile-time constant, skipping read_int's size
-    # dispatch and one argument per call.  The guard (window hit and the
-    # span already materialised) implies the access is in bounds, so any
-    # miss -- unmapped address, segment boundary, lazily grown tail --
-    # falls through to the generic path and faults or grows there with
-    # byte-identical behaviour.
+    # Sized fast paths: the decoded handlers and the block/trace tiers
+    # call these when the access width is a compile-time constant,
+    # skipping read_int's size dispatch and one argument per call.  Their
+    # addresses are frame values, always in [0, 2**64), so the window
+    # index is never negative.  A hit (a mapped window and the span
+    # already materialised) implies the access is in bounds; any miss --
+    # unmapped address, segment boundary, lazily grown tail -- raises one
+    # of _FAST_MISS and falls through to the generic path, which faults
+    # or grows there with byte-identical behaviour.
 
     def read_u64(self, address: int) -> int:
-        segment = self._window.get(address >> 32)
-        if segment is not None:
-            offset = address - segment.base
-            data = segment.data
-            if offset + 8 <= len(data):
-                self.reads += 1
-                return _unpack_u64(data, offset)[0]
-        return self.read_int(address, 8)
+        try:
+            segment = self._window[address >> 32]
+            return _unpack_u64(segment.data, address - segment.base)[0]
+        except _FAST_MISS:
+            return self.read_int(address, 8)
 
     def read_u32(self, address: int) -> int:
-        segment = self._window.get(address >> 32)
-        if segment is not None:
-            offset = address - segment.base
-            data = segment.data
-            if offset + 4 <= len(data):
-                self.reads += 1
-                return _unpack_u32(data, offset)[0]
-        return self.read_int(address, 4)
+        try:
+            segment = self._window[address >> 32]
+            return _unpack_u32(segment.data, address - segment.base)[0]
+        except _FAST_MISS:
+            return self.read_int(address, 4)
 
     def read_u16(self, address: int) -> int:
-        segment = self._window.get(address >> 32)
-        if segment is not None:
-            offset = address - segment.base
-            data = segment.data
-            if offset + 2 <= len(data):
-                self.reads += 1
-                return _unpack_u16(data, offset)[0]
-        return self.read_int(address, 2)
+        try:
+            segment = self._window[address >> 32]
+            return _unpack_u16(segment.data, address - segment.base)[0]
+        except _FAST_MISS:
+            return self.read_int(address, 2)
 
     def read_u8(self, address: int) -> int:
-        segment = self._window.get(address >> 32)
-        if segment is not None:
-            offset = address - segment.base
-            data = segment.data
-            if offset < len(data):
-                self.reads += 1
-                return data[offset]
-        return self.read_int(address, 1)
+        try:
+            segment = self._window[address >> 32]
+            return segment.data[address - segment.base]
+        except _FAST_MISS:
+            return self.read_int(address, 1)
 
     def write_u64(self, address: int, value: int) -> None:
         if self.fault_hook is None:
-            segment = self._window.get(address >> 32)
-            if segment is not None:
-                offset = address - segment.base
-                data = segment.data
-                if offset + 8 <= len(data):
-                    self.writes += 1
-                    _pack_u64(data, offset, value & 0xFFFFFFFFFFFFFFFF)
-                    return
+            try:
+                segment = self._window[address >> 32]
+                _pack_u64(segment.data, address - segment.base, value & 0xFFFFFFFFFFFFFFFF)
+                return
+            except _FAST_MISS:
+                pass
         self.write_int(address, value, 8)
 
     def write_u32(self, address: int, value: int) -> None:
         if self.fault_hook is None:
-            segment = self._window.get(address >> 32)
-            if segment is not None:
-                offset = address - segment.base
-                data = segment.data
-                if offset + 4 <= len(data):
-                    self.writes += 1
-                    _pack_u32(data, offset, value & 0xFFFFFFFF)
-                    return
+            try:
+                segment = self._window[address >> 32]
+                _pack_u32(segment.data, address - segment.base, value & 0xFFFFFFFF)
+                return
+            except _FAST_MISS:
+                pass
         self.write_int(address, value, 4)
 
     def write_u16(self, address: int, value: int) -> None:
         if self.fault_hook is None:
-            segment = self._window.get(address >> 32)
-            if segment is not None:
-                offset = address - segment.base
-                data = segment.data
-                if offset + 2 <= len(data):
-                    self.writes += 1
-                    _pack_u16(data, offset, value & 0xFFFF)
-                    return
+            try:
+                segment = self._window[address >> 32]
+                _pack_u16(segment.data, address - segment.base, value & 0xFFFF)
+                return
+            except _FAST_MISS:
+                pass
         self.write_int(address, value, 2)
 
     def write_u8(self, address: int, value: int) -> None:
         if self.fault_hook is None:
-            segment = self._window.get(address >> 32)
-            if segment is not None:
-                offset = address - segment.base
-                data = segment.data
-                if offset < len(data):
-                    self.writes += 1
-                    data[offset] = value & 0xFF
-                    return
+            try:
+                segment = self._window[address >> 32]
+                segment.data[address - segment.base] = value & 0xFF
+                return
+            except _FAST_MISS:
+                pass
         self.write_int(address, value, 1)
 
     def write_int(self, address: int, value: int, size: int) -> None:
         """Write a little-endian unsigned integer of ``size`` bytes."""
-        self.writes += 1
-        segment = self._window.get(address >> 32)
+        segment = self._segment_at(address)
         if segment is None:
             segment = self.segment_for(address, size, "write")
         offset = address - segment.base

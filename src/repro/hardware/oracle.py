@@ -356,8 +356,6 @@ def tier_cpu(module, interpreter=None, **kwargs):
 
     cpu = CPU(module, interpreter=interpreter, **kwargs)
     if cpu.interpreter == "trace":
-        from .tracec import trace_compile
-
-        trace_compile(module)
+        cpu.tier_program.compile_pending()
         assert not cpu.tier_program.pending, "trace run starts compiled"
     return cpu

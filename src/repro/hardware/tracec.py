@@ -91,12 +91,11 @@ running stays decoded.  The counters live on the memoized program, so
 repeated CPUs on one module converge on compiled code, and
 ``invalidate_derived()`` resets them.
 
-The constant is near the measured break-even: one function's compile
-costs ~105-125 us per IR instruction, and a compiled step saves
-0.26-0.30 us over a decoded one (pythia variants, 2-vCPU host,
-Python 3.11), so a function pays back after ~400-430 of its own steps
-per instruction.  A program that runs once -- compile-cold and most of
-the suite -- then compiles nothing it cannot amortize.  The known
+The constant is the measured break-even: a function pays back its
+compile after ~370-400 of its own steps per instruction (pythia
+variants, 2-vCPU host, Python 3.11).  A program that runs once --
+compile-cold and most of the suite -- then compiles nothing it cannot
+amortize.  The known
 limit: work inside one long call (a hot loop in ``main``) stays decoded
 for the whole call, since compiled code is entered only at a call
 boundary; DESIGN.md ("Tier-up") has the measured cost of both sides.
@@ -128,6 +127,7 @@ from .blockc import (
     _FnGen,
     _body_instructions,
     _classify,
+    _compare_expr,
     _emit_op,
     _emit_phi_edge,
     _gen_dfi_chk_batch,
@@ -164,16 +164,19 @@ WHOLE_FUNCTION_BLOCKS = 24
 
 #: Tier-up threshold: a function compiles once the steps its decoded
 #: calls executed themselves (callees excluded) reach this many per IR
-#: instruction of its body.  580 is the geometric mean of the break-evens
-#: measured when the decoded loop gained inline handler arithmetic and
-#: fused compare-and-branch exits (643, 607, 501).  Re-measured with the
-#: false-arm-first chain layout on the pythia variants (2-vCPU host,
-#: Python 3.11.7, mean of two sessions' medians of 21 back-to-back
-#: compile/decoded/trace triples): compile cost / (decoded - trace) cost
-#: per step is 426 (505.mcf_r), 428 (502.gcc_r) and 400 (519.lbm_r)
-#: steps per instruction, geometric mean ~418.  The constant stays: no
-#: function of a compile-cold program gets near either value.
-TIER_UP_STEPS_PER_INST = 580
+#: instruction of its body.  It is the measured break-even, rounded up:
+#: compile cost per instruction over the per-step saving of compiled
+#: over decoded code, on the pythia variants (2-vCPU host, Python
+#: 3.11.7, median of 21 back-to-back compile/decoded/trace triples per
+#: profile, mean of three sessions, one of which shared the host with a
+#: test run).  With fused compare-and-branch exits in compiled code it
+#: reads 399 (505.mcf_r), 389 (502.gcc_r) and 364 (519.lbm_r), geometric
+#: mean ~384; the code before them read 412/425/402 in one of those
+#: sessions (~413, and ~418 when first measured), against which 580 had
+#: been kept.  No function of a compile-cold program gets near it (at
+#: most ~102 own steps per instruction over 192 compile-cold programs,
+#: 4 schemes each).
+TIER_UP_STEPS_PER_INST = 390
 
 
 class TraceProgram:
@@ -249,6 +252,13 @@ class TraceProgram:
         elapsed = time.perf_counter() - start
         self.compile_seconds += elapsed
         return elapsed
+
+    def compile_pending(self) -> float:
+        """Compile every pending function; returns the seconds it took."""
+        seconds = 0.0
+        for function in list(self.pending):
+            seconds += self.compile(function)
+        return seconds
 
 
 class _Region:
@@ -824,6 +834,7 @@ def _emit_region_term(
     gen: _FnGen,
     region: _Region,
     dblock: DecodedBlock,
+    layout,
     k: int,
     d: int,
     next_block: Optional[DecodedBlock],
@@ -865,7 +876,14 @@ def _emit_region_term(
             static_merged, leave,
         )
         return
-    cond = gen.operand(term[1])
+    # A fused compare-and-branch exit (DecodedBlock.fused) tests the
+    # compare itself; its ops emitted no code.  Its test line maps to
+    # the compare's first op, where the reference would read operands.
+    fused = dblock.fused
+    if fused is None:
+        cond, kt = f"{gen.operand(term[1])} & 1", k
+    else:
+        cond, kt = _compare_expr(gen, fused[0], layout), k - fused[1]
     if (
         not region.internal
         and dblock not in t_true.phi_routes
@@ -875,9 +893,9 @@ def _emit_region_term(
         true_pair = gen.bind(codes[id(t_true)].self_pair, "S")
         false_pair = gen.bind(codes[id(t_false)].self_pair, "S")
         gen.emit(
-            f"return {true_pair} if (({cond}) & 1) else {false_pair}",
+            f"return {true_pair} if {cond} else {false_pair}",
             indent=d,
-            op=k,
+            op=kt,
         )
         return
     # The arm that is not the fall-through into the next fused block
@@ -886,7 +904,7 @@ def _emit_region_term(
     test, inner, outer = "if", t_true, t_false
     if t_true is next_block:
         test, inner, outer = "if not", t_false, t_true
-    gen.emit(f"{test} (({cond}) & 1):", indent=d, op=k)
+    gen.emit(f"{test} ({cond}):", indent=d, op=kt)
     _emit_region_goto(
         gen, region, dblock, inner, k, d + 1, None, codes, False, leave
     )
@@ -1429,6 +1447,8 @@ def _gen_region(
                 tidx = (
                     nlead + nbody if dblock.term[0] != "fall" else len(op_info)
                 )
+                # body ops from index ``unfused`` on are the fused compare's
+                unfused = nbody - (dblock.fused[1] if dblock.fused else 0)
                 j = 0
                 nops = len(op_info)
                 while j < nops:
@@ -1451,6 +1471,7 @@ def _gen_region(
                             gen,
                             region,
                             dblock,
+                            layout,
                             g,
                             d,
                             next_block,
@@ -1462,6 +1483,9 @@ def _gen_region(
                         j += 1
                         continue
                     i = j - nlead
+                    if i >= unfused:
+                        j += 1  # an op of the fused compare: charge-only
+                        continue
                     inst = body[i]
                     if isinstance(inst, DfiChkDef):
                         run = [(g, inst)]
@@ -1644,7 +1668,9 @@ def _compile_function(
     return codes[id(entry)], source, len(regions), fused, python_seconds
 
 
-def trace_program(module: Module, *, regions: bool = True) -> TraceProgram:
+def trace_program(
+    module: Module, *, regions: bool = True, memo: Optional[dict] = None
+) -> TraceProgram:
     """The program cached for ``module`` under one policy.
 
     Nothing is compiled here: a new program has every function pending.
@@ -1653,28 +1679,27 @@ def trace_program(module: Module, *, regions: bool = True) -> TraceProgram:
     every block compiles to its own function.  Block
     and trace programs each cache in their own slot of the module's
     derived memo (``"block"`` and ``"trace"``), so alternating them
-    compiles nothing twice.
+    compiles nothing twice.  ``memo`` is ``module.derived()`` when the
+    caller already holds it.
     """
     slot = "trace" if regions else "block"
-    memo = module.derived()
+    if memo is None:
+        memo = module.derived()
     program = memo.get(slot)
     if program is None:
-        decoded, _ = decode_module(module)
+        decoded, _ = decode_module(module, memo)
         program = memo[slot] = TraceProgram(decoded, regions)
     return program
 
 
 def trace_compile(
-    module: Module, *, regions: bool = True
+    module: Module, *, regions: bool = True, memo: Optional[dict] = None
 ) -> Tuple[TraceProgram, float]:
     """Compile every function of ``module`` still pending (see
-    :func:`trace_program` for ``regions`` and the cache).
+    :func:`trace_program` for ``regions``, ``memo`` and the cache).
 
     Returns ``(program, seconds)`` where ``seconds`` is the compile time
     spent by *this* call -- ``0.0`` when nothing was left to compile.
     """
-    program = trace_program(module, regions=regions)
-    seconds = 0.0
-    for function in list(program.pending):
-        seconds += program.compile(function)
-    return program, seconds
+    program = trace_program(module, regions=regions, memo=memo)
+    return program, program.compile_pending()

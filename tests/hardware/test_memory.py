@@ -58,11 +58,6 @@ class TestRawAccess:
         mem.write_bytes(STACK_BASE + 16, b"A" * 32)
         assert mem.read_bytes(STACK_BASE + 40, 4) == b"AAAA"
 
-    def test_counters(self, mem):
-        mem.write_bytes(STACK_BASE, b"x")
-        mem.read_bytes(STACK_BASE, 1)
-        assert mem.writes == 1 and mem.reads == 1
-
 
 class TestTypedAccess:
     def test_int_roundtrip(self, mem):

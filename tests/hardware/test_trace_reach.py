@@ -26,6 +26,7 @@ TRANSFORMATIONS = (
     "tail-duplicated blocks",
     "inline PAC probes",
     "batched dfi.chkdef runs",
+    "fused compare-and-branch exits",
 )
 
 
@@ -35,6 +36,7 @@ def test_each_region_transformation_fires(monkeypatch):
     build_chains = tracec._build_chains
     emit_pac_inline = tracec._emit_pac_inline
     gen_dfi_chk_batch = tracec._gen_dfi_chk_batch
+    compare_expr = tracec._compare_expr
 
     def counted_plan(*args, **kwargs):
         plan = plan_region(*args, **kwargs)
@@ -56,10 +58,15 @@ def test_each_region_transformation_fires(monkeypatch):
         fired["batched dfi.chkdef runs"] += 1
         return gen_dfi_chk_batch(*args)
 
+    def counted_fused(*args):
+        fired["fused compare-and-branch exits"] += 1
+        return compare_expr(*args)
+
     monkeypatch.setattr(tracec, "_plan_region", counted_plan)
     monkeypatch.setattr(tracec, "_build_chains", counted_chains)
     monkeypatch.setattr(tracec, "_emit_pac_inline", counted_pac)
     monkeypatch.setattr(tracec, "_gen_dfi_chk_batch", counted_dfi)
+    monkeypatch.setattr(tracec, "_compare_expr", counted_fused)
 
     for name in PROFILES:
         module = generate_program(get_profile(name)).compile()
