@@ -97,6 +97,7 @@ from .decoder import (
     _spec,
     _undo_chunk_tail,
 )
+from .memory import WINDOW_MASK
 
 _MASK64 = (1 << 64) - 1
 
@@ -329,39 +330,72 @@ def _gen_pointer(gen: _FnGen, spec, message: str, k: int) -> Optional[str]:
     return pointer
 
 
-#: Compile-time-constant access widths with a dedicated Memory fast
-#: path; other sizes go through the generic read_int/write_int.
-_SIZED_READ = {1: "read_u8", 2: "read_u16", 4: "read_u32", 8: "read_u64"}
-_SIZED_WRITE = {1: "write_u8", 2: "write_u16", 4: "write_u32", 8: "write_u64"}
+#: access width -> the shared helper names of its unpack_from and
+#: pack_into (``tracec._compile_function`` binds them); a byte access
+#: indexes the window's bytearray directly
+_UNPACK = {2: "_L2", 4: "_L4", 8: "_L8"}
+_PACK = {2: "_S2", 4: "_S4", 8: "_S8"}
+
+
+def _window_slot(spec, pointer: str) -> Tuple[str, str]:
+    """``(window, offset)`` expressions of an access at ``pointer``
+    (see the Memory class docstring), folded for a constant one."""
+    if spec[0]:
+        return repr(spec[1] >> 32), repr(spec[1] & WINDOW_MASK)
+    return f"{pointer} >> 32", f"{pointer} & {WINDOW_MASK}"
+
+
+# A sized load or store is inline: ``_md``/``_wd`` are the memory's
+# read and write windows (bound by the function's preamble), and a miss
+# (FAST_MISS, ``_MISS``) takes the generic read_int/write_int path.
 
 
 def _gen_load(gen: _FnGen, inst: Load, layout, k: int) -> None:
     size = max(1, inst.type.size)
-    message = f"load through null in {inst}"
-    pointer = _gen_pointer(gen, _spec(inst.pointer, layout), message, k)
+    spec = _spec(inst.pointer, layout)
+    pointer = _gen_pointer(gen, spec, f"load through null in {inst}", k)
     if pointer is None:
         return
     gen.emit(f"if cpu.cache is not None: cpu._cache_access({pointer}, {size})", op=k)
-    reader = _SIZED_READ.get(size)
-    if reader is not None:
-        gen.emit(f"{gen.target(inst)} = mem.{reader}({pointer})", op=k)
+    target = gen.target(inst)
+    generic = f"{target} = mem.read_int({pointer}, {size})"
+    if size == 1:
+        window, offset = _window_slot(spec, pointer)
+        gen.emit(f"try: {target} = _md[{window}][{offset}]", op=k)
+    elif size in _UNPACK:
+        window, offset = _window_slot(spec, pointer)
+        gen.emit(f"try: {target} = {_UNPACK[size]}(_md[{window}], {offset})[0]", op=k)
     else:
-        gen.emit(f"{gen.target(inst)} = mem.read_int({pointer}, {size})", op=k)
+        gen.emit(generic, op=k)
+        return
+    gen.emit(f"except _MISS: {generic}", op=k)
 
 
 def _gen_store(gen: _FnGen, inst: Store, layout, k: int) -> None:
-    value_expr = gen.operand(_spec(inst.value, layout))
     size = max(1, inst.value.type.size)
-    message = f"store through null in {inst}"
-    pointer = _gen_pointer(gen, _spec(inst.pointer, layout), message, k)
+    vspec = _spec(inst.value, layout)
+    if vspec[0]:
+        vspec = (True, vspec[1] & ((1 << (8 * size)) - 1))
+    value = gen.operand(vspec)
+    spec = _spec(inst.pointer, layout)
+    pointer = _gen_pointer(gen, spec, f"store through null in {inst}", k)
     if pointer is None:
         return
     gen.emit(f"if cpu.cache is not None: cpu._cache_access({pointer}, {size})", op=k)
-    writer = _SIZED_WRITE.get(size)
-    if writer is not None:
-        gen.emit(f"mem.{writer}({pointer}, {value_expr})", op=k)
+    generic = f"mem.write_int({pointer}, {value}, {size})"
+    if size == 1:
+        # A value out of range would raise ValueError here, not a miss.
+        window, offset = _window_slot(spec, pointer)
+        masked = value if vspec[0] else f"{value} & 255"
+        gen.emit(f"try: _wd[{window}][{offset}] = {masked}", op=k)
+    elif size in _PACK:
+        # Out of range, the pack raises struct.error: write_int masks.
+        window, offset = _window_slot(spec, pointer)
+        gen.emit(f"try: {_PACK[size]}(_wd[{window}], {offset}, {value})", op=k)
     else:
-        gen.emit(f"mem.write_int({pointer}, {value_expr}, {size})", op=k)
+        gen.emit(generic, op=k)
+        return
+    gen.emit(f"except _MISS: {generic}", op=k)
 
 
 def _gen_gep(gen: _FnGen, inst: GetElementPtr, layout, k: int) -> bool:
@@ -484,9 +518,10 @@ def _gen_call(gen: _FnGen, inst: Call, layout, k: int) -> None:
     callee = gen.bind(inst.callee, "F")
     # Declarations are static: _call's first action for one is to tail
     # into _call_external, so jump there directly and save a Python
-    # frame per library call.
+    # frame per library call.  A defined callee takes the compiled-call
+    # path, which enters a compiled callee without _call's checks.
     dispatch = (
-        "cpu._call_external" if inst.callee.is_declaration else "cpu._call"
+        "cpu._call_external" if inst.callee.is_declaration else "cpu._call_compiled"
     )
     if inst.type.is_void:
         gen.emit(f"{dispatch}({callee}, [{args}])", op=k)

@@ -123,19 +123,44 @@ def _module_meta(module: Module, memo: Dict[object, object]) -> tuple:
     return meta
 
 
-class DfiShadow:
-    """The DFI runtime definitions table, tracked at byte granularity.
+def _frame_plan(function: Function) -> tuple:
+    """``(allocas, offsets, names, size)``: a function's frame layout
+    relative to its base.  ``names`` maps an alloca name to the offset
+    of the first alloca of that name; ``size`` is 16-byte aligned."""
+    offset = 0
+    allocas: List[Alloca] = []
+    offsets: List[int] = []
+    names: Dict[str, int] = {}
+    for alloca in function.allocas():
+        alignment = max(1, alloca.allocated_type.alignment)
+        offset = (offset + alignment - 1) // alignment * alignment
+        allocas.append(alloca)
+        offsets.append(offset)
+        names.setdefault(alloca.name, offset)
+        offset += max(1, alloca.allocated_type.size)
+    return tuple(allocas), tuple(offsets), names, (offset + 15) // 16 * 16
 
-    Backed by a plain dict but updated and checked with bulk range
-    operations (``dict.fromkeys``/``update`` and a set-containment fast
-    path) instead of per-byte Python loops -- ``memcpy``-style external
-    writes touch hundreds of bytes per call.
+
+class DfiShadow:
+    """The DFI runtime definitions table: the last writer of each byte.
+
+    Kept word-granular where it can be.  ``_words`` maps an 8-byte
+    aligned word address to the one writer of all eight of its bytes;
+    a *split* word (in ``_split``) has no such entry, and its written
+    bytes map to their writers in ``_bytes``.  A byte of neither is
+    unwritten and reads as the external writer.  An aligned 8-byte set
+    or check -- nearly every instrumented access -- is then one dict
+    operation on a whole word; any other range splits the words it
+    partly covers and works byte by byte, with the same verdicts and
+    the same first violating address as a plain byte map.
     """
 
-    __slots__ = ("_map", "fault_hook")
+    __slots__ = ("_words", "_bytes", "_split", "fault_hook")
 
     def __init__(self):
-        self._map: Dict[int, int] = {}
+        self._words: Dict[int, int] = {}
+        self._bytes: Dict[int, int] = {}
+        self._split: set = set()
         #: optional fault injector (see :mod:`repro.robustness.faults`);
         #: when set, instrumented ``dfi.setdef`` writer ids pass through
         #: ``fault_hook.on_dfi_setdef(address, size, def_id)`` -- the
@@ -146,56 +171,74 @@ class DfiShadow:
         """Record ``def_id`` as the last writer of ``size`` bytes."""
         if self.fault_hook is not None and def_id != DFI_EXTERNAL_WRITER:
             def_id = self.fault_hook.on_dfi_setdef(address, size, def_id)
-        shadow = self._map
-        if size == 1:
-            shadow[address] = def_id
-        elif size == 8:
-            # Unrolled stores beat the iterator-pair bulk update ~3x at
-            # pointer width, the dominant instrumented access size.
-            shadow[address] = def_id
-            shadow[address + 1] = def_id
-            shadow[address + 2] = def_id
-            shadow[address + 3] = def_id
-            shadow[address + 4] = def_id
-            shadow[address + 5] = def_id
-            shadow[address + 6] = def_id
-            shadow[address + 7] = def_id
+        if size == 8 and not address & 7 and address not in self._split:
+            self._words[address] = def_id
+        elif size:
+            self._set_bytes(address, address + size, def_id)
+
+    def _set_bytes(self, start: int, end: int, def_id: int) -> None:
+        # Whole words inside [start, end) become word entries; the bytes
+        # of a partly covered word are set in _bytes, splitting it.
+        low = (start + 7) & -8
+        high = end & -8
+        if low < high:
+            whole = range(low, high, 8)
+            for word in self._split.intersection(whole):
+                self._join(word)
+            self._words.update(dict.fromkeys(whole, def_id))
+            edges = ((start, low), (high, end))
         else:
-            shadow.update(zip(range(address, address + size), repeat(def_id)))
+            edges = ((start, end),)
+        for first, stop in edges:
+            if first < stop:
+                for word in range(first & -8, stop, 8):
+                    self._split_word(word)
+                self._bytes.update(zip(range(first, stop), repeat(def_id)))
+
+    def _split_word(self, word: int) -> None:
+        """Make ``word`` split: its writer, if whole, moves to its bytes."""
+        if word not in self._split:
+            self._split.add(word)
+            writer = self._words.pop(word, None)
+            if writer is not None:
+                self._bytes.update(zip(range(word, word + 8), repeat(writer)))
+
+    def _join(self, word: int) -> None:
+        """Drop a split word's bytes: a whole-word write replaces them."""
+        self._split.discard(word)
+        pop = self._bytes.pop
+        for address in range(word, word + 8):
+            pop(address, None)
+
+    def _writers(self, address: int, size: int) -> List[int]:
+        """The writer of each byte of ``size`` bytes at ``address``."""
+        end = address + size
+        words = self._words
+        get = self._bytes.get
+        writers: List[int] = []
+        for word in range(address & -8, end, 8):
+            first = max(address, word)
+            stop = min(end, word + 8)
+            writer = words.get(word)
+            if writer is None:
+                writers.extend(map(get, range(first, stop), _EXTERNAL))
+            else:
+                writers.extend(repeat(writer, stop - first))
+        return writers
 
     def check_range(
         self, address: int, size: int, allowed: frozenset
     ) -> Optional[Tuple[int, int]]:
         """First ``(address, writer)`` violating ``allowed``, or ``None``."""
-        get = self._map.get
-        external = DFI_EXTERNAL_WRITER
-        if size == 1:
-            writer = get(address, external)
-            return None if writer in allowed else (address, writer)
-        # Passing checks (the overwhelmingly common case) resolve without
-        # a Python-level loop: pointer-width checks unroll into straight
-        # membership tests (~2x faster than building the writer set),
-        # other sizes collect the distinct writers in one C-level sweep.
-        # Only a failing check pays the per-byte scan to locate the
-        # first violating address.
-        if size == 8:
-            if (
-                get(address, external) in allowed
-                and get(address + 1, external) in allowed
-                and get(address + 2, external) in allowed
-                and get(address + 3, external) in allowed
-                and get(address + 4, external) in allowed
-                and get(address + 5, external) in allowed
-                and get(address + 6, external) in allowed
-                and get(address + 7, external) in allowed
-            ):
-                return None
-        elif set(map(get, range(address, address + size), _EXTERNAL)) <= allowed:
-            return None
-        for byte_address in range(address, address + size):
-            writer = get(byte_address, DFI_EXTERNAL_WRITER)
+        if size == 8 and not address & 7:
+            writer = self._words.get(address)
+            if writer is None and address not in self._split:
+                writer = DFI_EXTERNAL_WRITER  # an unwritten word
+            if writer is not None:
+                return None if writer in allowed else (address, writer)
+        for offset, writer in enumerate(self._writers(address, size)):
             if writer not in allowed:
-                return byte_address, writer
+                return address + offset, writer
         return None
 
     def check_batch(
@@ -209,53 +252,44 @@ class DfiShadow:
         Returns ``(index, address, writer, allowed)`` for the first
         violating element, or ``None``.
         """
-        get = self._map.get
-        external = DFI_EXTERNAL_WRITER
+        words = self._words
+        split = self._split
         index = 0
         for constant, pointer, size, allowed in specs:
             address = pointer if constant else frame[pointer]
-            if size == 1:
-                writer = get(address, external)
-                if writer not in allowed:
-                    return index, address, writer, allowed
-            elif size == 8 and (
-                get(address, external) in allowed
-                and get(address + 1, external) in allowed
-                and get(address + 2, external) in allowed
-                and get(address + 3, external) in allowed
-                and get(address + 4, external) in allowed
-                and get(address + 5, external) in allowed
-                and get(address + 6, external) in allowed
-                and get(address + 7, external) in allowed
-            ):
-                pass
-            elif (
-                size == 8
-                or not set(map(get, range(address, address + size), _EXTERNAL))
-                <= allowed
-            ):
-                for byte_address in range(address, address + size):
-                    writer = get(byte_address, external)
-                    if writer not in allowed:
-                        return index, byte_address, writer, allowed
+            writer = None
+            if size == 8 and not address & 7:
+                writer = words.get(address)
+                if writer is None and address not in split:
+                    writer = DFI_EXTERNAL_WRITER
+            if writer is None:
+                violation = self.check_range(address, size, allowed)
+                if violation is not None:
+                    return (index,) + violation + (allowed,)
+            elif writer not in allowed:
+                return index, address, writer, allowed
             index += 1
         return None
 
     # dict-like helpers kept for tests and debugging
     def get(self, address: int, default: int = DFI_EXTERNAL_WRITER) -> int:
-        return self._map.get(address, default)
+        writer = self._words.get(address & -8)
+        return self._bytes.get(address, default) if writer is None else writer
 
     def __getitem__(self, address: int) -> int:
-        return self._map[address]
+        writer = self.get(address, None)
+        if writer is None:
+            raise KeyError(address)
+        return writer
 
     def __setitem__(self, address: int, def_id: int) -> None:
-        self._map[address] = def_id
+        self._set_bytes(address, address + 1, def_id)
 
     def __contains__(self, address: int) -> bool:
-        return address in self._map
+        return self.get(address, None) is not None
 
     def __len__(self) -> int:
-        return len(self._map)
+        return 8 * len(self._words) + len(self._bytes)
 
 
 @dataclass
@@ -348,10 +382,9 @@ class CPU:
         self.output: List[bytes] = []
         self.ic_calls: Dict[str, int] = {}
         self.global_addresses: Dict[str, int] = {}
-        #: live call frames, innermost last: (function, value->int map)
-        self.frames: List[Tuple[Function, Dict[Value, int]]] = []
-        #: per-frame alloca name -> address index, parallel to ``frames``
-        self.frame_slots: List[Dict[str, int]] = []
+        #: live call frames, innermost last: ``(base, names)``, the
+        #: frame's base address and its plan's alloca name -> offset map
+        self.frame_slots: List[Tuple[int, Dict[str, int]]] = []
         #: per-function frame layout plans (relative offsets), built
         #: lazily and shared across CPU instances via the module memo,
         #: whose shape guard runs once per CPU
@@ -395,8 +428,8 @@ class CPU:
         #: composition id -> times a chunk of that composition was
         #: charged, by the decoded loop or by compiled code; folded into
         #: the opcode histogram and the instructions by run() (see
-        #: _fold_chunk_hits).  A list, the fastest store to index; the
-        #: block drivers grow it for ids interned after construction.
+        #: _fold_chunk_hits).  A list, the fastest store to index;
+        #: _hit_store grows it for ids interned after construction.
         self._hits: List[int] = [0] * len(CHUNK_OPS)
         #: steps retired by the calls the current call made (tier-up)
         self._callee_steps = 0
@@ -422,6 +455,17 @@ class CPU:
         self._block_fast = block is not None and self._chunked
         #: the program whose functions still tier up, while it has any
         self._tier_up = block if self._block_fast and block.pending else None
+        #: what _call_compiled enters directly: the compiled functions,
+        #: or none while a profiler or a call fault hook must see calls
+        self._compiled = (
+            block.functions
+            if self._block_fast
+            and self.profiler is None
+            and self.call_fault_hook is None
+            else {}
+        )
+        if block is not None:
+            self._hit_store()
 
     @property
     def tier_program(self):
@@ -478,14 +522,14 @@ class CPU:
         This is the adaptive attacker's eye: the threat model (§2.5)
         grants the attacker full knowledge of the binary's layout, so
         exploit scripts compute victim offsets from live addresses
-        rather than hard-coding them.  Each frame indexes its allocas by
-        name at layout time, so the lookup is a dict probe per live
-        frame instead of a scan of every frame value.
+        rather than hard-coding them.  Each frame records its base and
+        its plan's alloca name -> offset map (the first alloca of a name
+        wins), so the lookup is a dict probe per live frame.
         """
-        for slots in reversed(self.frame_slots):
-            address = slots.get(name)
-            if address is not None:
-                return address
+        for base, names in reversed(self.frame_slots):
+            offset = names.get(name)
+            if offset is not None:
+                return base + offset
         return None
 
     def external_write(self, address: int, data: bytes) -> None:
@@ -592,18 +636,18 @@ class CPU:
         self.timing.instructions += retired
         hits[:] = repeat(0, len(hits))
 
-    def _hit_store(self) -> List[int]:
-        """The hit store, grown to cover every composition id interned
+    def _hit_store(self) -> None:
+        """Grow the hit store to cover every composition id interned
         so far: compiled code may use ids allocated after this CPU was
         built (by a tier-up compile, another CPU's, or an explicit
-        ``trace_compile``).  The block drivers call it on entry, the
-        only way into compiled code; decoded chunks' ids predate the
+        ``trace_compile``).  It grows when a run starts
+        (:meth:`_refresh_batched`) and after each tier-up compile, the
+        only compiles a run makes; decoded chunks' ids predate the
         store."""
         hits = self._hits
         missing = len(CHUNK_OPS) - len(hits)
         if missing > 0:
             hits.extend(repeat(0, missing))
-        return hits
 
     # -- execution engine -----------------------------------------------------------
 
@@ -632,12 +676,7 @@ class CPU:
             self._callee_steps = 0
             start = self.steps
         try:
-            frame: Dict[Value, int] = {
-                argument: value & _MASK64
-                for argument, value in zip(function.args, args)
-            }
-            self.frame_slots.append(self._layout_frame(function, frame))
-            self.frames.append((function, frame))
+            frame = self._enter_frame(function, args)
             try:
                 # Dispatch inline rather than via a helper: recursion
                 # in the simulated program recurses through here, and
@@ -661,12 +700,12 @@ class CPU:
                             function, self.steps - start - self._callee_steps
                         ):
                             self.decode_seconds += tier.compile(function)
+                            self._hit_store()
                         return result
                 from .oracle import interpret_reference
 
                 return interpret_reference(self, function.entry_block, frame)
             finally:
-                self.frames.pop()
                 self.frame_slots.pop()
         finally:
             self.stack_top = saved_top
@@ -676,34 +715,66 @@ class CPU:
             if profiler is not None:
                 profiler.exit(self.steps, self.timing.cycles)
 
-    def _layout_frame(self, function: Function, frame: Dict[Value, int]) -> Dict[str, int]:
-        """Assign frame addresses to allocas in *program order*.
+    def _call_compiled(self, function: Function, args: List[int]) -> Optional[int]:
+        """A call that compiled code makes to a defined function.
+
+        When the callee is compiled and this CPU has no profiler and no
+        call fault hook (:attr:`_compiled`), the call skips :meth:`_call`'s
+        per-call checks and runs the block driver loop inline.  Tier-up
+        needs nothing here: a compiled caller does not tick, and the
+        nearest decoded caller's :meth:`_call` counts this call's steps
+        in its callee's inclusive steps.  Anything else goes through
+        :meth:`_call`.
+        """
+        entry = self._compiled.get(function)
+        if entry is None:
+            return self._call(function, args)
+        self.call_depth += 1
+        if self.call_depth > self.max_call_depth:
+            self.call_depth -= 1
+            raise MemoryFault(self.stack_top, 0, "stack overflow")
+        saved_top = self.stack_top
+        try:
+            frame = self._enter_frame(function, args)
+            try:
+                # _interpret_block's loop, inline (see there).
+                timing = self.timing
+                hits = self._hits
+                max_steps = self.max_steps
+                pair = entry.self_pair
+                while True:
+                    code = pair[0]
+                    if self.steps + code.nsteps > max_steps:
+                        return self._interpret_decoded(code.dblock, frame)
+                    pair = code.fn(self, frame, timing, hits)
+                    if pair[0] is BLOCK_RET:
+                        return pair[1]
+            finally:
+                self.frame_slots.pop()
+        finally:
+            self.stack_top = saved_top
+            self.call_depth -= 1
+
+    def _enter_frame(self, function: Function, args: List[int]) -> Dict[Value, int]:
+        """A new frame for ``function``: its arguments, and its allocas
+        at frame addresses in *program order*.
 
         Program order is address order: Pythia's stack re-layout pass
         reorders allocas precisely to control which variables sit next
-        to each other in memory.  Returns the name -> address index used
-        by :meth:`stack_slot_address`.
+        to each other in memory.  Pushes ``(base, names)`` onto
+        :attr:`frame_slots` (the caller pops it) and moves the stack
+        top past the frame.
         """
         plan = self._frame_plans.get(function)
         if plan is None:
-            offset = 0
-            rel: List[Tuple[Alloca, int]] = []
-            named: Dict[str, int] = {}
-            for alloca in function.allocas():
-                alignment = max(1, alloca.allocated_type.alignment)
-                offset = (offset + alignment - 1) // alignment * alignment
-                rel.append((alloca, offset))
-                if alloca.name not in named:
-                    named[alloca.name] = offset
-                offset += max(1, alloca.allocated_type.size)
-            plan = (tuple(rel), tuple(named.items()), (offset + 15) // 16 * 16)
-            self._frame_plans[function] = plan
-        base = (self.stack_top + 15) // 16 * 16
-        for alloca, offset in plan[0]:
-            frame[alloca] = base + offset
-        slots = {name: base + offset for name, offset in plan[1]}
-        self.stack_top = base + plan[2]
-        return slots
+            plan = self._frame_plans[function] = _frame_plan(function)
+        allocas, offsets, names, size = plan
+        frame = dict(zip(function.args, map(_MASK64.__and__, args)))
+        base = (self.stack_top + 15) & -16
+        frame.update(zip(allocas, map(base.__add__, offsets)))
+        self.frame_slots.append((base, names))
+        self.stack_top = base + size
+        return frame
 
     def _call_external(self, function: Function, args: List[int]) -> Optional[int]:
         lib = LIBRARY.get(function.name)
@@ -729,7 +800,7 @@ class CPU:
         # steps; after a call, the generated code re-checks the rest.
         # Generated code counts its chunks in the hit store ``hits``.
         timing = self.timing
-        hits = self._hit_store()
+        hits = self._hits
         max_steps = self.max_steps
         pair = entry.self_pair
         while True:
@@ -748,7 +819,7 @@ class CPU:
         # block containing a call attributes the callee's retirement
         # inclusively (the callee's own blocks are attributed too).
         timing = self.timing
-        hits = self._hit_store()
+        hits = self._hits
         max_steps = self.max_steps
         block_hook = self.profiler.block
         pair = entry.self_pair

@@ -12,8 +12,8 @@ This module performs that resolution *once per module*:
 - every instruction is compiled to a bound handler closure
   ``handler(cpu, frame)`` specialised on its opcode and operand kinds,
   which wraps and sign-converts with inline masks, compares through
-  ``operator`` functions and reads and writes memory through the sized
-  ``Memory`` fast paths;
+  ``operator`` functions and does each sized load and store inline
+  against the ``Memory`` windows;
 - constant and global operands are pre-folded to plain integers
   (the global segment layout is a pure function of the module);
 - ``getelementptr`` strides for constant indices are pre-resolved into
@@ -116,7 +116,7 @@ from ..ir.module import Module
 from ..ir.types import ArrayType, I64, IntType, StructType
 from ..ir.values import Constant, GlobalVariable, UndefValue, Value
 from .errors import CanaryTrap, DfiTrap, NullPointerTrap
-from .memory import GLOBAL_BASE, Memory, MemoryFault
+from .memory import FAST_MISS, GLOBAL_BASE, SIZED_CODECS, WINDOW_MASK, MemoryFault
 from .timing import DEFAULT_COSTS
 
 _MASK64 = (1 << 64) - 1
@@ -339,55 +339,79 @@ def _mask_sign(vtype) -> Tuple[int, int]:
     return _MASK_SIGN[vtype.bits if isinstance(vtype, IntType) else 64]
 
 
-#: Access widths with a sized ``Memory`` fast path.
-_READS = {1: Memory.read_u8, 2: Memory.read_u16, 4: Memory.read_u32, 8: Memory.read_u64}
-_WRITES = {
-    1: Memory.write_u8, 2: Memory.write_u16, 4: Memory.write_u32, 8: Memory.write_u64
-}
-
-
 def _make_load(inst: Load, layout: Dict[str, int]) -> Handler:
+    # The sized access is inline (see the Memory class docstring): one
+    # window index and an unpack, with the generic path on a miss.
     pc, pv = _spec(inst.pointer, layout)
     size = max(1, inst.type.size)
-    read = _READS.get(size)
-    if read is None:
-        def read(memory, address, size=size):
-            return memory.read_int(address, size)
-    if pc:
-        def handler(cpu, frame, inst=inst, address=pv, size=size, read=read):
+    codec = SIZED_CODECS.get(size)
+    if codec is None:
+        def handler(cpu, frame, inst=inst, pc=pc, pv=pv, size=size):
+            address = pv if pc else frame[pv]
             if address == 0:
                 raise NullPointerTrap(f"load through null in {inst}")
             if cpu.cache is not None:
                 cpu._cache_access(address, size)
-            frame[inst] = read(cpu.memory, address)
+            frame[inst] = cpu.memory.read_int(address, size)
+    elif pc:
+        def handler(cpu, frame, inst=inst, address=pv, size=size, unpack=codec[0],
+                    window=pv >> 32, offset=pv & WINDOW_MASK):
+            if address == 0:
+                raise NullPointerTrap(f"load through null in {inst}")
+            if cpu.cache is not None:
+                cpu._cache_access(address, size)
+            try:
+                frame[inst] = unpack(cpu.memory.windows[window], offset)[0]
+            except FAST_MISS:
+                frame[inst] = cpu.memory.read_int(address, size)
     else:
-        def handler(cpu, frame, inst=inst, ptr=pv, size=size, read=read):
+        def handler(cpu, frame, inst=inst, ptr=pv, size=size, unpack=codec[0]):
             address = frame[ptr]
             if address == 0:
                 raise NullPointerTrap(f"load through null in {inst}")
             if cpu.cache is not None:
                 cpu._cache_access(address, size)
-            frame[inst] = read(cpu.memory, address)
+            try:
+                frame[inst] = unpack(
+                    cpu.memory.windows[address >> 32], address & WINDOW_MASK
+                )[0]
+            except FAST_MISS:
+                frame[inst] = cpu.memory.read_int(address, size)
     return handler
 
 
 def _make_store(inst: Store, layout: Dict[str, int]) -> Handler:
+    # A value out of the width's range (a constant is masked here) makes
+    # the pack raise struct.error, and write_int masks it.
     vc, vv = _spec(inst.value, layout)
     pc, pv = _spec(inst.pointer, layout)
     size = max(1, inst.value.type.size)
-    write = _WRITES.get(size)
-    if write is None:
-        def write(memory, address, value, size=size):
-            memory.write_int(address, value, size)
+    codec = SIZED_CODECS.get(size)
+    if codec is None:
+        def handler(cpu, frame, inst=inst, vc=vc, vv=vv, pc=pc, pv=pv, size=size):
+            address = pv if pc else frame[pv]
+            if address == 0:
+                raise NullPointerTrap(f"store through null in {inst}")
+            if cpu.cache is not None:
+                cpu._cache_access(address, size)
+            cpu.memory.write_int(address, vv if vc else frame[vv], size)
+
+        return handler
+    if vc:
+        vv &= (1 << (8 * size)) - 1
 
     def handler(cpu, frame, inst=inst, vc=vc, vv=vv, pc=pc, pv=pv, size=size,
-                write=write):
+                pack=codec[1]):
         address = pv if pc else frame[pv]
         if address == 0:
             raise NullPointerTrap(f"store through null in {inst}")
         if cpu.cache is not None:
             cpu._cache_access(address, size)
-        write(cpu.memory, address, vv if vc else frame[vv])
+        value = vv if vc else frame[vv]
+        try:
+            pack(cpu.memory.write_windows[address >> 32], address & WINDOW_MASK, value)
+        except FAST_MISS:
+            cpu.memory.write_int(address, value, size)
 
     return handler
 

@@ -17,6 +17,11 @@ Memory is deliberately *flat within a segment*: writing past the end of
 a buffer silently corrupts whatever is adjacent, which is precisely the
 vulnerability class the paper attacks and defends.  Faults are only
 raised for addresses outside any mapped segment.
+
+:class:`Memory` has one integer access path, :meth:`Memory.read_int`
+and :meth:`Memory.write_int`.  The interpreter tiers do a sized load or
+store inline against :attr:`Memory.windows` and take that path only on
+a miss (see the class docstring).
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .errors import ReproError
 # Pre-compiled codecs for the power-of-two access sizes the interpreter
 # issues: they pack/unpack against the segment bytearray in place, so
 # the hot load/store path allocates no intermediate ``bytes`` object.
+# The decoded handlers and generated code use them too, inline.
+_U8 = Struct("<B")
 _U16 = Struct("<H")
 _U32 = Struct("<I")
 _U64 = Struct("<Q")
@@ -38,11 +45,21 @@ _unpack_u64 = _U64.unpack_from
 _pack_u16 = _U16.pack_into
 _pack_u32 = _U32.pack_into
 _pack_u64 = _U64.pack_into
-#: What a sized fast path raises when it must take the generic path: an
-#: address past the last segment (IndexError, or an offset past the
-#: materialised data of a byte access), one below the first (no segment:
-#: AttributeError), or a word past the materialised data (struct.error).
-_FAST_MISS = (IndexError, AttributeError, _StructError)
+#: access width -> (unpack_from, pack_into) of its little-endian codec
+SIZED_CODECS = {
+    1: (_U8.unpack_from, _U8.pack_into),
+    2: (_unpack_u16, _pack_u16),
+    4: (_unpack_u32, _pack_u32),
+    8: (_unpack_u64, _pack_u64),
+}
+#: What an inline sized access raises when it must take the generic
+#: path: an address past the last window (IndexError), or an offset past
+#: the materialised data of its window -- always the case in an
+#: unmapped window, whose data is empty (IndexError for a byte,
+#: struct.error for a word).
+FAST_MISS = (IndexError, _StructError)
+#: The low 32 address bits: the offset into a segment's window.
+WINDOW_MASK = 0xFFFFFFFF
 
 GLOBAL_BASE = 0x01_0000_0000
 STACK_BASE = 0x02_0000_0000
@@ -79,26 +96,31 @@ class Segment:
         """Materialise the data up to ``offset``.  Within the capacity
         it at least doubles (from 4 KiB), so a fresh machine's stack and
         heap grow in a few steps; the extra bytes are zeros, as memory
-        that is not materialised reads."""
+        that is not materialised reads.  It grows in place: the
+        bytearray is never rebound, so :attr:`Memory.windows` stays
+        valid."""
         size = len(self.data)
         if offset > size:
             if offset <= self.capacity:
                 offset = min(max(offset, 2 * size, 4096), self.capacity)
             self.data.extend(bytes(offset - size))
 
-    def read(self, address: int, size: int) -> bytes:
-        offset = address - self.base
-        self._ensure(offset + size)
-        return bytes(self.data[offset : offset + size])
-
-    def write(self, address: int, payload: bytes) -> None:
-        offset = address - self.base
-        self._ensure(offset + len(payload))
-        self.data[offset : offset + len(payload)] = payload
-
 
 class Memory:
-    """The machine's memory: four segments plus typed access helpers."""
+    """The machine's memory: four segments and one generic access path.
+
+    Sized loads and stores are inlined into the decoded handlers and
+    the generated code of the block and trace tiers: each indexes
+    :attr:`windows` by ``address >> 32`` and packs or unpacks at offset
+    ``address & WINDOW_MASK`` inside a ``try`` whose ``except FAST_MISS``
+    clause calls :meth:`read_int`/:meth:`write_int`.  Their addresses
+    are frame values, always in ``[0, 2**64)``, so the window index is
+    never negative.  A hit (a mapped window and the span already
+    materialised) implies the access is in bounds; any miss -- an
+    unmapped window, a segment boundary, the lazily grown tail --
+    raises one of :data:`FAST_MISS` and takes the generic path, which
+    faults or grows there exactly as it would have on its own.
+    """
 
     def __init__(self, segment_size: int = SEGMENT_SIZE):
         self.segments: List[Segment] = [
@@ -107,11 +129,6 @@ class Memory:
             Segment("heap", HEAP_SHARED_BASE, segment_size),
             Segment("isolated", HEAP_ISOLATED_BASE, segment_size),
         ]
-        #: optional fault injector (see :mod:`repro.robustness.faults`);
-        #: when set, every write's payload passes through
-        #: ``fault_hook.on_memory_write(address, payload)`` so chaos
-        #: runs can flip bits in stored data deterministically
-        self.fault_hook = None
         # segment bases sit on 4 GiB boundaries, so the high 32 address
         # bits index the segment (None below the first) without scanning
         window: List[Optional[Segment]] = [None] * (
@@ -120,6 +137,32 @@ class Memory:
         for segment in self.segments:
             window[segment.base >> 32] = segment
         self._window = tuple(window)
+        #: ``address >> 32`` -> that window's segment data; an unmapped
+        #: window holds an empty bytearray, so every access to it misses
+        self.windows: Tuple[bytearray, ...] = tuple(
+            bytearray() if segment is None else segment.data for segment in window
+        )
+        #: what inline stores index: :attr:`windows`, or ``()`` -- every
+        #: store misses -- while a fault hook is armed
+        self.write_windows: Tuple[bytearray, ...] = self.windows
+        self._fault_hook = None
+
+    @property
+    def fault_hook(self):
+        """Optional fault injector (see :mod:`repro.robustness.faults`).
+
+        When set, every write's payload passes through
+        ``fault_hook.on_memory_write(address, payload)`` so chaos runs
+        can flip bits in stored data deterministically.  Arming it
+        empties :attr:`write_windows`, so inline stores take
+        :meth:`write_int`, which calls the hook.
+        """
+        return self._fault_hook
+
+    @fault_hook.setter
+    def fault_hook(self, hook) -> None:
+        self._fault_hook = hook
+        self.write_windows = self.windows if hook is None else ()
 
     def _segment_at(self, address: int) -> Optional[Segment]:
         """The segment whose 4 GiB window holds ``address``, if any."""
@@ -142,43 +185,48 @@ class Memory:
                 return segment
         raise KeyError(f"no segment named {name!r}")
 
+    def _span(self, address: int, size: int, kind: str) -> Tuple[Segment, int, int]:
+        """``(segment, offset, end)`` of a mapped span, materialised.
+
+        One window index and one bounds check; anything else (no
+        window, a span past its segment's capacity) goes through
+        :meth:`segment_for`, which faults.  Segment bases sit exactly
+        on 4 GiB boundaries, so a window hit guarantees ``offset >= 0``.
+        """
+        index = address >> 32
+        window = self._window
+        segment = window[index] if 0 <= index < len(window) else None
+        if segment is None or (address & WINDOW_MASK) + size > segment.capacity:
+            segment = self.segment_for(address, size, kind)
+        offset = address - segment.base
+        end = offset + size
+        if end > len(segment.data):
+            segment._ensure(end)
+        return segment, offset, end
+
     # -- raw access -----------------------------------------------------------
 
     def read_bytes(self, address: int, size: int) -> bytes:
         if size == 0:
             return b""
-        return self.segment_for(address, size, "read").read(address, size)
+        segment, offset, end = self._span(address, size, "read")
+        return bytes(segment.data[offset:end])
 
     def write_bytes(self, address: int, payload: bytes) -> None:
         if not payload:
             return
-        if self.fault_hook is not None:
-            payload = self.fault_hook.on_memory_write(address, payload)
-        self.segment_for(address, len(payload), "write").write(address, payload)
+        if self._fault_hook is not None:
+            payload = self._fault_hook.on_memory_write(address, payload)
+        segment, offset, end = self._span(address, len(payload), "write")
+        segment.data[offset:end] = payload
 
     # -- typed access -----------------------------------------------------------
 
     def read_int(self, address: int, size: int) -> int:
-        """Read a little-endian unsigned integer of ``size`` bytes.
-
-        This is the interpreter's ``load`` path, so the segment lookup
-        and bounds handling are inlined rather than routed through
-        :meth:`read_bytes` (which stays the general byte-string path).
-        """
-        segment = self._segment_at(address)
-        if segment is None:
-            segment = self.segment_for(address, size, "read")
-        # Segment bases sit exactly on 4 GiB boundaries, so a window hit
-        # guarantees offset >= 0; only the upper bound needs checking.
-        offset = address - segment.base
-        end = offset + size
-        if end > segment.capacity:
-            segment = self.segment_for(address, size, "read")
-            offset = address - segment.base
-            end = offset + size
+        """Read a little-endian unsigned integer of ``size`` bytes: the
+        generic load path (see the class docstring)."""
+        segment, offset, end = self._span(address, size, "read")
         data = segment.data
-        if end > len(data):
-            segment._ensure(end)
         if size == 8:
             return _unpack_u64(data, offset)[0]
         if size == 4:
@@ -189,102 +237,15 @@ class Memory:
             return _unpack_u16(data, offset)[0]
         return int.from_bytes(data[offset:end], "little")
 
-    # Sized fast paths: the decoded handlers and the block/trace tiers
-    # call these when the access width is a compile-time constant,
-    # skipping read_int's size dispatch and one argument per call.  Their
-    # addresses are frame values, always in [0, 2**64), so the window
-    # index is never negative.  A hit (a mapped window and the span
-    # already materialised) implies the access is in bounds; any miss --
-    # unmapped address, segment boundary, lazily grown tail -- raises one
-    # of _FAST_MISS and falls through to the generic path, which faults
-    # or grows there with byte-identical behaviour.
-
-    def read_u64(self, address: int) -> int:
-        try:
-            segment = self._window[address >> 32]
-            return _unpack_u64(segment.data, address - segment.base)[0]
-        except _FAST_MISS:
-            return self.read_int(address, 8)
-
-    def read_u32(self, address: int) -> int:
-        try:
-            segment = self._window[address >> 32]
-            return _unpack_u32(segment.data, address - segment.base)[0]
-        except _FAST_MISS:
-            return self.read_int(address, 4)
-
-    def read_u16(self, address: int) -> int:
-        try:
-            segment = self._window[address >> 32]
-            return _unpack_u16(segment.data, address - segment.base)[0]
-        except _FAST_MISS:
-            return self.read_int(address, 2)
-
-    def read_u8(self, address: int) -> int:
-        try:
-            segment = self._window[address >> 32]
-            return segment.data[address - segment.base]
-        except _FAST_MISS:
-            return self.read_int(address, 1)
-
-    def write_u64(self, address: int, value: int) -> None:
-        if self.fault_hook is None:
-            try:
-                segment = self._window[address >> 32]
-                _pack_u64(segment.data, address - segment.base, value & 0xFFFFFFFFFFFFFFFF)
-                return
-            except _FAST_MISS:
-                pass
-        self.write_int(address, value, 8)
-
-    def write_u32(self, address: int, value: int) -> None:
-        if self.fault_hook is None:
-            try:
-                segment = self._window[address >> 32]
-                _pack_u32(segment.data, address - segment.base, value & 0xFFFFFFFF)
-                return
-            except _FAST_MISS:
-                pass
-        self.write_int(address, value, 4)
-
-    def write_u16(self, address: int, value: int) -> None:
-        if self.fault_hook is None:
-            try:
-                segment = self._window[address >> 32]
-                _pack_u16(segment.data, address - segment.base, value & 0xFFFF)
-                return
-            except _FAST_MISS:
-                pass
-        self.write_int(address, value, 2)
-
-    def write_u8(self, address: int, value: int) -> None:
-        if self.fault_hook is None:
-            try:
-                segment = self._window[address >> 32]
-                segment.data[address - segment.base] = value & 0xFF
-                return
-            except _FAST_MISS:
-                pass
-        self.write_int(address, value, 1)
-
     def write_int(self, address: int, value: int, size: int) -> None:
-        """Write a little-endian unsigned integer of ``size`` bytes."""
-        segment = self._segment_at(address)
-        if segment is None:
-            segment = self.segment_for(address, size, "write")
-        offset = address - segment.base
-        end = offset + size
-        if end > segment.capacity:
-            segment = self.segment_for(address, size, "write")
-            offset = address - segment.base
-            end = offset + size
+        """Write a little-endian unsigned integer of ``size`` bytes: the
+        generic store path (see the class docstring)."""
+        segment, offset, end = self._span(address, size, "write")
         data = segment.data
-        if end > len(data):
-            segment._ensure(end)
-        if self.fault_hook is None:
-            # Fast path: pack straight into the segment bytearray.  The
-            # fault-hook path below keeps materialising a ``bytes``
-            # payload so chaos runs see the exact same write sites.
+        if self._fault_hook is None:
+            # Pack straight into the segment bytearray.  The fault-hook
+            # path below keeps materialising a ``bytes`` payload so
+            # chaos runs see the exact same write sites.
             if size == 8:
                 _pack_u64(data, offset, value & 0xFFFFFFFFFFFFFFFF)
                 return
@@ -299,8 +260,8 @@ class Memory:
                 return
         mask = (1 << (8 * size)) - 1
         payload = (value & mask).to_bytes(size, "little")
-        if self.fault_hook is not None:
-            payload = self.fault_hook.on_memory_write(address, payload)
+        if self._fault_hook is not None:
+            payload = self._fault_hook.on_memory_write(address, payload)
         data[offset:end] = payload
 
     # -- C string helpers ---------------------------------------------------------

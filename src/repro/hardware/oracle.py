@@ -137,7 +137,7 @@ def _value(cpu, value: Value, frame: Dict[Value, int]) -> int:
 
 def execute(cpu, inst: Instruction, frame: Dict[Value, int]) -> None:
     if isinstance(inst, Alloca):
-        # Address already assigned by _layout_frame.
+        # Address already assigned by CPU._enter_frame.
         return
     if isinstance(inst, Load):
         address = _value(cpu, inst.pointer, frame)

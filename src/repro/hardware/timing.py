@@ -131,9 +131,11 @@ class TimingModel:
         self.opcode_counts[label] = self.opcode_counts.get(label, 0) + 1
 
     def charge_libcall(self, bytes_moved: int = 0, label: str = "libcall") -> None:
-        self.charge_cycles(
-            LIBCALL_BASE_CYCLES + LIBCALL_BYTE_CYCLES * bytes_moved, label
-        )
+        """Charge one library call moving ``bytes_moved`` bytes: what
+        :meth:`charge_cycles` would, inline (it runs per library call)."""
+        self.cycles += LIBCALL_BASE_CYCLES + LIBCALL_BYTE_CYCLES * bytes_moved
+        counts = self.opcode_counts
+        counts[label] = counts.get(label, 0) + 1
 
     @property
     def ipc(self) -> float:

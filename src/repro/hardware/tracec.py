@@ -142,7 +142,7 @@ from .decoder import (
     decode_module,
 )
 from .errors import CanaryTrap, DfiTrap, NullPointerTrap
-from .memory import MemoryFault
+from .memory import FAST_MISS, SIZED_CODECS, MemoryFault
 from .pac import ADDR_MASK, PAC_BITS, VA_BITS
 from .timing import DEFAULT_COSTS
 
@@ -1129,11 +1129,25 @@ def _emit_resume_guard(
         )
 
 
+#: ``uses_mem`` bits: the generated code loads, stores
+_LOADS, _STORES = 1, 2
+
+
+def _memory_preamble(uses_mem: int) -> str:
+    """Bind ``mem`` and the windows the inline accesses index."""
+    line = "mem = cpu.memory"
+    if uses_mem & _LOADS:
+        line += "; _md = mem.windows"
+    if uses_mem & _STORES:
+        line += "; _wd = mem.write_windows"
+    return line
+
+
 def _emit_loop_preamble(
     gen: _FnGen,
     region: _Region,
     plan: _RegionPlan,
-    uses_mem: bool,
+    uses_mem: int,
     uses_pac: bool,
     uses_dfi: bool,
 ) -> int:
@@ -1157,23 +1171,13 @@ def _emit_loop_preamble(
 
     # Loop-invariant aliases: generated op bodies are rewritten (see
     # emit_default in _gen_region) to call these pre-bound methods
-    # instead of chasing cpu.memory / cpu.pac / cpu.dfi_shadow
-    # attributes on every hot-loop iteration.  Fault hooks and key
-    # epochs stay live -- they are read inside the bound methods, not
-    # captured here.
+    # instead of chasing cpu.pac / cpu.dfi_shadow attributes on every
+    # hot-loop iteration, and index the memory windows bound here.
+    # Key epochs stay live -- they are read inside the bound methods.
+    # The write windows capture whether a memory fault hook is armed,
+    # which happens before a run, never inside one.
     if uses_mem:
-        gen.emit("mem = cpu.memory", indent=3)
-        gen.emit("_mr = mem.read_int; _mw = mem.write_int", indent=3)
-        gen.emit(
-            "_mr8 = mem.read_u64; _mr4 = mem.read_u32; "
-            "_mr2 = mem.read_u16; _mr1 = mem.read_u8",
-            indent=3,
-        )
-        gen.emit(
-            "_mw8 = mem.write_u64; _mw4 = mem.write_u32; "
-            "_mw2 = mem.write_u16; _mw1 = mem.write_u8",
-            indent=3,
-        )
+        gen.emit(_memory_preamble(uses_mem), indent=3)
         gen.emit("_ch = cpu.cache is not None; _ca = cpu._cache_access", indent=3)
     if uses_pac:
         gen.emit("pac = cpu.pac", indent=3)
@@ -1343,11 +1347,14 @@ def _gen_region(
         for g, info in enumerate(all_info)
     )
 
-    uses_mem = uses_pac = uses_dfi = False
+    uses_mem = 0  # _LOADS | _STORES: which memory windows the code indexes
+    uses_pac = uses_dfi = False
     for _, body, _, _, _, _ in infos:
         for inst in body:
-            if isinstance(inst, (Load, Store)):
-                uses_mem = True
+            if isinstance(inst, Load):
+                uses_mem |= _LOADS
+            elif isinstance(inst, Store):
+                uses_mem |= _STORES
             elif isinstance(inst, (PacSign, PacAuth)):
                 uses_pac = True
             elif isinstance(inst, (DfiSetDef, DfiChkDef)):
@@ -1365,7 +1372,7 @@ def _gen_region(
     gen.emit("try:", indent=2)
     if direct:
         for used, line in (
-            (uses_mem, "mem = cpu.memory"),
+            (uses_mem, _memory_preamble(uses_mem)),
             (uses_pac, "pac = cpu.pac"),
             (uses_dfi, "dfi = cpu.dfi_shadow"),
         ):
@@ -1406,17 +1413,7 @@ def _gen_region(
         def emit_default(text, indent=d, op=None):
             if not direct and "(" in text:
                 text = (
-                    text.replace("mem.read_int(", "_mr(")
-                    .replace("mem.write_int(", "_mw(")
-                    .replace("mem.read_u64(", "_mr8(")
-                    .replace("mem.read_u32(", "_mr4(")
-                    .replace("mem.read_u16(", "_mr2(")
-                    .replace("mem.read_u8(", "_mr1(")
-                    .replace("mem.write_u64(", "_mw8(")
-                    .replace("mem.write_u32(", "_mw4(")
-                    .replace("mem.write_u16(", "_mw2(")
-                    .replace("mem.write_u8(", "_mw1(")
-                    .replace(
+                    text.replace(
                         "if cpu.cache is not None: cpu._cache_access(",
                         "if _ch: _ca(",
                     )
@@ -1638,6 +1635,13 @@ def _compile_function(
         (CanaryTrap, "_CT"),
         (DfiTrap, "_DT"),
         (MemoryFault, "_MF"),
+        (FAST_MISS, "_MISS"),
+        (SIZED_CODECS[2][0], "_L2"),
+        (SIZED_CODECS[4][0], "_L4"),
+        (SIZED_CODECS[8][0], "_L8"),
+        (SIZED_CODECS[2][1], "_S2"),
+        (SIZED_CODECS[4][1], "_S4"),
+        (SIZED_CODECS[8][1], "_S8"),
     ):
         gen.consts.append(helper)
         gen.const_names.append(name)

@@ -127,8 +127,12 @@ class WorkerPool:
 
     # -- dispatch ----------------------------------------------------------------
 
-    def shard_for(self, request: Dict[str, Any]) -> int:
-        return int(shard_digest(request)[:16], 16) % self.size
+    def shard_for(self, request: Dict[str, Any], digest: Optional[str] = None) -> int:
+        """The worker for ``request``; ``digest`` is its
+        :func:`shard_digest` when the caller has it."""
+        if digest is None:
+            digest = shard_digest(request)
+        return int(digest[:16], 16) % self.size
 
     def _lock(self, index: int) -> asyncio.Lock:
         lock = self._locks.get(index)
@@ -153,9 +157,10 @@ class WorkerPool:
         return worker.wait(deadline)
 
     async def submit(
-        self, request: Dict[str, Any]
+        self, request: Dict[str, Any], digest: Optional[str] = None
     ) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
         """Route one request to its shard; returns (response, telemetry).
+        ``digest`` is the request's :func:`shard_digest`, when known.
 
         Timeout and crash yield a structured error response (and
         ``None`` telemetry) after the shard has been respawned, so the
@@ -171,7 +176,7 @@ class WorkerPool:
                 ),
                 None,
             )
-        index = self.shard_for(request)
+        index = self.shard_for(request, digest)
         loop = asyncio.get_running_loop()
         async with self._lock(index):
             outcome, payload = await loop.run_in_executor(

@@ -160,7 +160,7 @@ def shard_digest(request: Dict[str, Any]) -> str:
     return hashlib.sha256(basis.encode("utf-8")).hexdigest()
 
 
-def request_key(request: Dict[str, Any]) -> str:
+def request_key(request: Dict[str, Any], shard: Optional[str] = None) -> str:
     """Single-flight identity of a request: everything but the caller's
     ``id`` and the daemon-assigned correlation ``rid``.
 
@@ -170,8 +170,17 @@ def request_key(request: Dict[str, Any]) -> str:
     per-caller fields must be excluded or no two requests would ever
     coalesce: the front-end stamps a unique ``rid`` into every request
     before dispatch (see ``server.py``).
+
+    A source text enters the key as its content digest: the request's
+    :func:`shard_digest`, which the caller passes as ``shard`` when it
+    has it, so the front-end hashes each request's source once and
+    never serializes it.
     """
+    if shard is None:
+        shard = shard_digest(request)
     identity = {k: v for k, v in request.items() if k not in ("id", "rid")}
+    if request.get("op") != "attack" and isinstance(identity.get("source"), str):
+        identity["source"] = shard  # shard_digest hashed exactly this text
     return json.dumps(identity, sort_keys=True)
 
 

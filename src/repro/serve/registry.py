@@ -17,7 +17,9 @@ entries).  Each entry holds:
 
 Entries are LRU-bounded (``capacity``); eviction drops the whole entry
 so memory stays proportional to the distinct-module working set, not
-the request count.  An optional on-disk
+the request count.  Each live entry's source text maps to its digest,
+so a warm request's source is looked up, not hashed again
+(:meth:`WarmRegistry.digest_of`).  An optional on-disk
 :class:`~repro.perf.cache.CompilationCache` backs the registry so a
 restarted worker (or a sibling shard recompiling after a crash) can
 skip instrumentation it has never run in-process.
@@ -58,6 +60,8 @@ class _Entry:
     """Everything warm about one distinct source module."""
 
     digest: str
+    #: the source text the digest addresses
+    source: str
     #: the prepared module every scheme variant derives from
     prepared: PreparedModule
     #: printed pristine-module text, the on-disk cache key basis
@@ -79,6 +83,8 @@ class WarmRegistry:
         self.capacity = capacity
         self.stats = RegistryStats()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        #: source text -> digest, for every live entry
+        self._digests: Dict[str, str] = {}
         self._disk = None
         if cache_dir is not None:
             from ..perf.cache import CompilationCache
@@ -90,8 +96,14 @@ class WarmRegistry:
 
     # -- module preparation ------------------------------------------------------
 
+    def digest_of(self, source: str) -> str:
+        """The content digest of ``source``: looked up for a live
+        entry's source, hashed otherwise."""
+        digest = self._digests.get(source)
+        return source_digest(source) if digest is None else digest
+
     def _entry(self, source: str, name: str) -> _Entry:
-        digest = source_digest(source)
+        digest = self.digest_of(source)
         entry = self._entries.get(digest)
         if entry is not None:
             self._entries.move_to_end(digest)
@@ -106,10 +118,14 @@ class WarmRegistry:
         # capture the text before mem2reg rewrites it.
         cache_text = print_module(module) if self._disk is not None else None
         prepared = PreparedModule(module, consume=True)
-        entry = _Entry(digest=digest, prepared=prepared, cache_text=cache_text)
+        entry = _Entry(
+            digest=digest, source=source, prepared=prepared, cache_text=cache_text
+        )
         self._entries[digest] = entry
+        self._digests[source] = digest
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            _, evicted = self._entries.popitem(last=False)
+            del self._digests[evicted.source]
             self.stats.evictions += 1
             get_metrics().inc("serve.registry.evictions")
         return entry
@@ -167,7 +183,7 @@ class WarmRegistry:
         text without re-rendering the module.
         """
         protection, warm = self.protection(source, name, scheme, protect_fields)
-        entry = self._entries[source_digest(source)]
+        entry = self._entries[self.digest_of(source)]
         key = (scheme, protect_fields)
         memo = entry.printed.get(key)
         if memo is None:

@@ -66,6 +66,7 @@ from .protocol import (
     error_response,
     ok_response,
     request_key,
+    shard_digest,
     validate_request,
     with_id,
 )
@@ -417,7 +418,8 @@ class ReproServer:
                     self.window.inc(f"traps.{scheme}")
 
     async def _submit_deduped(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        key = request_key(request)
+        shard = shard_digest(request)
+        key = request_key(request, shard)
         inflight = self._inflight.get(key)
         if inflight is not None:
             # Follower: share the leader's computation, own envelope.
@@ -438,7 +440,7 @@ class ReproServer:
         future = loop.create_future()
         self._inflight[key] = (future, str(request.get("rid")))
         try:
-            response, telemetry = await self.pool.submit(request)
+            response, telemetry = await self.pool.submit(request, shard)
             if telemetry is not None:
                 self._adopt_telemetry(telemetry)
             future.set_result(response)

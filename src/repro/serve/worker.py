@@ -41,7 +41,7 @@ from ..observability import (
     publish_execution,
 )
 from .protocol import classify_exception, error_response, ok_response
-from .registry import WarmRegistry, source_digest
+from .registry import WarmRegistry
 
 
 def _parse_inputs(request: Dict[str, Any]) -> list:
@@ -90,7 +90,7 @@ class RequestHandler:
             bool(request.get("fields", False)),
         )
         result = {
-            "digest": source_digest(request["source"]),
+            "digest": self.registry.digest_of(request["source"]),
             "scheme": protection.scheme,
             "module_digest": text_digest,
             "pa_static": protection.pa_static,
@@ -121,7 +121,7 @@ class RequestHandler:
         execution = cpu.run(inputs=_parse_inputs(request))
         publish_execution(get_metrics(), execution, scheme=protection.scheme)
         result = _execution_result(execution)
-        result["digest"] = source_digest(request["source"])
+        result["digest"] = self.registry.digest_of(request["source"])
         result["scheme"] = protection.scheme
         result["registry"] = "warm" if warm else "cold"
         return result
@@ -149,7 +149,7 @@ class RequestHandler:
         result = _execution_result(execution)
         result["scenario"] = name
         result["scheme"] = protection.scheme
-        result["digest"] = source_digest(scenario.source)
+        result["digest"] = self.registry.digest_of(scenario.source)
         result["outcome"] = scenario.attack_outcome(execution)
         result["registry"] = "warm" if warm else "cold"
         return result
@@ -168,7 +168,7 @@ class RequestHandler:
         execution = cpu.run(inputs=_parse_inputs(request))
         report = profiler.report(execution, top=int(request.get("top", 10)))
         return {
-            "digest": source_digest(request["source"]),
+            "digest": self.registry.digest_of(request["source"]),
             "scheme": protection.scheme,
             "status": execution.status,
             "interpreter": execution.interpreter,

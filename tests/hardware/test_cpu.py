@@ -306,6 +306,42 @@ class TestDfiShadow:
         )
         assert shadow.check_batch(specs, {}) == (0, 0x1000, external, allowed)
 
+    def test_word_view_agrees_with_a_byte_map(self):
+        """Random sets and checks of every size and alignment, against a
+        plain byte map: the same verdicts, the same first violating
+        address, the same bytes written."""
+        import random
+
+        shadow, external = self._shadow()
+        model = {}
+        rng = random.Random(5)
+        for _ in range(4000):
+            address = 0x1000 + rng.randrange(96)
+            if rng.random() < 0.5:
+                address &= -8
+            size = rng.choice((1, 2, 4, 8, 8, 8, 12, 16, 24, 40))
+            writer = rng.choice((1, 2, 3, external))
+            if rng.random() < 0.5:
+                shadow.set_range(address, size, writer)
+                model.update(dict.fromkeys(range(address, address + size), writer))
+                continue
+            allowed = frozenset(rng.sample((1, 2, 3, external), rng.randrange(1, 4)))
+            expected = next(
+                (
+                    (byte, model.get(byte, external))
+                    for byte in range(address, address + size)
+                    if model.get(byte, external) not in allowed
+                ),
+                None,
+            )
+            assert shadow.check_range(address, size, allowed) == expected
+            batch = shadow.check_batch(((True, address, size, allowed),), {})
+            assert batch == (None if expected is None else (0,) + expected + (allowed,))
+        assert len(shadow) == len(model)
+        for byte in range(0x1000, 0x1000 + 140):
+            assert shadow.get(byte) == model.get(byte, external)
+            assert (byte in shadow) == (byte in model)
+
     def test_set_range_fault_hook_exempts_external_writer(self):
         shadow, external = self._shadow()
 

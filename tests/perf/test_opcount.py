@@ -71,6 +71,37 @@ def test_decoded_calls_per_step_stay_under_their_ceiling():
     assert calls / result.steps <= DECODED_CALLS_PER_STEP, calls / result.steps
 
 
+#: Python calls per simulated step of the nginx mix's 12 distinct
+#: serve ``run`` requests (3 programs x 4 schemes), eagerly compiled
+#: trace runs through an in-process handler, each warmed once first:
+#: 0.0937 once compiled code did its sized loads and stores inline and
+#: entered compiled callees without ``CPU._call`` (0.196 before), plus
+#: 2%.  ``tools/count_serve_ops.py`` prints the same count per scheme.
+TRACE_SERVE_CALLS_PER_STEP = 0.0956
+
+
+def test_serve_trace_calls_per_step_stay_under_their_ceiling():
+    from repro.serve.registry import WarmRegistry
+    from repro.serve.worker import RequestHandler, handle_request
+    from repro.workloads.nginx import build_request_mix
+
+    bodies = {}
+    for request in build_request_mix(200, mix={"run": 1}):
+        bodies.setdefault((request["name"], request["scheme"]), request)
+    assert len(bodies) == 12
+    handler = RequestHandler(WarmRegistry(capacity=len(bodies)))
+    calls = steps = 0
+    for request in bodies.values():
+        assert request["interpreter"] == "trace"
+        handle_request(handler, request, False)
+        (response, _), count = count_python_calls(
+            handle_request, handler, request, False
+        )
+        calls += count
+        steps += response["result"]["steps"]
+    assert calls / steps <= TRACE_SERVE_CALLS_PER_STEP, calls / steps
+
+
 def test_call_count_counts_each_call_and_restores_the_profiler():
     def profiler(frame, event, arg):
         return None
