@@ -18,6 +18,8 @@ The allocator mimics glibc malloc at the level the paper cares about:
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import partial
 from typing import Dict, List, Optional
 
 from .errors import ReproError
@@ -38,11 +40,8 @@ def _align_up(n: int, alignment: int = _ALIGN) -> int:
     return (n + alignment - 1) // alignment * alignment
 
 
-def _bin_index(size: int) -> int:
-    for i, limit in enumerate(_BIN_CLASSES):
-        if size <= limit:
-            return i
-    return len(_BIN_CLASSES)  # large bin
+#: size -> bin: the first class that fits, or the large bin past them
+_bin_index = partial(bisect_left, _BIN_CLASSES)
 
 
 class HeapAllocator:
@@ -59,6 +58,8 @@ class HeapAllocator:
         self.live: Dict[int, int] = {}
         #: chunk start -> payload size for free chunks (for coalescing)
         self.free_chunks: Dict[int, int] = {}
+        #: the boundary map: chunk end -> start for free chunks
+        self.free_ends: Dict[int, int] = {}
         #: optional fault injector (see :mod:`repro.robustness.faults`);
         #: when set, ``fault_hook.on_malloc(self, address, payload)``
         #: runs after each allocation and may tamper chunk metadata
@@ -81,7 +82,7 @@ class HeapAllocator:
         if address is None:
             address = self._bump(payload)
         self.live[address] = payload
-        self._write_header(address, payload)
+        self.memory.write_int(address - _HEADER, payload, 8)  # the header
         # Zero-fill every chunk: program behaviour must not depend on
         # stale bytes of reused chunks (the attack classes modelled here
         # are overflows, not uninitialised reads), and identical
@@ -103,6 +104,7 @@ class HeapAllocator:
         self.bytes_in_use -= payload
         address, payload = self._coalesce(address, payload)
         self.free_chunks[address] = payload
+        self.free_ends[address + payload + _HEADER] = address
         self.bins[_bin_index(payload)].append(address)
 
     def owns(self, address: int) -> bool:
@@ -115,9 +117,6 @@ class HeapAllocator:
 
     # -- internals ------------------------------------------------------------
 
-    def _write_header(self, payload_address: int, size: int) -> None:
-        self.memory.write_int(payload_address - _HEADER, size, 8)
-
     def _take_from_bin(self, payload: int) -> Optional[int]:
         index = _bin_index(payload)
         for i in range(index, len(self.bins)):
@@ -127,6 +126,7 @@ class HeapAllocator:
                 if chunk is not None and chunk >= payload:
                     del bin_[slot]
                     del self.free_chunks[address]
+                    self.free_ends.pop(address + chunk + _HEADER, None)
                     self._maybe_split(address, chunk, payload)
                     return address
         return None
@@ -137,6 +137,7 @@ class HeapAllocator:
             tail = address + payload + _HEADER
             tail_payload = remainder - _HEADER
             self.free_chunks[tail] = tail_payload
+            self.free_ends[tail + tail_payload + _HEADER] = tail
             self.bins[_bin_index(tail_payload)].append(tail)
 
     def _bump(self, payload: int) -> int:
@@ -150,23 +151,34 @@ class HeapAllocator:
         return address
 
     def _coalesce(self, address: int, payload: int) -> "tuple[int, int]":
+        # A hook may lie about sizes (``alloc.header``), so chunks overlap:
+        # a hooked heap scans for the first predecessor, not the map.
+        free_chunks, hooked = self.free_chunks, self.fault_hook is not None
         # Merge with an immediately following free chunk.
         next_start = address + payload + _HEADER
-        next_payload = self.free_chunks.pop(next_start, None)
+        next_payload = free_chunks.pop(next_start, None)
         if next_payload is not None:
-            self._unbin(next_start)
+            self._unbin(next_start, next_payload, hooked)
             payload += _HEADER + next_payload
         # Merge with an immediately preceding free chunk.
-        for prev_start, prev_payload in list(self.free_chunks.items()):
-            if prev_start + prev_payload + _HEADER == address:
-                self._unbin(prev_start)
-                del self.free_chunks[prev_start]
-                address = prev_start
-                payload += _HEADER + prev_payload
-                break
+        if hooked:
+            ends = (s for s, p in free_chunks.items() if s + p + _HEADER == address)
+            prev_start = next(ends, None)
+        else:
+            prev_start = self.free_ends.get(address)
+        if prev_start is not None:
+            prev_payload = free_chunks.pop(prev_start)
+            self._unbin(prev_start, prev_payload, hooked)
+            address = prev_start
+            payload += _HEADER + prev_payload
         return address, payload
 
-    def _unbin(self, address: int) -> None:
+    def _unbin(self, address: int, payload: int, hooked: bool) -> None:
+        """Drop a chunk taken off ``free_chunks`` from the other records."""
+        self.free_ends.pop(address + payload + _HEADER, None)
+        if not hooked:
+            self.bins[_bin_index(payload)].remove(address)
+            return
         for bin_ in self.bins:
             if address in bin_:
                 bin_.remove(address)

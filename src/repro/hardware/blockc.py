@@ -284,20 +284,71 @@ def _flipped(gen: _FnGen, spec, bits: int) -> str:
     return f"({expr} ^ {sign})"
 
 
+_SIGN64 = 1 << 63
+
+#: a signed predicate with its operands swapped: ``c OP x`` is ``x OP' c``
+_SWAPPED = {"slt": "sgt", "sle": "sge", "sgt": "slt", "sge": "sle"}
+
+
+def _in_range(x: str, low: int, high: int) -> str:
+    """``low <= x < high`` for a value in [0, 2**64), dropping a bound
+    it cannot miss; an empty range keeps both, so ``x`` is still read."""
+    if low == 0:
+        return f"{x} < {high}"
+    if high == 1 << 64:
+        return f"{x} >= {low}"
+    return f"{low} <= {x} < {high}"
+
+
+def _signed64_against(x: str, predicate: str, c: int) -> str:
+    """``x`` (an i64 operand) against the folded constant ``c`` under a
+    signed ``predicate``, with no int built at runtime.
+
+    Read unsigned, the values that hold form one range or its
+    complement: ``x >s c`` holds on ``[c + 1, S)`` when ``c >= 0`` and
+    fails exactly on ``[S, c + 1)`` when ``c < 0`` (``S`` = 2**63).
+    """
+    S = _SIGN64
+    if predicate in ("sgt", "sge"):
+        low = c + 1 if predicate == "sgt" else c  # holds from ``low`` up
+        if c < S:
+            return _in_range(x, low, S)
+        return f"not ({_in_range(x, S, low)})"
+    high = c + 1 if predicate == "sle" else c  # holds below ``high``
+    if c >= S:
+        return _in_range(x, S, high)
+    return f"not ({_in_range(x, high, S)})"
+
+
 def _compare_expr(gen: _FnGen, inst: ICmp, layout) -> str:
     """A Python expression that is true exactly when ``inst`` holds.
 
-    A signed predicate on integers compares sign-flipped operands
-    (:func:`_flipped`); unsigned predicates, and every predicate on
-    pointers, compare the raw values, as the reference does.
+    Unsigned predicates, and every predicate on pointers, compare the
+    raw values, as the reference does.  A signed i64 predicate builds
+    no int: two variables compare raw, corrected where their sign bits
+    differ, ``(x < y) != ((x >= S) != (y >= S))``; against a constant
+    it is a chained compare (:func:`_signed64_against`).  A narrower
+    signed predicate compares sign-flipped operands (:func:`_flipped`).
     """
-    pyop = _CMP_PYOPS[inst.predicate]
+    predicate = inst.predicate
+    pyop = _CMP_PYOPS[predicate]
     lspec = _spec(inst.lhs, layout)
     rspec = _spec(inst.rhs, layout)
     vtype = inst.lhs.type
-    if inst.predicate in _SIGNED_PREDICATES and isinstance(vtype, IntType):
-        return f"{_flipped(gen, lspec, vtype.bits)} {pyop} {_flipped(gen, rspec, vtype.bits)}"
-    return f"{gen.operand(lspec)} {pyop} {gen.operand(rspec)}"
+    if predicate not in _SIGNED_PREDICATES or not isinstance(vtype, IntType):
+        return f"{gen.operand(lspec)} {pyop} {gen.operand(rspec)}"
+    bits = vtype.bits
+    if bits < 64 or (lspec[0] and rspec[0]):
+        return f"{_flipped(gen, lspec, bits)} {pyop} {_flipped(gen, rspec, bits)}"
+    if rspec[0]:
+        return _signed64_against(gen.operand(lspec), predicate, rspec[1])
+    if lspec[0]:
+        return _signed64_against(
+            gen.operand(rspec), _SWAPPED[predicate], lspec[1]
+        )
+    x, y = gen.operand(lspec), gen.operand(rspec)
+    S = _SIGN64
+    return f"({x} {pyop} {y}) != (({x} >= {S}) != ({y} >= {S}))"
 
 
 def _signed_const(value: int, bits: int) -> int:
@@ -413,18 +464,18 @@ def _gen_gep(gen: _FnGen, inst: GetElementPtr, layout, k: int) -> bool:
             off = f" + {const_off}" if const_off else ""
             gen.emit(f"{target} = ({base}{off}) & {_MASK64}", op=k)
         return True
-    # A dynamic index is signed: (x ^ S) - S with S the 64-bit sign bit,
-    # whose ``- S * stride`` folds into the constant offset.
-    sign = 1 << 63
-    terms = []
-    for key, stride in dyn:
-        const_off -= sign * stride
-        terms.append(f"({gen.operand((False, key))} ^ {sign}) * {stride}")
+    # A dynamic index is signed, but its unsigned value is congruent to
+    # it modulo 2**64, so the masked sum needs no sign flip.
     if base_c:
-        base = repr(base_v + const_off)
+        terms = [repr(base_v + const_off)] if base_v + const_off else []
     else:
-        base = f"{gen.operand((False, base_v))} + {const_off}"
-    gen.emit(f"{target} = ({base} + {' + '.join(terms)}) & {_MASK64}", op=k)
+        terms = [gen.operand((False, base_v))]
+        if const_off:
+            terms.append(repr(const_off))
+    for key, stride in dyn:
+        index = gen.operand((False, key))
+        terms.append(index if stride == 1 else f"{index} * {stride}")
+    gen.emit(f"{target} = ({' + '.join(terms)}) & {_MASK64}", op=k)
     return True
 
 
@@ -437,7 +488,11 @@ def _gen_binop(gen: _FnGen, inst: BinOp, layout, k: int) -> bool:
     if op in ("add", "sub", "mul", "and", "or", "xor"):
         py = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}[op]
         lhs, rhs = gen.operand(lspec), gen.operand(rspec)
-        gen.emit(f"{target} = (({lhs}) {py} ({rhs})) & {mask}", op=k)
+        if bits == 64 and op in ("and", "or", "xor"):
+            # Operands are below 2**64, and so is the result.
+            gen.emit(f"{target} = ({lhs}) {py} ({rhs})", op=k)
+        else:
+            gen.emit(f"{target} = (({lhs}) {py} ({rhs})) & {mask}", op=k)
         return True
     if op in ("shl", "lshr"):
         py = "<<" if op == "shl" else ">>"

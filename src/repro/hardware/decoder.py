@@ -120,7 +120,6 @@ from .memory import FAST_MISS, GLOBAL_BASE, SIZED_CODECS, WINDOW_MASK, MemoryFau
 from .timing import DEFAULT_COSTS
 
 _MASK64 = (1 << 64) - 1
-_SIGN64 = 1 << 63
 _to_signed64 = I64.to_signed
 
 #: An operand spec: ``(True, folded_int)`` or ``(False, frame_key)``.
@@ -421,8 +420,10 @@ def _gep_plan(
 ) -> Optional[Tuple[bool, object, int, Tuple[Tuple[Value, int], ...]]]:
     """Resolve a gep to ``(base_c, base_v, const_off, dyn_terms)``.
 
-    Shared by the decoded and block tiers so both make identical
-    specialisation decisions.  Returns ``None`` for a malformed gep
+    Shared by the decoded and compiled tiers so both make identical
+    specialisation decisions and compute ``(base + const_off +
+    sum(index * stride)) & mask``, each dynamic index read unsigned (it
+    equals the signed one modulo 2**64).  Returns ``None`` for a malformed gep
     (the reference interpreter raises at runtime) and raises
     ``_DecodeFallback`` for a dynamic struct index.
     """
@@ -467,13 +468,9 @@ def _make_gep(inst: GetElementPtr, layout: Dict[str, int]) -> Handler:
             raise RuntimeError(f"malformed gep: {inst}")
 
         return handler
-    base_c, base_v, const_off, dyn = plan
-    # A dynamic index is signed: (x ^ S) - S with S the 64-bit sign bit,
-    # whose ``- S * stride`` folds into the constant offset.
-    off = const_off
-    for _, stride in dyn:
-        off -= _SIGN64 * stride
-
+    base_c, base_v, off, dyn = plan
+    # A dynamic index is signed, but its unsigned value is congruent to
+    # it modulo 2**64, so the masked sum needs no sign flip.
     if not dyn:
         if base_c:
             result = (base_v + off) & _MASK64
@@ -487,18 +484,18 @@ def _make_gep(inst: GetElementPtr, layout: Dict[str, int]) -> Handler:
         key, stride = dyn[0]
         if base_c:
             def handler(cpu, frame, inst=inst, base=base_v + off, key=key,
-                        stride=stride, sign=_SIGN64, mask=_MASK64):
-                frame[inst] = (base + (frame[key] ^ sign) * stride) & mask
+                        stride=stride, mask=_MASK64):
+                frame[inst] = (base + frame[key] * stride) & mask
         else:
             def handler(cpu, frame, inst=inst, base=base_v, off=off, key=key,
-                        stride=stride, sign=_SIGN64, mask=_MASK64):
-                frame[inst] = (frame[base] + off + (frame[key] ^ sign) * stride) & mask
+                        stride=stride, mask=_MASK64):
+                frame[inst] = (frame[base] + off + frame[key] * stride) & mask
     else:
         def handler(cpu, frame, inst=inst, base_c=base_c, base=base_v, off=off,
-                    dyn=dyn, sign=_SIGN64, mask=_MASK64):
+                    dyn=dyn, mask=_MASK64):
             address = (base if base_c else frame[base]) + off
             for key, stride in dyn:
-                address += (frame[key] ^ sign) * stride
+                address += frame[key] * stride
             frame[inst] = address & mask
 
     return handler

@@ -47,19 +47,24 @@ generated function per region
   small ``_n`` chain dispatch (direct branches between fused chains
   never return to the driver).
 
-Every return, side exit and step-limit deopt of a region with internal
-edges breaks out of its loop to one epilogue, which flushes the local
-accumulators and hit counters once; a deopt then spills the live
-region locals back to the frame and delegates the rest of the call to
-the decoded loop, which raises ``StepLimitExceeded`` at precisely the
-right op.  A callee retires steps the entry and segment guards could
-not count, so after each call that more ops of its block follow, a
-guard hands the rest of the call to the reference tier, from the op
-after the call, when those ops would cross the limit
-(:func:`_emit_resume_guard`).  The chunk tables and the tail repair of
-batched accounting are the decoded loop's own (:mod:`repro.hardware.decoder`); the
-traceback-line trap fixup that finds the trapping op is
-:func:`blockc._trap_fixup`.  A region carries one
+A region with internal edges counts its steps down from a budget:
+``_rm`` is the steps left before ``max_steps`` and ``_sb`` its value
+when ``cpu.steps`` last caught up, so chunks charge ``_rm -= n``, a
+step guard is ``if _rm < N:``, a flush adds ``_sb - _rm`` to
+``cpu.steps``, and every impure op re-bases both on ``cpu.steps`` --
+no guard or charge builds an int.  Every return, side exit and
+step-limit deopt of such a region breaks out of its loop to one
+epilogue, which flushes the local accumulators and hit counters once;
+a deopt then spills the live region locals back to the frame and
+delegates the rest of the call to the decoded loop, which raises
+``StepLimitExceeded`` at precisely the right op.  A callee retires
+steps the entry and segment guards could not count, so after each call
+that more ops of its block follow, a guard hands the rest of the call
+to the reference tier, from the op after the call, when those ops
+would cross the limit (:func:`_emit_resume_guard`).  The chunk tables
+and the tail repair of batched accounting are the decoded loop's own
+(:mod:`repro.hardware.decoder`); the traceback-line trap fixup that
+finds the trapping op is :func:`blockc._trap_fixup`.  A region carries one
 :class:`blockc._BlockMeta` whose op table concatenates all member
 blocks, so the same fixup repairs a trapping chunk no matter which
 fused block it came from.  A region's entry point is a
@@ -1020,9 +1025,10 @@ def _emit_chunk_charges(gen: _FnGen, all_info, s: int, e: int) -> None:
     A chunk may span every block fused between two impure ops or
     conditional branches, plus the 'phi' pseudo-ops of statically-taken
     edges inside that span.  All charges land in the region's local
-    accumulators (``_cy`` cycles, ``_cr`` issue residue, ``_st`` steps
-    -- phi routing retires issue slots but no steps) plus the region's
-    local hit counter for the chunk's composition (:meth:`_FnGen.hit`),
+    accumulators (``_cy`` cycles, ``_cr`` issue residue, and the step
+    budget ``_rm`` counting down -- phi routing retires issue slots but
+    no steps) plus the region's local hit counter for the chunk's
+    composition (:meth:`_FnGen.hit`),
     which the epilogue adds to the CPU's hit store and which stands for
     the chunk's opcodes and retired instructions; only the chunk-entry
     residue ``_r0`` stays materialised because the trap fixup reads it
@@ -1031,7 +1037,6 @@ def _emit_chunk_charges(gen: _FnGen, all_info, s: int, e: int) -> None:
     _, cycles_table, cheap_table, cid = _chunk_tables(
         tuple(info[0] for info in all_info[s:e])
     )
-    n = e - s
     nsteps = sum(1 for i in range(s, e) if all_info[i][0] != "phi")
     gen.emit("_r0 = _cr")
     parts = [
@@ -1039,7 +1044,7 @@ def _emit_chunk_charges(gen: _FnGen, all_info, s: int, e: int) -> None:
         f"_cr = {gen.bind(cheap_table, 'T')}[_r0]",
     ]
     if nsteps:
-        parts.append(f"_st += {nsteps}")
+        parts.append(f"_rm -= {nsteps}")
     parts.append(f"{gen.hit(cid)} += 1")
     gen.emit("; ".join(parts))
 
@@ -1051,17 +1056,19 @@ def _emit_impure_charges(gen: _FnGen, all_info, s: int) -> None:
     ``timing.cycles`` and ``timing._cheap_run`` itself, so the pending
     local accumulators for those must flush *before* re-entry -- this
     is also what keeps a step-limit or trap raised inside the callee
-    bit-identical to the block tier.  The hit stays local: nothing reads
-    the hit store before the run's fold, and the region's epilogue (or
-    its exception handler) flushes it.  The caller emits the op
-    statement itself, then re-reads ``_cr`` (the callee moved the
-    residue).
+    bit-identical to the block tier.  The pending steps flush as
+    ``_sb - _rm`` and the base moves to ``_rm``, so an exception out of
+    the callee flushes nothing twice.  The hit stays local: nothing
+    reads the hit store before the run's fold, and the region's
+    epilogue (or its exception handler) flushes it.  The caller emits
+    the op statement itself, then re-reads ``_cr`` (the callee moved the
+    residue) and re-bases the budget on ``cpu.steps``.
     """
     _, cycles_table, cheap_table, cid = _chunk_tables((all_info[s][0],))
     gen.emit(f"timing.cycles += _cy + {gen.bind(cycles_table, 'T')}[_cr]")
     gen.emit(f"timing._cheap_run = {gen.bind(cheap_table, 'T')}[_cr]")
     gen.emit("_cy = 0")
-    gen.emit("cpu.steps += _st + 1; _st = 0")
+    gen.emit("cpu.steps += _sb - _rm + 1; _sb = _rm")
     gen.emit(f"{gen.hit(cid)} += 1")
 
 
@@ -1115,11 +1122,13 @@ def _emit_resume_guard(
     earlier charge has been applied, so the hand-off needs only the
     block's locals in the frame: a region's epilogue spills them, and a
     block compiled alone returns through its ``resume`` closure
-    (:func:`_make_resumer`), which does.
+    (:func:`_make_resumer`), which does.  A region's budget ``_rm`` was
+    re-based on ``cpu.steps`` right after the call, so its guard is
+    ``_rm < nsteps``; a block compiled alone reads ``cpu.steps``.
     """
     if resume is None:
         gen.emit(
-            f"if cpu.steps + {nsteps} > _ms: "
+            f"if _rm < {nsteps}: "
             f"_dx = {gen.bind(dblock, 'D')}; _rs = {i + 1}; break"
         )
     else:
@@ -1160,12 +1169,13 @@ def _emit_loop_preamble(
     """
     # Local accounting accumulators (initialised before anything that
     # can raise -- the except clause flushes them unconditionally):
-    # _cy cycles, _st steps, _cr issue residue, _kN per-composition hit
-    # counters; _dx is the block a deopt replays from, and _rs the op
-    # it resumes at (0: the block's entry).  Hot-loop chunks
-    # touch only these locals; attribute and dict traffic happens once,
-    # in the epilogue.
-    gen.emit("_cy = 0; _st = 0; _dx = None", indent=3)
+    # the step budget _rm and its base _sb (see the module docstring;
+    # _ms is max_steps), _cy cycles, _cr issue residue, _kN
+    # per-composition hit counters; _dx is the block a deopt replays
+    # from, and _rs the op it resumes at (0: the block's entry).
+    # Hot-loop chunks touch only these locals; attribute and dict
+    # traffic happens once, in the epilogue.
+    gen.emit("_ms = cpu.max_steps; _sb = _rm = _ms - cpu.steps; _cy = 0; _dx = None", indent=3)
     init_line = len(gen.lines) - 1
     gen.emit("_cr = timing._cheap_run", indent=3)
 
@@ -1192,7 +1202,6 @@ def _emit_loop_preamble(
             "_ds = dfi.set_range; _dr = dfi.check_range; _db = dfi.check_batch",
             indent=3,
         )
-    gen.emit("_ms = cpu.max_steps", indent=3)
     for value, name in plan.invariants:
         gen.emit(f"{name} = frame[{gen.bind(value, 'V')}]", indent=3)
     for phi, name in plan.header_phis:
@@ -1392,7 +1401,7 @@ def _gen_region(
 
     def flush(indent: int, residue: bool) -> None:
         gen.emit("timing.cycles += _cy", indent=indent)
-        gen.emit("cpu.steps += _st", indent=indent)
+        gen.emit("cpu.steps += _sb - _rm", indent=indent)
         if residue:
             gen.emit("timing._cheap_run = _cr", indent=indent)
         for cid, counter in gen.counters.items():
@@ -1438,7 +1447,7 @@ def _gen_region(
                 if nsteps is not None:
                     # Deopt: the epilogue replays the call from here.
                     gen.emit(
-                        f"if cpu.steps + _st + {nsteps} > _ms: "
+                        f"if _rm < {nsteps}: "
                         f"_dx = {gen.bind(dblock, 'D')}; break"
                     )
                 tidx = (
@@ -1507,9 +1516,13 @@ def _gen_region(
                     _emit_op(gen, inst, dblock.ops[i], layout, g)
                     if dblock.ops[i][2]:
                         if not direct:
-                            # The callee moved the issue residue; re-seed
-                            # the local before the next chunk charges.
-                            gen.emit("_cr = timing._cheap_run")
+                            # The callee moved the issue residue and
+                            # cpu.steps; re-seed the residue and re-base
+                            # the budget before the next chunk charges.
+                            gen.emit(
+                                "_cr = timing._cheap_run; "
+                                "_sb = _rm = _ms - cpu.steps"
+                            )
                         rest = sum(1 for op in op_info[j + 1:] if op[0] != "phi")
                         if rest:
                             if direct and resume is None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .function import Function
@@ -137,16 +139,15 @@ class Module:
         module: any external map, even a weak-keyed one, would keep every
         module it holds alive for the life of the process.
         """
+        # At C level, no generator per block: every CPU construction pays it.
+        functions = self.functions.values()
+        blocks = tuple(map(attrgetter("blocks"), functions))
+        counts = map(map, repeat(len), map(map, repeat(attrgetter("instructions")), blocks))
         shape = (
             len(self.globals),
-            tuple(
-                (
-                    function.name,
-                    len(function.blocks),
-                    sum(len(block.instructions) for block in function.blocks),
-                )
-                for function in self.functions.values()
-            ),
+            tuple(map(attrgetter("name"), functions)),
+            tuple(map(len, blocks)),
+            tuple(map(sum, counts)),  # instructions per function
         )
         memo = self._derived
         if memo is None or memo[0] != shape:

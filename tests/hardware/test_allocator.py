@@ -1,10 +1,18 @@
 """Tests for the sectioned heap allocator."""
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.hardware.allocator import HeapAllocator, OutOfMemoryError, SectionedHeap
+from repro.hardware.allocator import (
+    HeapAllocator,
+    OutOfMemoryError,
+    SectionedHeap,
+    _BIN_CLASSES,
+    _bin_index,
+)
 from repro.hardware.memory import (
     HEAP_ISOLATED_BASE,
     HEAP_SHARED_BASE,
@@ -185,3 +193,145 @@ class TestAllocatorProperties:
             written.append((address, pattern))
         for address, pattern in written:
             assert memory.read_bytes(address, len(pattern)) == pattern
+
+
+class _ScanningAllocator:
+    """``HeapAllocator`` as it was before its boundary map: each free
+    scans every free chunk for a predecessor and every bin for each
+    chunk it unbins.  Kept verbatim as the oracle of the map-based one."""
+
+    def __init__(self, memory, base, capacity, name="heap"):
+        self.memory = memory
+        self.base = base
+        self.capacity = capacity
+        self.name = name
+        self.top = base
+        self.bins = [[] for _ in range(len(_BIN_CLASSES) + 1)]
+        self.live = {}
+        self.free_chunks = {}
+        self.fault_hook = None
+
+    def malloc(self, size):
+        if size <= 0:
+            size = 1
+        payload = (size + 15) // 16 * 16
+        address = self._take_from_bin(payload)
+        if address is None:
+            address = self._bump(payload)
+        self.live[address] = payload
+        self.memory.write_int(address - 16, payload, 8)
+        self.memory.write_bytes(address, b"\x00" * payload)
+        if self.fault_hook is not None:
+            self.fault_hook.on_malloc(self, address, payload)
+        return address
+
+    def free(self, address):
+        payload = self.live.pop(address, None)
+        if payload is None:
+            raise MemoryFault(address, 1, "invalid free")
+        address, payload = self._coalesce(address, payload)
+        self.free_chunks[address] = payload
+        self.bins[_bin_index(payload)].append(address)
+
+    def _take_from_bin(self, payload):
+        index = _bin_index(payload)
+        for i in range(index, len(self.bins)):
+            bin_ = self.bins[i]
+            for slot, address in enumerate(bin_):
+                chunk = self.free_chunks.get(address)
+                if chunk is not None and chunk >= payload:
+                    del bin_[slot]
+                    del self.free_chunks[address]
+                    self._maybe_split(address, chunk, payload)
+                    return address
+        return None
+
+    def _maybe_split(self, address, chunk, payload):
+        remainder = chunk - payload
+        if remainder >= 16 + 16:
+            tail = address + payload + 16
+            tail_payload = remainder - 16
+            self.free_chunks[tail] = tail_payload
+            self.bins[_bin_index(tail_payload)].append(tail)
+
+    def _bump(self, payload):
+        address = self.top + 16
+        new_top = address + payload
+        if new_top > self.base + self.capacity:
+            raise OutOfMemoryError(f"{self.name} section exhausted")
+        self.top = new_top
+        return address
+
+    def _coalesce(self, address, payload):
+        next_start = address + payload + 16
+        next_payload = self.free_chunks.pop(next_start, None)
+        if next_payload is not None:
+            self._unbin(next_start)
+            payload += 16 + next_payload
+        for prev_start, prev_payload in list(self.free_chunks.items()):
+            if prev_start + prev_payload + 16 == address:
+                self._unbin(prev_start)
+                del self.free_chunks[prev_start]
+                address = prev_start
+                payload += 16 + prev_payload
+                break
+        return address, payload
+
+    def _unbin(self, address):
+        for bin_ in self.bins:
+            if address in bin_:
+                bin_.remove(address)
+                return
+
+
+class _HeaderLiar:
+    """Smashes the recorded size of every fifth allocation, as the
+    ``alloc.header`` fault does, so freed chunks overlap."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.count = 0
+
+    def on_malloc(self, allocator, address, payload):
+        self.count += 1
+        if self.count % 5 == 0:
+            allocator.live[address] = 16 * self.rng.randrange(1, 9)
+
+
+def _replay(cls, seed, hooked):
+    """A seeded malloc/calloc/free sequence on a fresh ``cls`` arena:
+    (the arena, the addresses it returned)."""
+    rng = random.Random(seed)
+    arena = cls(Memory(), HEAP_SHARED_BASE, 1 << 22, "test")
+    if hooked:
+        arena.fault_hook = _HeaderLiar(random.Random(seed + 1))
+    live, returned = [], []
+    for _ in range(400):
+        roll = rng.random()
+        if live and roll < 0.45:
+            arena.free(live.pop(rng.randrange(len(live))))
+            continue
+        if roll < 0.6:
+            size = rng.randrange(1, 33) * rng.randrange(1, 9)  # calloc(n, m)
+        else:
+            size = rng.choice((rng.randrange(1, 300), rng.randrange(300, 5000)))
+        address = arena.malloc(size)
+        live.append(address)
+        returned.append(address)
+    return arena, returned
+
+
+@pytest.mark.parametrize("hooked", (False, True))
+@pytest.mark.parametrize("seed", range(6))
+def test_boundary_map_allocator_matches_the_scanning_one(seed, hooked):
+    """Same addresses, same bins (in order) and same free chunks (in
+    order) as the scan, also with chunk sizes smashed by a hook."""
+    arena, returned = _replay(HeapAllocator, seed, hooked)
+    oracle, expected = _replay(_ScanningAllocator, seed, hooked)
+    assert returned == expected
+    assert arena.bins == oracle.bins
+    assert list(arena.free_chunks.items()) == list(oracle.free_chunks.items())
+    if not hooked:
+        assert arena.free_ends == {
+            start + size + 16: start for start, size in arena.free_chunks.items()
+        }

@@ -10,6 +10,7 @@ function is compiled up front (``trace-static``) or tiers up mid-run
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Dict
 
@@ -153,14 +154,30 @@ def test_each_region_flushes_its_tally_at_most_twice(scheme):
 SOURCE_BYTES = 342_967
 
 
-def test_static_layout_source_bytes_stay_under_their_ceiling():
+@functools.lru_cache(maxsize=None)
+def _gcc_pythia_sources():
+    """The generated source of 502.gcc_r/pythia's trace program."""
     protected = protect(generated("502.gcc_r").compile(), scheme="pythia")
     trace_program, _ = trace_compile(protected.module)
+    return tuple(trace_program.sources.values())
+
+
+def test_static_layout_source_bytes_stay_under_their_ceiling():
     emitted = sum(
         len(re.sub(r"hits\[\d+\]", "hits[]", source))
-        for source in trace_program.sources.values()
+        for source in _gcc_pythia_sources()
     )
     assert emitted <= SOURCE_BYTES, emitted
+
+
+def test_compiled_code_builds_no_int_to_guard_or_index():
+    """Regions guard on the step budget (``_rm < N``), not on
+    ``cpu.steps + _st + N > _ms``, and a gep scales its dynamic index
+    unflipped."""
+    source = "\n".join(_gcc_pythia_sources())
+    assert "_rm < " in source
+    assert "cpu.steps + _st" not in source
+    assert "^ 9223372036854775808) *" not in source
 
 
 # -- batched accounting bails out when it cannot be trusted --------------------------
