@@ -325,10 +325,11 @@ def _compare_expr(gen: _FnGen, inst: ICmp, layout) -> str:
 
     Unsigned predicates, and every predicate on pointers, compare the
     raw values, as the reference does.  A signed i64 predicate builds
-    no int: two variables compare raw, corrected where their sign bits
-    differ, ``(x < y) != ((x >= S) != (y >= S))``; against a constant
-    it is a chained compare (:func:`_signed64_against`).  A narrower
-    signed predicate compares sign-flipped operands (:func:`_flipped`).
+    no int: two locals compare raw, corrected where their sign bits
+    differ, ``(x < y) != ((x >= S) != (y >= S))``; a variable against a
+    constant is a chained compare (:func:`_signed64_against`).  Other
+    signed predicates -- narrower ones, and i64 ones reading a frame
+    slot -- compare sign-flipped operands (:func:`_flipped`).
     """
     predicate = inst.predicate
     pyop = _CMP_PYOPS[predicate]
@@ -347,6 +348,9 @@ def _compare_expr(gen: _FnGen, inst: ICmp, layout) -> str:
             gen.operand(rspec), _SWAPPED[predicate], lspec[1]
         )
     x, y = gen.operand(lspec), gen.operand(rspec)
+    if x.startswith("frame[") or y.startswith("frame["):
+        # Reading a frame slot twice costs more than flipping it once.
+        return f"{_flipped(gen, lspec, bits)} {pyop} {_flipped(gen, rspec, bits)}"
     S = _SIGN64
     return f"({x} {pyop} {y}) != (({x} >= {S}) != ({y} >= {S}))"
 

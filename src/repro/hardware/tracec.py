@@ -178,9 +178,13 @@ WHOLE_FUNCTION_BLOCKS = 24
 #: reads 399 (505.mcf_r), 389 (502.gcc_r) and 364 (519.lbm_r), geometric
 #: mean ~384; the code before them read 412/425/402 in one of those
 #: sessions (~413, and ~418 when first measured), against which 580 had
-#: been kept.  No function of a compile-cold program gets near it (at
-#: most ~102 own steps per instruction over 192 compile-cold programs,
-#: 4 schemes each).
+#: been kept.  With the step budget and the int-free compares and geps
+#: three sessions read 356/360/324 (means; geometric mean ~346) where
+#: the code before them read 368/355/343 (~355): the sessions' own
+#: geometric means spread 328-361, wider than that move, so the
+#: constant stays.  No function of a compile-cold program gets near it
+#: (at most ~102 own steps per instruction over 192 compile-cold
+#: programs, 4 schemes each).
 TIER_UP_STEPS_PER_INST = 390
 
 

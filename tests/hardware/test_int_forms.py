@@ -1,8 +1,8 @@
 """The compiled tiers' integer forms that build no int, on the tier lattice.
 
 Generated code compares signed i64 values without sign-flipping them:
-two variables as ``(x < y) != ((x >= S) != (y >= S))``, a variable and
-a constant as a chained compare over one unsigned range, or its
+two locals as ``(x < y) != ((x >= S) != (y >= S))``, a variable and a
+constant as a chained compare over one unsigned range, or its
 complement (``blockc._signed64_against``).  A gep adds its dynamic
 indices as stored, with no sign flip (``decoder._gep_plan``), and a
 64-bit ``and``/``or``/``xor`` skips the mask.  These cases hold each
@@ -45,7 +45,8 @@ def _signed_module():
         )
         lines += _compare_fn(
             f"v_{predicate}", "i64 %p, i64 %q",
-            [(predicate, "%p", "%q"), (predicate, "%q", "%p")],
+            [(predicate, "%p", "%q"), (predicate, "%y", "%x")],
+            prelude=["  %x = add i64 %p, 0", "  %y = add i64 %q, 0"],
         )
         for a in VALUES:
             calls.append(f"@r_{predicate}(i64 {a})")
@@ -79,11 +80,13 @@ def _signed_module():
     return _parsed(lines)
 
 
-def _compare_fn(name, params, pairs):
+def _compare_fn(name, params, pairs, prelude=()):
     """A function testing each ``(predicate, lhs, rhs)`` of ``pairs``
     twice: as a value (``icmp; zext`` folded into the result) and as a
-    branch on the ``icmp`` itself (a fused exit)."""
-    lines = [f"define i64 @{name}({params}) {{", "entry:"]
+    branch on the ``icmp`` itself (a fused exit).  ``prelude`` defines
+    values the compares may read: compiled code keeps them in locals,
+    where arguments stay in frame slots."""
+    lines = [f"define i64 @{name}({params}) {{", "entry:", *prelude]
     acc = "0"
     for k, (predicate, lhs, rhs) in enumerate(pairs):
         lines += [
